@@ -82,12 +82,15 @@ rm -f BENCH_control_plane_smoke.json.tmp
 if [[ "$REPEAT_DETERMINISM" == "1" ]]; then
   # Nondeterminism is flaky by nature: one green run proves little. Re-run
   # the trace/metrics determinism harness in fresh processes so ASLR and
-  # allocator state vary between runs.
+  # allocator state vary between runs. The snapshot golden rides along: a
+  # component Visit that walks an unordered container shows up here as a
+  # flaky blob digest.
   REPEATS="${ANDRONE_DETERMINISM_REPEATS:-5}"
   echo "=== determinism harness: $REPEATS repeated runs ==="
   for i in $(seq 1 "$REPEATS"); do
     ./build/tests/determinism_test --gtest_brief=1
     ./build/tests/trace_golden_test --gtest_brief=1
+    ./build/tests/snapshot_golden_test --gtest_brief=1
   done
 fi
 

@@ -186,13 +186,14 @@ class BinderDriver {
     return transaction_count_ - fast_path_transactions_;
   }
 
-  // Checkpoint hook: overwrites the dispatch counters (the process/handle
-  // tables themselves are rebuilt by the restoring world's boot sequence).
-  void RestoreCounters(uint64_t transactions, uint64_t fast_path,
-                       uint64_t lookup_epoch) {
-    transaction_count_ = transactions;
-    fast_path_transactions_ = fast_path;
-    lookup_epoch_ = lookup_epoch;
+  // Checkpoint/restore (DESIGN.md §13): the dispatch counters (the
+  // process/handle tables are rebuilt by the restoring world's boot).
+  template <class Ar>
+  Status Visit(Ar& ar) {
+    ar.U64(transaction_count_);
+    ar.U64(fast_path_transactions_);
+    ar.U64(lookup_epoch_);
+    return ar.status();
   }
 
   // Attaches the binder trace category: every dispatched transaction

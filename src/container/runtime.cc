@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/obs/trace.h"
+#include "src/snapshot/archive.h"
 #include "src/util/logging.h"
 
 namespace androne {
@@ -167,34 +168,57 @@ Status ContainerRuntime::RemoveContainer(ContainerId id) {
   return OkStatus();
 }
 
-Status ContainerRuntime::RestoreContainerState(ContainerId id,
-                                               ContainerState state,
-                                               uint64_t crash_count) {
-  ASSIGN_OR_RETURN(Container * container, Find(id));
-  if (container->state_ == ContainerState::kRunning &&
+Status ContainerRuntime::RestoreLifecycle(Container& container,
+                                          ContainerState state) {
+  const ContainerId id = container.id();
+  if (container.state_ == ContainerState::kRunning &&
       state != ContainerState::kRunning) {
     // The snapshot caught this container between lives: silently drop the
     // processes the restoring boot spawned (no trace, no crash listener).
-    for (const ContainerProcess& proc : container->processes_) {
+    for (const ContainerProcess& proc : container.processes_) {
       process_owner_.erase(proc.pid);
     }
-    container->processes_.clear();
+    container.processes_.clear();
     driver_->DestroyContainer(id);
-  } else if (container->state_ != ContainerState::kRunning &&
+  } else if (container.state_ != ContainerState::kRunning &&
              state == ContainerState::kRunning) {
     // The snapshot has a running life the restoring boot never started
     // (e.g. a supervisor restart preceded the checkpoint). Quietly boot the
     // default processes so process count and memory accounting match.
-    container->state_ = ContainerState::kRunning;
+    container.state_ = ContainerState::kRunning;
     for (const std::string& proc_name :
-         DefaultProcessNames(container->kind())) {
+         DefaultProcessNames(container.kind())) {
       RETURN_IF_ERROR(SpawnProcess(id, proc_name, /*euid=*/1000).status());
     }
   }
-  container->state_ = state;
-  container->crash_count_ = crash_count;
+  container.state_ = state;
   return OkStatus();
 }
+
+template <class Ar>
+Status ContainerRuntime::Visit(Ar& ar) {
+  ar.Match(containers_.size(), "container roster size");
+  for (auto& [id, container] : containers_) {
+    ar.Match(id, "container id");
+    ContainerState state = container->state_;
+    ar.Enum(state, ContainerState::kCrashed);
+    ar.U64(container->crash_count_);
+    if constexpr (Ar::kLoading) {
+      if (ar.ok()) {
+        Status moved = RestoreLifecycle(*container, state);
+        if (!moved.ok()) {
+          ar.Fail(std::move(moved));
+        }
+      }
+    }
+  }
+  ar.I64(next_container_id_);
+  ar.I64(next_pid_);
+  return ar.status();
+}
+
+template Status ContainerRuntime::Visit(SaveArchive&);
+template Status ContainerRuntime::Visit(LoadArchive&);
 
 StatusOr<Container*> ContainerRuntime::Find(ContainerId id) {
   auto it = containers_.find(id);

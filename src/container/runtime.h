@@ -83,29 +83,25 @@ class ContainerRuntime {
   // container = the affected id). Pass nullptr to detach.
   void SetTrace(TraceRecorder* trace);
 
-  // --- Checkpoint hooks (DESIGN.md §13) ---
-  // Quietly overwrites a container's lifecycle state and crash count: no
-  // trace events, no crash listener, no process spawning/teardown. Restore
-  // paths use this after re-running the deterministic boot/deploy sequence
-  // — the process tables already exist; only the lifecycle coordinates
-  // (which life, how many crashes) moved while the snapshot was live.
-  // Restoring kCrashed/kStopped over a running container tears the
-  // processes down silently so memory accounting stays truthful.
-  Status RestoreContainerState(ContainerId id, ContainerState state,
-                               uint64_t crash_count);
-  // Overwrites the id allocators so post-restore creations/spawns allocate
-  // exactly the ids the interrupted run would have.
-  void RestoreIdCounters(ContainerId next_container_id, Pid next_pid) {
-    next_container_id_ = next_container_id;
-    next_pid_ = next_pid;
-  }
-  ContainerId next_container_id() const { return next_container_id_; }
-  Pid next_pid() const { return next_pid_; }
+  // --- Checkpoint/restore (DESIGN.md §13) ---
+  // Lists each container's lifecycle coordinates (which life, how many
+  // crashes) and the id allocators. The process tables are not persisted:
+  // the restoring world re-runs the deterministic boot/deploy sequence, so
+  // the roster must already match, and the load quietly moves each
+  // container to its saved state (see RestoreLifecycle). Instantiated for
+  // SaveArchive and LoadArchive in runtime.cc.
+  template <class Ar>
+  Status Visit(Ar& ar);
 
  private:
   Pid AllocatePid() { return next_pid_++; }
 
   void TraceLifecycle(uint32_t name, ContainerId id);
+  // Quietly moves |container| to |state|: no trace events, no crash
+  // listener. A running container restored as stopped/crashed drops its
+  // processes so memory accounting stays truthful; one restored as running
+  // re-spawns its default process set.
+  Status RestoreLifecycle(Container& container, ContainerState state);
 
   BinderDriver* driver_;
   ImageStore* images_;

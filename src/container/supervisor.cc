@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <string>
 
-#include "src/snapshot/state_io.h"
+#include "src/snapshot/archive.h"
 #include "src/util/logging.h"
 
 namespace androne {
@@ -101,85 +101,33 @@ void ContainerSupervisor::AttemptRestart(ContainerId id) {
   ALOG(kInfo, "supervisor") << "container " << id << " restarted";
 }
 
-void ContainerSupervisor::SaveState(SnapshotWriter& w,
-                                    TimerRegistry& timers) const {
-  w.Section("SUPV");
-  SaveRng(w, rng_);
-  w.U64(restarts_);
-  w.U64(gave_up_);
-  w.U64(watched_.size());
-  for (const auto& [id, watched] : watched_) {
-    w.I64(id);
-    w.U32(static_cast<uint32_t>(watched.streak));
-    w.I64(watched.last_start);
-    bool pending = watched.restart_pending;
-    SimTime when = 0;
-    uint64_t seq = 0;
-    if (pending &&
-        clock_->PendingInfo(watched.restart_event, &when, &seq)) {
-      timers.Add("sup." + std::to_string(id), when, seq);
-    } else {
-      pending = false;
-    }
-    w.Bool(pending);
-    w.Bool(watched.gave_up);
+template <class Ar>
+Status ContainerSupervisor::Visit(Ar& ar) {
+  ar.Section("SUPV");
+  rng_.Visit(ar);
+  ar.U64(restarts_);
+  ar.U64(gave_up_);
+  ar.Match(watched_.size(), "supervisor watch-table size");
+  for (auto& [id, watched] : watched_) {
+    ar.Match(id, "supervisor watched container");
+    ar.U32(watched.streak);
+    ar.I64(watched.last_start);
+    // A restart is pending exactly while its event is armed.
+    ar.Timer("sup." + std::to_string(id), watched.restart_event);
+    ar.Bool(watched.restart_pending);
+    ar.Bool(watched.gave_up);
   }
-  w.U64(episodes_.size());
-  for (const RestartEpisode& episode : episodes_) {
-    w.I64(episode.id);
-    w.I64(episode.crashed_at);
-    w.I64(episode.restarted_at);
-    w.U32(static_cast<uint32_t>(episode.streak));
-  }
+  ar.Seq(episodes_, [&](RestartEpisode& episode) {
+    ar.I64(episode.id);
+    ar.I64(episode.crashed_at);
+    ar.I64(episode.restarted_at);
+    ar.U32(episode.streak);
+  });
+  return ar.status();
 }
 
-Status ContainerSupervisor::RestoreState(SnapshotReader& r) {
-  RETURN_IF_ERROR(r.Section("SUPV"));
-  RETURN_IF_ERROR(RestoreRng(r, rng_));
-  RETURN_IF_ERROR(r.U64(&restarts_));
-  RETURN_IF_ERROR(r.U64(&gave_up_));
-  uint64_t count = 0;
-  RETURN_IF_ERROR(r.U64(&count));
-  if (count != watched_.size()) {
-    return InvalidArgumentError(
-        "supervisor checkpoint watch-table mismatch: snapshot has " +
-        std::to_string(count) + " entries, restoring world has " +
-        std::to_string(watched_.size()));
-  }
-  for (auto& [id, watched] : watched_) {
-    int64_t saved_id = 0;
-    RETURN_IF_ERROR(r.I64(&saved_id));
-    if (saved_id != id) {
-      return InvalidArgumentError(
-          "supervisor checkpoint watches container " +
-          std::to_string(saved_id) + ", restoring world watches " +
-          std::to_string(id));
-    }
-    uint32_t streak = 0;
-    RETURN_IF_ERROR(r.U32(&streak));
-    watched.streak = static_cast<int>(streak);
-    RETURN_IF_ERROR(r.I64(&watched.last_start));
-    RETURN_IF_ERROR(r.Bool(&watched.restart_pending));
-    RETURN_IF_ERROR(r.Bool(&watched.gave_up));
-    watched.restart_event = 0;  // Re-armed via RegisterTimers when pending.
-  }
-  RETURN_IF_ERROR(r.U64(&count));
-  episodes_.clear();
-  episodes_.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    RestartEpisode episode;
-    int64_t episode_id = 0;
-    RETURN_IF_ERROR(r.I64(&episode_id));
-    episode.id = static_cast<ContainerId>(episode_id);
-    RETURN_IF_ERROR(r.I64(&episode.crashed_at));
-    RETURN_IF_ERROR(r.I64(&episode.restarted_at));
-    uint32_t streak = 0;
-    RETURN_IF_ERROR(r.U32(&streak));
-    episode.streak = static_cast<int>(streak);
-    episodes_.push_back(episode);
-  }
-  return OkStatus();
-}
+template Status ContainerSupervisor::Visit(SaveArchive&);
+template Status ContainerSupervisor::Visit(LoadArchive&);
 
 void ContainerSupervisor::RegisterTimers(TimerRearmer& rearmer) {
   for (const auto& [id, watched] : watched_) {

@@ -64,9 +64,10 @@ class ContainerSupervisor {
   // Persists the watch table (streaks, pending restarts with their armed
   // backoff deadlines under keys "sup.<container>"), the episode log, and
   // the jitter RNG. The restoring world must Watch() the identical
-  // container set before RestoreState.
-  void SaveState(SnapshotWriter& w, TimerRegistry& timers) const;
-  Status RestoreState(SnapshotReader& r);
+  // container set before the load. Instantiated for SaveArchive and
+  // LoadArchive in supervisor.cc.
+  template <class Ar>
+  Status Visit(Ar& ar);
   void RegisterTimers(TimerRearmer& rearmer);
 
  private:

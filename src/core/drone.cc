@@ -5,7 +5,7 @@
 
 #include "src/hw/camera.h"
 #include "src/rt/load_profile.h"
-#include "src/snapshot/state_io.h"
+#include "src/snapshot/archive.h"
 #include "src/util/logging.h"
 
 namespace androne {
@@ -662,243 +662,85 @@ void AnDroneSystem::RequestAbort(const std::string& reason) {
 
 // --- Checkpoint/restore (DESIGN.md §13) ---
 
-void MissionProgress::SaveState(SnapshotWriter& w) const {
-  w.Section("MISN");
-  w.U32(static_cast<uint32_t>(phase));
-  w.U64(stop_index);
-  w.I64(phase_deadline);
-  w.Bool(entered);
-  w.Bool(saw_override);
-  w.Bool(report.completed);
-  w.U64(report.events.size());
-  for (const std::string& event : report.events) {
-    w.Str(event);
-  }
-  w.F64(report.flight_time_s);
-  w.F64(report.battery_used_j);
-  w.U64(report.waypoints_visited);
-  w.F64(battery_at_start);
-  w.I64(start);
+template <class Ar>
+Status MissionProgress::Visit(Ar& ar) {
+  ar.Section("MISN");
+  ar.Enum(phase, Phase::kDone);
+  ar.U64(stop_index);
+  ar.I64(phase_deadline);
+  ar.Bool(entered);
+  ar.Bool(saw_override);
+  ar.Bool(report.completed);
+  ar.Seq(report.events, [&](std::string& event) { ar.Str(event); });
+  ar.F64(report.flight_time_s);
+  ar.F64(report.battery_used_j);
+  ar.U64(report.waypoints_visited);
+  ar.F64(battery_at_start);
+  ar.I64(start);
+  return ar.status();
 }
 
-Status MissionProgress::RestoreState(SnapshotReader& r) {
-  RETURN_IF_ERROR(r.Section("MISN"));
-  uint32_t raw_phase = 0;
-  RETURN_IF_ERROR(r.U32(&raw_phase));
-  if (raw_phase > static_cast<uint32_t>(Phase::kDone)) {
-    return InvalidArgumentError("mission checkpoint has unknown phase " +
-                                std::to_string(raw_phase));
+template <class Ar>
+Status AnDroneSystem::Visit(Ar& ar) {
+  if (Ar::kLoading && !booted_) {
+    return FailedPreconditionError("boot the drone before restoring");
   }
-  phase = static_cast<Phase>(raw_phase);
-  RETURN_IF_ERROR(r.U64(&stop_index));
-  RETURN_IF_ERROR(r.I64(&phase_deadline));
-  RETURN_IF_ERROR(r.Bool(&entered));
-  RETURN_IF_ERROR(r.Bool(&saw_override));
-  RETURN_IF_ERROR(r.Bool(&report.completed));
-  uint64_t events = 0;
-  RETURN_IF_ERROR(r.U64(&events));
-  report.events.resize(events);
-  for (uint64_t i = 0; i < events; ++i) {
-    RETURN_IF_ERROR(r.Str(&report.events[i]));
-  }
-  RETURN_IF_ERROR(r.F64(&report.flight_time_s));
-  RETURN_IF_ERROR(r.F64(&report.battery_used_j));
-  RETURN_IF_ERROR(r.U64(&report.waypoints_visited));
-  RETURN_IF_ERROR(r.F64(&battery_at_start));
-  return r.I64(&start);
-}
-
-void AnDroneSystem::SaveState(SnapshotWriter& w, TimerRegistry& timers) const {
-  w.Section("SYS ");
-  w.F64(battery_.remaining_joules());
-  w.Bool(abort_requested_);
-  w.Str(abort_reason_);
-  w.U64(pending_ends_.size());
-  for (const TenancyEnd& end : pending_ends_) {
-    w.Str(end.vdrone_id);
-    w.U32(static_cast<uint32_t>(end.reason));
-  }
-  w.Bool(accounting_running_);
-  {
-    SimTime when = 0;
-    uint64_t seq = 0;
-    bool pending = accounting_running_ &&
-                   clock_->PendingInfo(accounting_event_, &when, &seq);
-    if (pending) {
-      timers.Add("sys.accounting", when, seq);
-    }
-    w.Bool(pending);
-  }
-  progress_.SaveState(w);
+  ar.Section("SYS ");
+  RETURN_IF_ERROR(battery_.Visit(ar));
+  ar.Bool(abort_requested_);
+  ar.Str(abort_reason_);
+  ar.Seq(pending_ends_, [&](TenancyEnd& end) {
+    ar.Str(end.vdrone_id);
+    ar.Enum(end.reason, TenancyEndReason::kInterrupted);
+  });
+  ar.Bool(accounting_running_);
+  bool accounting_pending = ar.Timer("sys.accounting", accounting_event_);
+  ar.Bool(accounting_pending);
+  RETURN_IF_ERROR(progress_.Visit(ar));
 
   // Hardware truth + noise streams.
-  physics_->SaveState(w);
-  SaveRng(w, gps_->checkpoint_rng());
-  w.U32(static_cast<uint32_t>(gps_->satellites()));
-  SaveRng(w, imu_->checkpoint_rng());
-  SaveRng(w, baro_->checkpoint_rng());
-  SaveRng(w, mag_->checkpoint_rng());
-  w.U64(microphone_->checkpoint_phase());
-  w.U64(speaker_->samples_played());
-  for (double throttle : motors_->throttles()) {
-    w.F64(throttle);
+  RETURN_IF_ERROR(physics_->Visit(ar));
+  RETURN_IF_ERROR(gps_->Visit(ar));
+  imu_->checkpoint_rng().Visit(ar);
+  baro_->checkpoint_rng().Visit(ar);
+  mag_->checkpoint_rng().Visit(ar);
+  RETURN_IF_ERROR(microphone_->Visit(ar));
+  RETURN_IF_ERROR(speaker_->Visit(ar));
+  RETURN_IF_ERROR(motors_->Visit(ar));
+  RETURN_IF_ERROR(gimbal_->Visit(ar));
+  if (ar.Present(device_stack_.sensor_hub != nullptr, "sensor-hub")) {
+    RETURN_IF_ERROR(device_stack_.sensor_hub->Visit(ar));
   }
-  w.Bool(motors_->armed());
-  w.F64(gimbal_->pitch_deg());
-  w.F64(gimbal_->roll_deg());
-  w.F64(gimbal_->yaw_deg());
-  w.Bool(device_stack_.sensor_hub != nullptr);
-  if (device_stack_.sensor_hub != nullptr) {
-    device_stack_.sensor_hub->SaveState(w);
+  if (ar.Present(sensor_fault_injector_ != nullptr, "sensor-fault")) {
+    RETURN_IF_ERROR(sensor_fault_injector_->Visit(ar));
   }
-  w.Bool(sensor_fault_injector_ != nullptr);
-  if (sensor_fault_injector_ != nullptr) {
-    sensor_fault_injector_->SaveState(w);
-  }
-  w.Bool(latency_sampler_ != nullptr);
-  if (latency_sampler_ != nullptr) {
-    SaveRng(w, latency_sampler_->checkpoint_rng());
+  if (ar.Present(latency_sampler_ != nullptr, "latency-sampler")) {
+    latency_sampler_->checkpoint_rng().Visit(ar);
   }
 
   // Flight stack + links + tenancy.
-  flight_controller_->SaveState(w, timers);
-  planner_sender_->SaveState(w, timers);
-  proxy_->SaveState(w, timers);
-  vdc_->SaveState(w);
+  RETURN_IF_ERROR(flight_controller_->Visit(ar));
+  RETURN_IF_ERROR(planner_sender_->Visit(ar));
+  RETURN_IF_ERROR(proxy_->Visit(ar));
+  RETURN_IF_ERROR(vdc_->Visit(ar));
 
   // OS substrate counters (the tables themselves are rebuilt by the
   // restoring world's deterministic boot).
-  w.U64(binder_.transaction_count());
-  w.U64(binder_.fast_path_transactions());
-  w.U64(binder_.lookup_epoch());
-  std::vector<Container*> containers = runtime_->ListContainers();
-  w.U64(containers.size());
-  for (Container* container : containers) {
-    w.I64(container->id());
-    w.U32(static_cast<uint32_t>(container->state()));
-    w.U64(container->crash_count());
-  }
-  w.I64(runtime_->next_container_id());
-  w.I64(runtime_->next_pid());
+  RETURN_IF_ERROR(binder_.Visit(ar));
+  return runtime_->Visit(ar);
+}
+
+template Status AnDroneSystem::Visit(SaveArchive&);
+template Status AnDroneSystem::Visit(LoadArchive&);
+
+void AnDroneSystem::SaveState(SnapshotWriter& w, TimerRegistry& timers) const {
+  SaveArchive ar(w, timers, *clock_);
+  (void)const_cast<AnDroneSystem*>(this)->Visit(ar);
 }
 
 Status AnDroneSystem::RestoreState(SnapshotReader& r) {
-  if (!booted_) {
-    return FailedPreconditionError("boot the drone before restoring");
-  }
-  RETURN_IF_ERROR(r.Section("SYS "));
-  double battery_remaining = 0;
-  RETURN_IF_ERROR(r.F64(&battery_remaining));
-  battery_.RestoreRemaining(battery_remaining);
-  RETURN_IF_ERROR(r.Bool(&abort_requested_));
-  RETURN_IF_ERROR(r.Str(&abort_reason_));
-  uint64_t ends = 0;
-  RETURN_IF_ERROR(r.U64(&ends));
-  pending_ends_.clear();
-  for (uint64_t i = 0; i < ends; ++i) {
-    TenancyEnd end;
-    RETURN_IF_ERROR(r.Str(&end.vdrone_id));
-    uint32_t reason = 0;
-    RETURN_IF_ERROR(r.U32(&reason));
-    end.reason = static_cast<TenancyEndReason>(reason);
-    pending_ends_.push_back(end);
-  }
-  RETURN_IF_ERROR(r.Bool(&accounting_running_));
-  bool accounting_pending = false;
-  RETURN_IF_ERROR(r.Bool(&accounting_pending));
-  accounting_event_ = 0;  // Re-armed via RegisterTimers when pending.
-  RETURN_IF_ERROR(progress_.RestoreState(r));
-
-  RETURN_IF_ERROR(physics_->RestoreState(r));
-  RETURN_IF_ERROR(RestoreRng(r, gps_->checkpoint_rng()));
-  uint32_t satellites = 0;
-  RETURN_IF_ERROR(r.U32(&satellites));
-  gps_->set_satellites(static_cast<int>(satellites));
-  RETURN_IF_ERROR(RestoreRng(r, imu_->checkpoint_rng()));
-  RETURN_IF_ERROR(RestoreRng(r, baro_->checkpoint_rng()));
-  RETURN_IF_ERROR(RestoreRng(r, mag_->checkpoint_rng()));
-  uint64_t mic_phase = 0;
-  RETURN_IF_ERROR(r.U64(&mic_phase));
-  microphone_->RestorePhase(mic_phase);
-  uint64_t samples_played = 0;
-  RETURN_IF_ERROR(r.U64(&samples_played));
-  speaker_->RestoreSamplesPlayed(samples_played);
-  std::array<double, kNumMotors> throttles{};
-  for (double& throttle : throttles) {
-    RETURN_IF_ERROR(r.F64(&throttle));
-  }
-  bool motors_armed = false;
-  RETURN_IF_ERROR(r.Bool(&motors_armed));
-  motors_->RestoreActuatorState(throttles, motors_armed);
-  double pitch = 0, roll = 0, yaw = 0;
-  RETURN_IF_ERROR(r.F64(&pitch));
-  RETURN_IF_ERROR(r.F64(&roll));
-  RETURN_IF_ERROR(r.F64(&yaw));
-  gimbal_->RestoreOrientation(pitch, roll, yaw);
-  bool has_hub = false;
-  RETURN_IF_ERROR(r.Bool(&has_hub));
-  if (has_hub != (device_stack_.sensor_hub != nullptr)) {
-    return InvalidArgumentError(
-        "checkpoint sensor-hub presence does not match the restoring world");
-  }
-  if (has_hub) {
-    RETURN_IF_ERROR(device_stack_.sensor_hub->RestoreState(r));
-  }
-  bool has_faults = false;
-  RETURN_IF_ERROR(r.Bool(&has_faults));
-  if (has_faults != (sensor_fault_injector_ != nullptr)) {
-    return InvalidArgumentError(
-        "checkpoint sensor-fault presence does not match the restoring world");
-  }
-  if (has_faults) {
-    RETURN_IF_ERROR(sensor_fault_injector_->RestoreState(r));
-  }
-  bool has_sampler = false;
-  RETURN_IF_ERROR(r.Bool(&has_sampler));
-  if (has_sampler != (latency_sampler_ != nullptr)) {
-    return InvalidArgumentError(
-        "checkpoint latency-sampler presence does not match the restoring "
-        "world");
-  }
-  if (has_sampler) {
-    RETURN_IF_ERROR(RestoreRng(r, latency_sampler_->checkpoint_rng()));
-  }
-
-  RETURN_IF_ERROR(flight_controller_->RestoreState(r));
-  RETURN_IF_ERROR(planner_sender_->RestoreState(r));
-  RETURN_IF_ERROR(proxy_->RestoreState(r));
-  RETURN_IF_ERROR(vdc_->RestoreState(r));
-
-  uint64_t transactions = 0, fast_path = 0, lookup_epoch = 0;
-  RETURN_IF_ERROR(r.U64(&transactions));
-  RETURN_IF_ERROR(r.U64(&fast_path));
-  RETURN_IF_ERROR(r.U64(&lookup_epoch));
-  binder_.RestoreCounters(transactions, fast_path, lookup_epoch);
-  uint64_t container_count = 0;
-  RETURN_IF_ERROR(r.U64(&container_count));
-  if (container_count != runtime_->ListContainers().size()) {
-    return InvalidArgumentError(
-        "checkpoint container roster mismatch: snapshot has " +
-        std::to_string(container_count) + " containers, restoring world has " +
-        std::to_string(runtime_->ListContainers().size()));
-  }
-  for (uint64_t i = 0; i < container_count; ++i) {
-    int64_t id = 0;
-    uint32_t state = 0;
-    uint64_t crash_count = 0;
-    RETURN_IF_ERROR(r.I64(&id));
-    RETURN_IF_ERROR(r.U32(&state));
-    RETURN_IF_ERROR(r.U64(&crash_count));
-    RETURN_IF_ERROR(runtime_->RestoreContainerState(
-        static_cast<ContainerId>(id), static_cast<ContainerState>(state),
-        crash_count));
-  }
-  int64_t next_container_id = 0, next_pid = 0;
-  RETURN_IF_ERROR(r.I64(&next_container_id));
-  RETURN_IF_ERROR(r.I64(&next_pid));
-  runtime_->RestoreIdCounters(static_cast<ContainerId>(next_container_id),
-                              static_cast<Pid>(next_pid));
-  return OkStatus();
+  LoadArchive ar(r);
+  return Visit(ar);
 }
 
 void AnDroneSystem::RegisterTimers(TimerRearmer& rearmer) {

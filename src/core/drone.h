@@ -110,8 +110,8 @@ struct MissionProgress {
     return phase != Phase::kIdle && phase != Phase::kDone;
   }
 
-  void SaveState(SnapshotWriter& w) const;
-  Status RestoreState(SnapshotReader& r);
+  template <class Ar>
+  Status Visit(Ar& ar);
 };
 
 class AnDroneSystem {
@@ -160,12 +160,16 @@ class AnDroneSystem {
   const MissionProgress& mission_progress() const { return progress_; }
 
   // --- Checkpoint/restore (DESIGN.md §13) ---
-  // Persists the complete dynamic state of the booted system: hardware
+  // Lists the complete dynamic state of the booted system: hardware
   // (physics truth, sensor RNG streams, actuators, battery), the flight
   // stack, MAVProxy + VFCs, the VDC's tenancy/accounting state, container
   // lifecycle counters, binder counters, and the mission phase machine.
   // The restoring system must have been built by the identical Boot() +
-  // Deploy() sequence at the same seed before RestoreState is called.
+  // Deploy() sequence at the same seed before the load. Instantiated for
+  // SaveArchive and LoadArchive in drone.cc.
+  template <class Ar>
+  Status Visit(Ar& ar);
+  // Entry points over Visit for callers holding a bare writer or reader.
   void SaveState(SnapshotWriter& w, TimerRegistry& timers) const;
   Status RestoreState(SnapshotReader& r);
   void RegisterTimers(TimerRearmer& rearmer);

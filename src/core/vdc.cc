@@ -4,6 +4,7 @@
 
 #include "src/services/device_services.h"
 #include "src/services/permissions.h"
+#include "src/snapshot/archive.h"
 #include "src/util/logging.h"
 
 namespace androne {
@@ -508,73 +509,32 @@ std::vector<VirtualDroneInstance*> Vdc::instances() {
   return out;
 }
 
-void Vdc::SaveState(SnapshotWriter& w) const {
-  w.Section("VDC ");
-  w.Str(active_tenant_);
-  w.U32(static_cast<uint32_t>(next_app_uid_));
-  w.U64(vdrones_.size());
-  for (const auto& [id, vd] : vdrones_) {
-    w.Str(id);
-    w.Bool(vd->at_waypoint);
-    w.U64(vd->current_waypoint);
-    w.Bool(vd->reached_first_waypoint);
-    w.Bool(vd->finished_last_waypoint);
-    w.Bool(vd->suspended);
-    w.Bool(vd->exhausted);
-    w.Bool(vd->completed_current);
-    w.U64(vd->waypoints_served);
-    w.F64(vd->energy_used_j);
-    w.F64(vd->time_used_s);
-    w.Bool(vd->low_energy_warned);
-    w.Bool(vd->low_time_warned);
-    w.U64(vd->files_for_user.size());
-    for (const std::string& path : vd->files_for_user) {
-      w.Str(path);
-    }
+template <class Ar>
+Status Vdc::Visit(Ar& ar) {
+  ar.Section("VDC ");
+  ar.Str(active_tenant_);
+  ar.U32(next_app_uid_);
+  ar.Match(vdrones_.size(), "VDC deployment roster size");
+  for (auto& [id, vd] : vdrones_) {
+    ar.Match(id, "VDC deployment");
+    ar.Bool(vd->at_waypoint);
+    ar.U64(vd->current_waypoint);
+    ar.Bool(vd->reached_first_waypoint);
+    ar.Bool(vd->finished_last_waypoint);
+    ar.Bool(vd->suspended);
+    ar.Bool(vd->exhausted);
+    ar.Bool(vd->completed_current);
+    ar.U64(vd->waypoints_served);
+    ar.F64(vd->energy_used_j);
+    ar.F64(vd->time_used_s);
+    ar.Bool(vd->low_energy_warned);
+    ar.Bool(vd->low_time_warned);
+    ar.Seq(vd->files_for_user, [&](std::string& path) { ar.Str(path); });
   }
+  return ar.status();
 }
 
-Status Vdc::RestoreState(SnapshotReader& r) {
-  RETURN_IF_ERROR(r.Section("VDC "));
-  RETURN_IF_ERROR(r.Str(&active_tenant_));
-  uint32_t next_uid = 0;
-  RETURN_IF_ERROR(r.U32(&next_uid));
-  next_app_uid_ = static_cast<Uid>(next_uid);
-  uint64_t count = 0;
-  RETURN_IF_ERROR(r.U64(&count));
-  if (count != vdrones_.size()) {
-    return InvalidArgumentError(
-        "VDC checkpoint deployment mismatch: snapshot has " +
-        std::to_string(count) + " virtual drones, restoring VDC has " +
-        std::to_string(vdrones_.size()));
-  }
-  for (auto& [id, vd] : vdrones_) {
-    std::string saved_id;
-    RETURN_IF_ERROR(r.Str(&saved_id));
-    if (saved_id != id) {
-      return InvalidArgumentError("VDC checkpoint deployed '" + saved_id +
-                                  "', restoring VDC deployed '" + id + "'");
-    }
-    RETURN_IF_ERROR(r.Bool(&vd->at_waypoint));
-    RETURN_IF_ERROR(r.U64(&vd->current_waypoint));
-    RETURN_IF_ERROR(r.Bool(&vd->reached_first_waypoint));
-    RETURN_IF_ERROR(r.Bool(&vd->finished_last_waypoint));
-    RETURN_IF_ERROR(r.Bool(&vd->suspended));
-    RETURN_IF_ERROR(r.Bool(&vd->exhausted));
-    RETURN_IF_ERROR(r.Bool(&vd->completed_current));
-    RETURN_IF_ERROR(r.U64(&vd->waypoints_served));
-    RETURN_IF_ERROR(r.F64(&vd->energy_used_j));
-    RETURN_IF_ERROR(r.F64(&vd->time_used_s));
-    RETURN_IF_ERROR(r.Bool(&vd->low_energy_warned));
-    RETURN_IF_ERROR(r.Bool(&vd->low_time_warned));
-    uint64_t files = 0;
-    RETURN_IF_ERROR(r.U64(&files));
-    vd->files_for_user.resize(files);
-    for (uint64_t i = 0; i < files; ++i) {
-      RETURN_IF_ERROR(r.Str(&vd->files_for_user[i]));
-    }
-  }
-  return OkStatus();
-}
+template Status Vdc::Visit(SaveArchive&);
+template Status Vdc::Visit(LoadArchive&);
 
 }  // namespace androne

@@ -23,7 +23,6 @@
 #include "src/core/sdk.h"
 #include "src/services/app.h"
 #include "src/services/system_server.h"
-#include "src/snapshot/snapshot.h"
 #include "src/util/sim_clock.h"
 
 namespace androne {
@@ -186,9 +185,10 @@ class Vdc {
   // --- Checkpoint/restore (DESIGN.md §13) ---
   // Persists the per-tenant flight/accounting state, the active tenancy, and
   // the uid allocator. The restoring VDC must hold the identical deployment
-  // roster (same Deploy calls in the same order) before RestoreState.
-  void SaveState(SnapshotWriter& w) const;
-  Status RestoreState(SnapshotReader& r);
+  // roster (same Deploy calls in the same order) before the load.
+  // Instantiated for SaveArchive and LoadArchive in vdc.cc.
+  template <class Ar>
+  Status Visit(Ar& ar);
 
  private:
   Status InstallApps(VirtualDroneInstance& vd);

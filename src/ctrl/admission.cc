@@ -2,10 +2,12 @@
 
 #include <algorithm>
 
+#include "src/snapshot/archive.h"
+
 namespace androne {
 namespace {
 
-// Section tag for SaveState/RestoreState blobs.
+// Section tag for snapshot blobs.
 constexpr char kAdmissionSection[5] = "ADMC";
 
 }  // namespace
@@ -199,68 +201,37 @@ void AdmissionController::AuditBudgets() {
   }
 }
 
-void AdmissionController::SaveState(SnapshotWriter* w) const {
-  w->Section(kAdmissionSection);
-  w->F64(board_budget_mb_);
-  w->F64(usable_mb_);
-  w->U64(queue_capacity_);
-  w->U64(admitted_total_);
-  w->U64(queued_total_);
-  w->U64(rejected_total_);
-  w->U64(violations_);
-  w->U64(boards_.size());
-  for (const Board& b : boards_) {
-    w->Bool(b.accepting);
-    w->F64(b.used_mb);
-    w->U64(b.orders.size());
-    for (size_t i = 0; i < b.orders.size(); ++i) {
-      w->U64(b.orders[i]);
-      w->F64(b.footprints[i]);
+template <class Ar>
+Status AdmissionController::Visit(Ar& ar) {
+  ar.Section(kAdmissionSection);
+  ar.F64(board_budget_mb_);
+  ar.F64(usable_mb_);
+  ar.U64(queue_capacity_);
+  ar.U64(admitted_total_);
+  ar.U64(queued_total_);
+  ar.U64(rejected_total_);
+  ar.U64(violations_);
+  ar.Seq(boards_, [&](Board& b) {
+    ar.Bool(b.accepting);
+    ar.F64(b.used_mb);
+    // |footprints| is parallel to |orders|: each order travels with its
+    // footprint.
+    const uint64_t n = ar.Size(b.orders.size());
+    b.orders.resize(n);
+    b.footprints.resize(n);
+    for (size_t i = 0; i < n; ++i) {
+      ar.U64(b.orders[i]);
+      ar.F64(b.footprints[i]);
     }
-  }
-  w->U64(queue_.size());
-  for (const Waiting& q : queue_) {
-    w->U64(q.order);
-    w->F64(q.footprint_mb);
-  }
+  });
+  ar.Seq(queue_, [&](Waiting& q) {
+    ar.U64(q.order);
+    ar.F64(q.footprint_mb);
+  });
+  return ar.status();
 }
 
-Status AdmissionController::RestoreState(SnapshotReader* r) {
-  RETURN_IF_ERROR(r->Section(kAdmissionSection));
-  RETURN_IF_ERROR(r->F64(&board_budget_mb_));
-  RETURN_IF_ERROR(r->F64(&usable_mb_));
-  uint64_t queue_capacity = 0;
-  RETURN_IF_ERROR(r->U64(&queue_capacity));
-  queue_capacity_ = static_cast<size_t>(queue_capacity);
-  RETURN_IF_ERROR(r->U64(&admitted_total_));
-  RETURN_IF_ERROR(r->U64(&queued_total_));
-  RETURN_IF_ERROR(r->U64(&rejected_total_));
-  RETURN_IF_ERROR(r->U64(&violations_));
-  uint64_t num_boards = 0;
-  RETURN_IF_ERROR(r->U64(&num_boards));
-  boards_.assign(static_cast<size_t>(num_boards), Board{});
-  for (Board& b : boards_) {
-    RETURN_IF_ERROR(r->Bool(&b.accepting));
-    RETURN_IF_ERROR(r->F64(&b.used_mb));
-    uint64_t n = 0;
-    RETURN_IF_ERROR(r->U64(&n));
-    b.orders.resize(static_cast<size_t>(n));
-    b.footprints.resize(static_cast<size_t>(n));
-    for (uint64_t i = 0; i < n; ++i) {
-      RETURN_IF_ERROR(r->U64(&b.orders[i]));
-      RETURN_IF_ERROR(r->F64(&b.footprints[i]));
-    }
-  }
-  queue_.clear();
-  uint64_t waiting = 0;
-  RETURN_IF_ERROR(r->U64(&waiting));
-  for (uint64_t i = 0; i < waiting; ++i) {
-    Waiting q;
-    RETURN_IF_ERROR(r->U64(&q.order));
-    RETURN_IF_ERROR(r->F64(&q.footprint_mb));
-    queue_.push_back(q);
-  }
-  return OkStatus();
-}
+template Status AdmissionController::Visit(SaveArchive&);
+template Status AdmissionController::Visit(LoadArchive&);
 
 }  // namespace androne

@@ -9,8 +9,8 @@
 //
 // Accounting discipline: every mutation re-checks used <= budget and
 // counts a violation if it ever fails (the CI gate is violations == 0),
-// and the whole controller state serializes through the PR 7 snapshot
-// seams — save → restore → save is a byte fixed point, so budget
+// and the whole controller state serializes through the snapshot
+// archives — save → restore → save is a byte fixed point, so budget
 // accounting survives a control-plane checkpoint bit-exactly.
 #ifndef SRC_CTRL_ADMISSION_H_
 #define SRC_CTRL_ADMISSION_H_
@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "src/container/container.h"
-#include "src/snapshot/snapshot.h"
 #include "src/util/status.h"
 
 namespace androne {
@@ -104,11 +103,11 @@ class AdmissionController {
   // BENCH_control_plane.json trips.
   uint64_t violations() const { return violations_; }
 
-  // PR 7 snapshot seams: byte-stable serialization of the complete
-  // accounting state (doubles as raw bit patterns). save → restore → save
-  // is a byte fixed point.
-  void SaveState(SnapshotWriter* w) const;
-  Status RestoreState(SnapshotReader* r);
+  // Checkpoint/restore (DESIGN.md §13): the complete accounting state
+  // (doubles as raw bit patterns); save → restore → save is a byte fixed
+  // point. Instantiated for SaveArchive and LoadArchive in admission.cc.
+  template <class Ar>
+  Status Visit(Ar& ar);
 
  private:
   struct Board {

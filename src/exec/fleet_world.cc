@@ -20,6 +20,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/replay/replay_log.h"
+#include "src/snapshot/archive.h"
 #include "src/snapshot/checkpoint.h"
 #include "src/util/arena.h"
 #include "src/util/bytes.h"
@@ -68,72 +69,89 @@ uint64_t WallNowNs() {
 // template's post-boot state.
 constexpr SimTime kWarmupHorizon = Seconds(2);
 
-// Keys the template cache: ONLY config knobs that act before the
-// post-boot/pre-deploy boundary fold in. Everything that acts after the
-// boundary (tenants, dwell, planner effort, batching, downlink profile,
-// net faults, crash schedules) deliberately does not split the cache —
-// that sharing is what lets a whole campaign boot a handful of templates.
-uint64_t TemplateFingerprint(const FleetWorldConfig& config) {
-  uint64_t fp = kFnv1a64Offset;
-  fp = Fnv1a64Value(config.sensor_bus, fp);
-  fp = Fnv1a64Value(config.memory_budget_mb, fp);
-  fp = Fnv1a64Value(config.trace_categories, fp);
-  fp = Fnv1a64Value(config.trace_capacity, fp);
-  fp = Fnv1a64Value(config.sensor_faults != nullptr, fp);
-  if (config.sensor_faults != nullptr) {
-    // Only windows that can touch the warmup horizon shape boot state; two
-    // plans that differ purely after the boundary share a template.
-    for (const FaultWindowSpec& w : config.sensor_faults->schedule().windows()) {
-      if (w.start >= kWarmupHorizon || w.end <= 0) {
-        continue;
-      }
-      fp = Fnv1a64Value(w.kind, fp);
-      fp = Fnv1a64Value(w.scope, fp);
-      fp = Fnv1a64Value(w.start, fp);
-      fp = Fnv1a64Value(w.end, fp);
-      fp = Fnv1a64Value(w.p0, fp);
-      fp = Fnv1a64Value(w.p1, fp);
-      fp = Fnv1a64Value(w.d0, fp);
+// The phase a FleetWorldConfig field acts in (DESIGN.md §14):
+//   kBoot    — shapes the post-boot template; feeds both fingerprints.
+//   kWorld   — acts after the boot boundary; feeds ConfigFingerprint only.
+//   kRuntime — decides where results go or how fast the world runs, never
+//              what it computes; feeds neither.
+enum class ConfigPhase { kBoot, kWorld, kRuntime };
+
+// Calls v(phase, fields...) for every FleetWorldConfig field. The
+// structured binding names every member, so a new field does not compile
+// until it is tagged here. Sensor-fault windows are split: only those that
+// can touch the warmup horizon shape boot state, so plans differing purely
+// after the boundary share a template.
+template <class V>
+void VisitConfig(const FleetWorldConfig& config, V&& v) {
+  constexpr ConfigPhase kBoot = ConfigPhase::kBoot;
+  constexpr ConfigPhase kWorld = ConfigPhase::kWorld;
+  const auto& [tenants, dwell_s, waypoint_spread_m, tenant_placements,
+               annealing_iterations, sensor_bus, batch_telemetry,
+               batch_flush_bytes, batch_flush_ms, memory_budget_mb,
+               trace_categories, trace_capacity, trace, downlink_profile,
+               net_faults, sensor_faults, crash_loop, checkpoint, crash_at_s,
+               restore, tolerate_deploy_rejection, templates,
+               provision_metrics, record_into, replay_from, fork_blob,
+               fork_reseed, checkpoint_sink, speed] = config;
+  auto window = [&v](ConfigPhase phase, const FaultWindowSpec& w) {
+    v(phase, w.kind, w.scope, w.start, w.end, w.p0, w.p1, w.d0);
+  };
+  v(kWorld, tenants, dwell_s, waypoint_spread_m, tenant_placements.size());
+  for (const TenantPlacement& placement : tenant_placements) {
+    v(kWorld, placement.north_m, placement.east_m, placement.dwell_s);
+  }
+  v(kWorld, annealing_iterations);
+  v(kBoot, sensor_bus);
+  v(kWorld, batch_telemetry, batch_flush_bytes, batch_flush_ms);
+  v(kBoot, memory_budget_mb, trace_categories, trace_capacity);
+  v(kWorld, downlink_profile, net_faults != nullptr);
+  if (net_faults != nullptr) {
+    for (const FaultWindowSpec& w : net_faults->schedule().windows()) {
+      window(kWorld, w);
     }
   }
+  v(kBoot, sensor_faults != nullptr);
+  if (sensor_faults != nullptr) {
+    for (const FaultWindowSpec& w : sensor_faults->schedule().windows()) {
+      window(w.start < kWarmupHorizon && w.end > 0 ? kBoot : kWorld, w);
+    }
+  }
+  v(kWorld, crash_loop.count, crash_loop.start_s, crash_loop.period_s,
+    crash_loop.max_restarts, crash_at_s.size());
+  for (double at : crash_at_s) {
+    v(kWorld, at);
+  }
+  v(kWorld, tolerate_deploy_rejection);
+  v(ConfigPhase::kRuntime, trace, checkpoint, restore, templates,
+    provision_metrics, record_into, replay_from, fork_blob, fork_reseed,
+    checkpoint_sink, speed);
+}
+
+// FNV-1a over the fields VisitConfig tags with the wanted phases, in tag
+// order: boot only for the template key, boot and world for the config
+// fingerprint.
+uint64_t Fingerprint(const FleetWorldConfig& config, bool with_world) {
+  uint64_t fp = kFnv1a64Offset;
+  VisitConfig(config, [&](ConfigPhase phase, const auto&... fields) {
+    if (phase == ConfigPhase::kBoot ||
+        (with_world && phase == ConfigPhase::kWorld)) {
+      ((fp = Fnv1a64Value(fields, fp)), ...);
+    }
+  });
   return fp;
 }
 
-// Binds a checkpoint to the (config, seed) world that wrote it: every config
-// knob that shapes deterministic construction folds into the fingerprint, so
-// restoring into a differently-configured world fails at the header.
-uint64_t ConfigFingerprint(const FleetWorldConfig& config) {
-  uint64_t fp = kFnv1a64Offset;
-  fp = Fnv1a64Value(config.tenants, fp);
-  fp = Fnv1a64Value(config.dwell_s, fp);
-  fp = Fnv1a64Value(config.waypoint_spread_m, fp);
-  fp = Fnv1a64Value(config.annealing_iterations, fp);
-  fp = Fnv1a64Value(config.sensor_bus, fp);
-  fp = Fnv1a64Value(config.batch_telemetry, fp);
-  fp = Fnv1a64Value(config.batch_flush_bytes, fp);
-  fp = Fnv1a64Value(config.batch_flush_ms, fp);
-  fp = Fnv1a64Value(config.memory_budget_mb, fp);
-  fp = Fnv1a64Value(config.trace_categories, fp);
-  fp = Fnv1a64Value(static_cast<int>(config.downlink_profile), fp);
-  fp = Fnv1a64Value(config.net_faults != nullptr, fp);
-  fp = Fnv1a64Value(config.sensor_faults != nullptr, fp);
-  fp = Fnv1a64Value(config.crash_loop.count, fp);
-  fp = Fnv1a64Value(config.crash_loop.start_s, fp);
-  fp = Fnv1a64Value(config.crash_loop.period_s, fp);
-  fp = Fnv1a64Value(config.crash_loop.max_restarts, fp);
-  fp = Fnv1a64Value(config.tolerate_deploy_rejection, fp);
-  fp = Fnv1a64Value(config.crash_at_s.size(), fp);
-  for (double at : config.crash_at_s) {
-    fp = Fnv1a64Value(at, fp);
-  }
-  fp = Fnv1a64Value(config.tenant_placements.size(), fp);
-  for (const TenantPlacement& placement : config.tenant_placements) {
-    fp = Fnv1a64Value(placement.north_m, fp);
-    fp = Fnv1a64Value(placement.east_m, fp);
-    fp = Fnv1a64Value(placement.dwell_s, fp);
-  }
-  return fp;
+}  // namespace
+
+uint64_t TemplateFingerprint(const FleetWorldConfig& config) {
+  return Fingerprint(config, /*with_world=*/false);
 }
+
+uint64_t ConfigFingerprint(const FleetWorldConfig& config) {
+  return Fingerprint(config, /*with_world=*/true);
+}
+
+namespace {
 
 // One life of a fleet world: deterministic construction (identical for a
 // fresh run and for a restore target), the mission flight, and the result
@@ -174,10 +192,9 @@ class WorldAttempt {
         config_.trace == nullptr ? config_.templates : nullptr;
     std::shared_ptr<const WorldTemplate> tpl;
     bool builder = false;
-    uint64_t template_fp = 0;
     if (templates != nullptr) {
-      template_fp = TemplateFingerprint(config_);
-      tpl = templates->Acquire(template_fp, &builder);
+      template_fp_ = TemplateFingerprint(config_);
+      tpl = templates->Acquire(template_fp_, &builder);
       cloned_ = tpl != nullptr;
     }
 
@@ -199,23 +216,17 @@ class WorldAttempt {
       Status booted = system_->Boot();
       if (!booted.ok()) {
         if (builder) {
-          templates->AbandonBuild(template_fp);  // Re-elect a waiter.
+          templates->AbandonBuild(template_fp_);  // Re-elect a waiter.
         }
         return booted;
       }
     }
     if (cloned_) {
-      Status restored = RestoreTemplate(*tpl);
-      if (!restored.ok()) {
-        return restored;
-      }
+      RETURN_IF_ERROR(Overlay(BlobKind::kTemplate, tpl->blob));
     } else if (builder) {
       auto built = std::make_shared<WorldTemplate>();
-      built->fingerprint = template_fp;
-      built->boot_seed = kCanonicalBootSeed;
-      built->blob = SaveTemplateBlob(template_fp);
-      built->sim_time = clock_.now();
-      built->events_run = clock_.events_run();
+      built->fingerprint = template_fp_;
+      built->blob = Capture(BlobKind::kTemplate);
       built->boot_ns = WallNowNs() - boot_start_ns;
       built_template_ = true;
       templates->Publish(std::move(built));
@@ -376,100 +387,24 @@ class WorldAttempt {
     return OkStatus();
   }
 
-  // Fork-and-explore (DESIGN.md §15): overlays a decision-point checkpoint
-  // on the freshly built world, then (for divergent branches) re-seeds
-  // every RNG stream so the continuation explores a different future.
-  // reseed == 0 is the control branch: the original streams continue and
-  // the tail must reproduce the recorded run bit-identically.
-  Status ForkFrom(const std::string& blob, uint64_t reseed) {
-    RETURN_IF_ERROR(RestoreFromBlob(blob));
-    if (reseed != 0) {
-      system_->ReseedStreams(reseed);
-    }
-    return OkStatus();
-  }
-
-  // Restores the latest checkpoint on top of the freshly built world:
-  // header validation, component state in save order, clock rewind, timer
-  // re-arm, then the save→restore→save byte fixed-point self-check.
-  Status RestoreFromBlob(const std::string& blob) {
-    SnapshotReader r(blob);
-    CheckpointHeader header;
-    RETURN_IF_ERROR(header.Load(r, ctx_.seed, fingerprint_));
-    RETURN_IF_ERROR(RestoreWorld(r));
-    clock_.ResetForRestore(header.sim_time, saved_events_run_);
-    TimerRearmer rearmer;
-    RegisterWorldTimers(rearmer);
-    RETURN_IF_ERROR(rearmer.Replay(r));
-    if (r.remaining() != 0) {
-      return InvalidArgumentError(
-          "checkpoint has " + std::to_string(r.remaining()) +
-          " trailing bytes after the timer table");
-    }
+  // Mission resume from a checkpoint: crash recovery (reseed == 0) and
+  // fork-and-explore (DESIGN.md §15), where reseed != 0 re-seeds every RNG
+  // stream so a divergent branch explores a different future (reseed == 0
+  // is also the fork's control branch, which must reproduce the recorded
+  // tail bit-identically). Overlays the blob on the freshly built world,
+  // then checks the save → restore → save byte fixed point.
+  Status Resume(const std::string& blob, uint64_t reseed) {
+    RETURN_IF_ERROR(Overlay(BlobKind::kCheckpoint, blob));
     have_checkpoint_ = true;
-    last_checkpoint_time_ = header.sim_time;
+    last_checkpoint_time_ = clock_.now();
     last_checkpoint_phase_ = system_->mission_progress().phase;
-    fixed_point_ok_ = (SaveCheckpointBlob() == blob);
+    fixed_point_ok_ = Capture(BlobKind::kCheckpoint) == blob;
     // ResetForRestore dropped the crash events Build armed; re-arm the
     // not-yet-consumed remainder on the restored timeline. (They are never
     // part of the snapshot itself — see ArmCrashEvents.)
     ArmCrashEvents();
-    return OkStatus();
-  }
-
-  // Serializes the post-boot/pre-deploy boundary: header (canonical boot
-  // seed + template fingerprint), the trace ring (warmup events included,
-  // so a traced clone exports the identical text), the executed-event
-  // count, the full system, and the armed boot timers. Captured exactly
-  // once per family, by the elected builder, before any per-world wiring.
-  std::string SaveTemplateBlob(uint64_t template_fp) {
-    SnapshotWriter w;
-    TimerRegistry timers;
-    CheckpointHeader header;
-    header.seed = kCanonicalBootSeed;
-    header.world_fingerprint = template_fp;
-    header.sim_time = clock_.now();
-    header.Save(w);
-    w.Bool(trace_ != nullptr);
-    if (trace_ != nullptr) {
-      trace_->SaveState(w);
-    }
-    w.U64(clock_.events_run());
-    system_->SaveState(w, timers);
-    timers.Persist(w);
-    return w.Take();
-  }
-
-  // Overlays the template blob on a structure-only boot (boot_warmup was
-  // false): component state, clock rewind to the capture point, timer
-  // re-arm. No fixed-point self-check and no have_checkpoint_ — this is
-  // provisioning, not mission recovery; MaybeCheckpoint still captures a
-  // first mission checkpoint as usual.
-  Status RestoreTemplate(const WorldTemplate& tpl) {
-    SnapshotReader r(tpl.blob);
-    CheckpointHeader header;
-    RETURN_IF_ERROR(header.Load(r, tpl.boot_seed, tpl.fingerprint));
-    bool traced = false;
-    RETURN_IF_ERROR(r.Bool(&traced));
-    if (traced != (trace_ != nullptr)) {
-      return InvalidArgumentError("template trace presence mismatch");
-    }
-    if (trace_ != nullptr) {
-      RETURN_IF_ERROR(trace_->RestoreState(r));
-    }
-    uint64_t events_run = 0;
-    RETURN_IF_ERROR(r.U64(&events_run));
-    RETURN_IF_ERROR(system_->RestoreState(r));
-    // Drops the structure-only boot's pending events; Replay re-creates
-    // the armed boot timers from the template's timer table.
-    clock_.ResetForRestore(header.sim_time, events_run);
-    TimerRearmer rearmer;
-    system_->RegisterTimers(rearmer);
-    RETURN_IF_ERROR(rearmer.Replay(r));
-    if (r.remaining() != 0) {
-      return InvalidArgumentError(
-          "template blob has " + std::to_string(r.remaining()) +
-          " trailing bytes after the timer table");
+    if (reseed != 0) {
+      system_->ReseedStreams(reseed);
     }
     return OkStatus();
   }
@@ -794,125 +729,117 @@ class WorldAttempt {
     if (!due) {
       return;
     }
-    (void)store->Put(clock_.now(), SaveCheckpointBlob());
+    (void)store->Put(clock_.now(), Capture(BlobKind::kCheckpoint));
     have_checkpoint_ = true;
     last_checkpoint_time_ = clock_.now();
     last_checkpoint_phase_ = progress.phase;
   }
 
-  // Serializes the complete world: header, world-level state, every
-  // component in a fixed order, then the timer table. Pure reads — taking a
+  // What a blob holds. A template is the post-boot/pre-deploy boundary,
+  // captured once per family by the elected builder before any per-world
+  // wiring: the trace ring (warmup events included, so a traced clone
+  // exports the identical text), the executed-event count and the system.
+  // A checkpoint is the complete world mid-mission.
+  enum class BlobKind { kTemplate, kCheckpoint };
+
+  // Identity a blob of |kind| carries: a template belongs to the canonical
+  // boot of its config family, a checkpoint to this (config, seed) world.
+  CheckpointHeader HeaderFor(BlobKind kind) const {
+    CheckpointHeader header;
+    header.seed = kind == BlobKind::kTemplate ? kCanonicalBootSeed : ctx_.seed;
+    header.world_fingerprint =
+        kind == BlobKind::kTemplate ? template_fp_ : fingerprint_;
+    return header;
+  }
+
+  // The one capture flow: header, body, timer table. Pure reads — taking a
   // checkpoint never perturbs the world, which is what lets checkpoint
   // cadence vary without moving the digest.
-  std::string SaveCheckpointBlob() {
+  std::string Capture(BlobKind kind) {
     SnapshotWriter w;
     TimerRegistry timers;
-    CheckpointHeader header;
-    header.seed = ctx_.seed;
-    header.world_fingerprint = fingerprint_;
+    CheckpointHeader header = HeaderFor(kind);
     header.sim_time = clock_.now();
     header.Save(w);
-    SaveWorld(w, timers);
+    SaveArchive ar(w, timers, clock_);
+    uint64_t events_run = clock_.events_run();
+    (void)VisitBody(ar, kind, events_run);
     timers.Persist(w);
     return w.Take();
   }
 
-  void SaveWorld(SnapshotWriter& w, TimerRegistry& timers) {
-    w.Section("WRLD");
-    w.U64(clock_.events_run());
-    w.U64(frames_down_);
-    w.U64(bytes_down_);
-    SimTime when = 0;
-    uint64_t seq = 0;
-    bool poll_pending = clock_.PendingInfo(poll_event_, &when, &seq);
-    w.Bool(poll_pending);
-    if (poll_pending) {
-      timers.Add("world.poll", when, seq);
+  // The one overlay flow, on top of a freshly built world (a clone's
+  // structure-only boot, or a full rebuild for a mission resume): header
+  // validation, body, clock rewind, timer re-arm, trailing-bytes check.
+  Status Overlay(BlobKind kind, const std::string& blob) {
+    SnapshotReader r(blob);
+    const CheckpointHeader expected = HeaderFor(kind);
+    CheckpointHeader header;
+    RETURN_IF_ERROR(
+        header.Load(r, expected.seed, expected.world_fingerprint));
+    LoadArchive ar(r);
+    uint64_t events_run = 0;
+    RETURN_IF_ERROR(VisitBody(ar, kind, events_run));
+    // Drops every event the build armed; the timer table re-creates the
+    // ones that were pending at capture.
+    clock_.ResetForRestore(header.sim_time, events_run);
+    TimerRearmer rearmer;
+    RegisterTimers(rearmer);
+    RETURN_IF_ERROR(rearmer.Replay(r));
+    if (r.remaining() != 0) {
+      return InvalidArgumentError(
+          "snapshot has " + std::to_string(r.remaining()) +
+          " trailing bytes after the timer table");
     }
-    w.U64(chaos_events_.size());
-    for (size_t k = 0; k < chaos_events_.size(); ++k) {
-      bool pending = clock_.PendingInfo(chaos_events_[k], &when, &seq);
-      w.Bool(pending);
-      if (pending) {
-        timers.Add("world.chaosloop." + std::to_string(k), when, seq);
-      }
-    }
-    w.Bool(chaos_supervisor_ != nullptr);
-    if (chaos_supervisor_ != nullptr) {
-      chaos_supervisor_->SaveState(w, timers);
-    }
-    w.Bool(faulty_link_ != nullptr);
-    if (faulty_link_ != nullptr) {
-      const FaultCounters& c = faulty_link_->counters();
-      w.U64(c.outage_losses);
-      w.U64(c.burst_losses);
-      w.U64(c.inflated_samples);
-    }
-    downlink_->SaveState(w, timers, "net.down");
-    tunnel_tx_->SaveState(w);
-    tunnel_rx_->SaveState(w);
-    w.Bool(trace_ != nullptr);
-    if (trace_ != nullptr) {
-      trace_->SaveState(w);
-    }
-    system_->SaveState(w, timers);
+    return OkStatus();
   }
 
-  Status RestoreWorld(SnapshotReader& r) {
-    RETURN_IF_ERROR(r.Section("WRLD"));
-    RETURN_IF_ERROR(r.U64(&saved_events_run_));
-    RETURN_IF_ERROR(r.U64(&frames_down_));
-    RETURN_IF_ERROR(r.U64(&bytes_down_));
-    bool pending = false;
-    RETURN_IF_ERROR(r.Bool(&pending));  // Poll re-armed via the timer table.
-    uint64_t count = 0;
-    RETURN_IF_ERROR(r.U64(&count));
-    if (count != chaos_events_.size()) {
-      return InvalidArgumentError(
-          "checkpoint has " + std::to_string(count) +
-          " chaos-loop events, restoring world has " +
-          std::to_string(chaos_events_.size()));
+  template <class Ar>
+  Status VisitBody(Ar& ar, BlobKind kind, uint64_t& events_run) {
+    if (kind == BlobKind::kCheckpoint) {
+      RETURN_IF_ERROR(VisitWorld(ar, events_run));
     }
-    for (size_t k = 0; k < chaos_events_.size(); ++k) {
-      RETURN_IF_ERROR(r.Bool(&pending));
-      if (!pending) {
-        chaos_events_[k] = 0;
-      }
+    if (ar.Present(trace_ != nullptr, "trace")) {
+      RETURN_IF_ERROR(trace_->Visit(ar));
     }
-    bool present = false;
-    RETURN_IF_ERROR(r.Bool(&present));
-    if (present != (chaos_supervisor_ != nullptr)) {
-      return InvalidArgumentError(
-          "checkpoint chaos-supervisor presence mismatch");
+    if (kind == BlobKind::kTemplate) {
+      ar.U64(events_run);
     }
-    if (chaos_supervisor_ != nullptr) {
-      RETURN_IF_ERROR(chaos_supervisor_->RestoreState(r));
-    }
-    RETURN_IF_ERROR(r.Bool(&present));
-    if (present != (faulty_link_ != nullptr)) {
-      return InvalidArgumentError("checkpoint fault-plan presence mismatch");
-    }
-    if (faulty_link_ != nullptr) {
-      FaultCounters c;
-      RETURN_IF_ERROR(r.U64(&c.outage_losses));
-      RETURN_IF_ERROR(r.U64(&c.burst_losses));
-      RETURN_IF_ERROR(r.U64(&c.inflated_samples));
-      faulty_link_->RestoreCounters(c);
-    }
-    RETURN_IF_ERROR(downlink_->RestoreState(r));
-    RETURN_IF_ERROR(tunnel_tx_->RestoreState(r));
-    RETURN_IF_ERROR(tunnel_rx_->RestoreState(r));
-    RETURN_IF_ERROR(r.Bool(&present));
-    if (present != (trace_ != nullptr)) {
-      return InvalidArgumentError("checkpoint trace presence mismatch");
-    }
-    if (trace_ != nullptr) {
-      RETURN_IF_ERROR(trace_->RestoreState(r));
-    }
-    return system_->RestoreState(r);
+    return system_->Visit(ar);
   }
 
-  void RegisterWorldTimers(TimerRearmer& rearmer) {
+  // World-level state around the system: downlink counters, the cancel
+  // poll, chaos-loop crash events, the chaos supervisor, link-fault
+  // counters, and the downlink channel + tunnels.
+  template <class Ar>
+  Status VisitWorld(Ar& ar, uint64_t& events_run) {
+    ar.Section("WRLD");
+    ar.U64(events_run);
+    ar.U64(frames_down_);
+    ar.U64(bytes_down_);
+    bool pending = ar.Timer("world.poll", poll_event_);
+    ar.Bool(pending);
+    ar.Match(chaos_events_.size(), "chaos-loop event count");
+    for (size_t k = 0; k < chaos_events_.size(); ++k) {
+      pending = ar.Timer("world.chaosloop." + std::to_string(k),
+                         chaos_events_[k]);
+      ar.Bool(pending);
+    }
+    if (ar.Present(chaos_supervisor_ != nullptr, "chaos-supervisor")) {
+      RETURN_IF_ERROR(chaos_supervisor_->Visit(ar));
+    }
+    if (ar.Present(faulty_link_ != nullptr, "net fault plan")) {
+      RETURN_IF_ERROR(faulty_link_->Visit(ar));
+    }
+    RETURN_IF_ERROR(downlink_->Visit(ar, "net.down"));
+    RETURN_IF_ERROR(tunnel_tx_->Visit(ar));
+    return tunnel_rx_->Visit(ar);
+  }
+
+  // Binds every timer key a blob can carry to its callback. A template
+  // overlay runs before the world wiring exists, so only the parts built
+  // so far register.
+  void RegisterTimers(TimerRearmer& rearmer) {
     rearmer.Register("world.poll", [this](SimTime at) {
       poll_event_ = clock_.ScheduleAt(at, [this] { PollCancel(); });
     });
@@ -927,7 +854,9 @@ class WorldAttempt {
     if (chaos_supervisor_ != nullptr) {
       chaos_supervisor_->RegisterTimers(rearmer);
     }
-    downlink_->RegisterTimers(rearmer, "net.down");
+    if (downlink_ != nullptr) {
+      downlink_->RegisterTimers(rearmer, "net.down");
+    }
     system_->RegisterTimers(rearmer);
   }
 
@@ -935,6 +864,7 @@ class WorldAttempt {
   const WorldContext& ctx_;
   const int crashes_consumed_;
   const uint64_t fingerprint_;
+  uint64_t template_fp_ = 0;
 
   SimClock clock_;
   std::unique_ptr<TraceRecorder> owned_trace_;
@@ -958,7 +888,6 @@ class WorldAttempt {
 
   bool crashed_ = false;
   int crash_fired_index_ = -1;
-  uint64_t saved_events_run_ = 0;
 
   bool have_checkpoint_ = false;
   SimTime last_checkpoint_time_ = 0;
@@ -1037,14 +966,14 @@ WorldResult RunFleetWorld(const FleetWorldConfig& config,
     }
     bool resumed = false;
     if (config.fork_blob != nullptr) {
-      if (!attempt.ForkFrom(*config.fork_blob, config.fork_reseed).ok()) {
+      if (!attempt.Resume(*config.fork_blob, config.fork_reseed).ok()) {
         result.infra_failure = true;
         return result;
       }
       resumed = true;
     } else if (crashes_consumed > 0 && store.count() > 0) {
       auto blob = store.Latest();
-      if (!blob.ok() || !attempt.RestoreFromBlob(*blob).ok()) {
+      if (!blob.ok() || !attempt.Resume(*blob, /*reseed=*/0).ok()) {
         result.infra_failure = true;
         return result;
       }
@@ -1097,6 +1026,15 @@ WorldResult RunFleetWorld(const FleetWorldConfig& config,
     result.provision.arena_chunks = ctx.arena->chunks();
   }
   return result;
+}
+
+Status VerifyFleetCheckpoint(const FleetWorldConfig& config,
+                             const WorldContext& ctx,
+                             const std::string& blob) {
+  ScratchArenaGuard scratch(ctx.arena);
+  WorldAttempt attempt(config, ctx, /*crashes_consumed=*/0);
+  RETURN_IF_ERROR(attempt.Build());
+  return attempt.Resume(blob, /*reseed=*/0);
 }
 
 WorldFn MakeFleetWorld(const FleetWorldConfig& config) {

@@ -8,6 +8,8 @@
 #ifndef SRC_EXEC_FLEET_WORLD_H_
 #define SRC_EXEC_FLEET_WORLD_H_
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/container/supervisor.h"
@@ -171,6 +173,23 @@ struct FleetWorldConfig {
 // histogram keyed "downlink_latency_us".
 WorldResult RunFleetWorld(const FleetWorldConfig& config,
                           const WorldContext& ctx);
+
+// Builds the world for (config, ctx) and overlays checkpoint |blob| on it
+// without flying: the restore half of crash recovery, for checking that a
+// blob from an untrusted store restores (or is rejected with a Status).
+Status VerifyFleetCheckpoint(const FleetWorldConfig& config,
+                             const WorldContext& ctx, const std::string& blob);
+
+// The two config fingerprints (DESIGN.md §14), both derived from one
+// tagged walk over every FleetWorldConfig field (VisitConfig in
+// fleet_world.cc). TemplateFingerprint folds only boot fields and keys the
+// world template cache; ConfigFingerprint folds boot and world fields and
+// binds checkpoints and replay logs to the world that wrote them.
+// Runtime-only fields — trace, templates, provision_metrics, record_into,
+// replay_from, fork_blob, fork_reseed, checkpoint_sink, checkpoint,
+// restore, speed — feed neither.
+uint64_t TemplateFingerprint(const FleetWorldConfig& config);
+uint64_t ConfigFingerprint(const FleetWorldConfig& config);
 
 // Convenience adapter for FleetExecutor::Run.
 WorldFn MakeFleetWorld(const FleetWorldConfig& config = {});

@@ -3,7 +3,7 @@
 // Cold-booting a fleet world spends ~96% of its startup inside the 2 s
 // sensor/estimator warmup, and every one of N worlds used to pay it. A
 // WorldTemplate amortizes that: the first world of a config family
-// cold-boots once, captures a PR 7 checkpoint at the post-boot/pre-mission
+// cold-boots once, captures a checkpoint at the post-boot/pre-mission
 // boundary, and publishes it; every later world of the family "clones" by
 // booting the deterministic structure *without* warmup and overlaying the
 // template blob, then re-seeds its per-world RNG streams at the boundary.
@@ -18,11 +18,16 @@
 // A cloned world is therefore digest-identical to a cold-booted world at
 // the same seed — asserted in tests/exec_test.cc and gated in ci.sh.
 //
-// The fingerprint keys only boot-relevant config: knobs that act after the
-// boundary (tenants, dwell, net faults, crash schedule, batching) do not
-// split the cache, which is what lets a 1000-scenario campaign share a
-// handful of templates. Sensor-fault plans fold in only the windows that
-// can touch the warmup horizon.
+// The cache key is TemplateFingerprint (fleet_world.h), derived from the
+// same tagged walk over FleetWorldConfig as ConfigFingerprint: it folds
+// only the fields tagged boot — sensor bus, memory budget, trace
+// categories and capacity, sensor-fault presence and the windows that can
+// touch the warmup horizon. World fields (tenants, dwell, net faults,
+// crash schedule, batching, ...) act after the boundary and do not split
+// the cache, which is what lets a 1000-scenario campaign share a handful
+// of templates. Runtime-only fields (trace, templates, provision_metrics,
+// record_into, replay_from, fork_blob, fork_reseed, checkpoint_sink,
+// checkpoint, restore, speed) feed neither fingerprint.
 #ifndef SRC_EXEC_WORLD_TEMPLATE_H_
 #define SRC_EXEC_WORLD_TEMPLATE_H_
 
@@ -39,10 +44,9 @@ namespace androne {
 
 struct WorldTemplate {
   uint64_t fingerprint = 0;  // TemplateFingerprint of the config family.
-  uint64_t boot_seed = 0;    // Canonical boot seed every member world uses.
-  std::string blob;          // Checkpoint at the post-boot boundary.
-  SimTime sim_time = 0;      // Clock time the blob was captured at.
-  uint64_t events_run = 0;   // Executed-event count at capture.
+  // Snapshot at the post-boot boundary; its header carries the canonical
+  // boot seed and the capture time, its body the executed-event count.
+  std::string blob;
   uint64_t boot_ns = 0;      // Wall cost of the cold boot that built this.
 };
 

@@ -6,7 +6,7 @@
 #include <array>
 
 #include "src/hw/motors.h"
-#include "src/snapshot/snapshot.h"
+#include "src/util/status.h"
 #include "src/util/time.h"
 
 namespace androne {
@@ -20,15 +20,11 @@ class PidLoop {
   void Reset();
 
   // Checkpoint/restore: dynamic state only (gains are config).
-  void SaveState(SnapshotWriter& w) const {
-    w.F64(integrator_);
-    w.F64(last_error_);
-    w.Bool(has_last_);
-  }
-  Status RestoreState(SnapshotReader& r) {
-    RETURN_IF_ERROR(r.F64(&integrator_));
-    RETURN_IF_ERROR(r.F64(&last_error_));
-    return r.Bool(&has_last_);
+  template <class Ar>
+  void Visit(Ar& ar) {
+    ar.F64(integrator_);
+    ar.F64(last_error_);
+    ar.Bool(has_last_);
   }
 
  private:
@@ -59,15 +55,12 @@ class AttitudeController {
                                         SimDuration dt);
   void Reset();
 
-  void SaveState(SnapshotWriter& w) const {
-    roll_rate_pid_.SaveState(w);
-    pitch_rate_pid_.SaveState(w);
-    yaw_rate_pid_.SaveState(w);
-  }
-  Status RestoreState(SnapshotReader& r) {
-    RETURN_IF_ERROR(roll_rate_pid_.RestoreState(r));
-    RETURN_IF_ERROR(pitch_rate_pid_.RestoreState(r));
-    return yaw_rate_pid_.RestoreState(r);
+  template <class Ar>
+  Status Visit(Ar& ar) {
+    roll_rate_pid_.Visit(ar);
+    pitch_rate_pid_.Visit(ar);
+    yaw_rate_pid_.Visit(ar);
+    return ar.status();
   }
 
  private:
@@ -109,23 +102,16 @@ class PositionController {
 
   // max_speed is mutable at runtime (DO_CHANGE_SPEED / WPNAV_SPEED), so the
   // whole limit block travels with the dynamic state.
-  void SaveState(SnapshotWriter& w) const {
-    w.F64(limits_.max_tilt_rad);
-    w.F64(limits_.max_speed_ms);
-    w.F64(limits_.max_climb_ms);
-    w.F64(limits_.max_descent_ms);
-    vel_n_pid_.SaveState(w);
-    vel_e_pid_.SaveState(w);
-    vel_d_pid_.SaveState(w);
-  }
-  Status RestoreState(SnapshotReader& r) {
-    RETURN_IF_ERROR(r.F64(&limits_.max_tilt_rad));
-    RETURN_IF_ERROR(r.F64(&limits_.max_speed_ms));
-    RETURN_IF_ERROR(r.F64(&limits_.max_climb_ms));
-    RETURN_IF_ERROR(r.F64(&limits_.max_descent_ms));
-    RETURN_IF_ERROR(vel_n_pid_.RestoreState(r));
-    RETURN_IF_ERROR(vel_e_pid_.RestoreState(r));
-    return vel_d_pid_.RestoreState(r);
+  template <class Ar>
+  Status Visit(Ar& ar) {
+    ar.F64(limits_.max_tilt_rad);
+    ar.F64(limits_.max_speed_ms);
+    ar.F64(limits_.max_climb_ms);
+    ar.F64(limits_.max_descent_ms);
+    vel_n_pid_.Visit(ar);
+    vel_e_pid_.Visit(ar);
+    vel_d_pid_.Visit(ar);
+    return ar.status();
   }
 
  private:

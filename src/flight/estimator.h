@@ -16,7 +16,7 @@
 
 #include "src/hw/sensor_io.h"
 #include "src/hw/sensors.h"
-#include "src/snapshot/snapshot.h"
+#include "src/util/status.h"
 #include "src/util/geo.h"
 #include "src/util/time.h"
 
@@ -116,64 +116,33 @@ class Estimator {
   // Checkpoint/restore (DESIGN.md §13): every blended/latched value, the
   // per-sensor health machines, and the stuck-IMU detector travel together
   // so a restored estimator continues the exact same filter trajectory.
-  void SaveState(SnapshotWriter& w) const {
-    w.Section("ESTM");
-    w.F64(attitude_.roll_rad);
-    w.F64(attitude_.pitch_rad);
-    w.F64(attitude_.yaw_rad);
-    SaveGeoPoint(w, position_.position);
-    SaveNedPoint(w, position_.velocity_ms);
-    w.Bool(position_.valid);
-    w.F64(baro_alt_m_);
-    w.Bool(have_baro_);
-    w.I64(last_fix_time_);
-    for (const SensorHealthState& h : health_) {
-      w.U32(static_cast<uint32_t>(h.health));
-      w.U64(h.accepted);
-      w.U64(h.rejected);
-      w.I64(h.consecutive_rejects);
-      w.I64(h.last_accept);
-    }
-    for (double g : last_gyro_) {
-      w.F64(g);
-    }
-    SaveImuSample(w, prev_imu_);
-    w.Bool(have_imu_);
-    w.I64(identical_imu_count_);
-    w.Bool(dead_reckoning_);
-  }
-
-  Status RestoreState(SnapshotReader& r) {
-    RETURN_IF_ERROR(r.Section("ESTM"));
-    RETURN_IF_ERROR(r.F64(&attitude_.roll_rad));
-    RETURN_IF_ERROR(r.F64(&attitude_.pitch_rad));
-    RETURN_IF_ERROR(r.F64(&attitude_.yaw_rad));
-    RETURN_IF_ERROR(RestoreGeoPoint(r, position_.position));
-    RETURN_IF_ERROR(RestoreNedPoint(r, position_.velocity_ms));
-    RETURN_IF_ERROR(r.Bool(&position_.valid));
-    RETURN_IF_ERROR(r.F64(&baro_alt_m_));
-    RETURN_IF_ERROR(r.Bool(&have_baro_));
-    RETURN_IF_ERROR(r.I64(&last_fix_time_));
+  template <class Ar>
+  Status Visit(Ar& ar) {
+    ar.Section("ESTM");
+    ar.F64(attitude_.roll_rad);
+    ar.F64(attitude_.pitch_rad);
+    ar.F64(attitude_.yaw_rad);
+    VisitValue(ar, position_.position);
+    VisitValue(ar, position_.velocity_ms);
+    ar.Bool(position_.valid);
+    ar.F64(baro_alt_m_);
+    ar.Bool(have_baro_);
+    ar.I64(last_fix_time_);
     for (SensorHealthState& h : health_) {
-      uint32_t health = 0;
-      RETURN_IF_ERROR(r.U32(&health));
-      h.health = static_cast<SensorHealth>(health);
-      RETURN_IF_ERROR(r.U64(&h.accepted));
-      RETURN_IF_ERROR(r.U64(&h.rejected));
-      int64_t rejects = 0;
-      RETURN_IF_ERROR(r.I64(&rejects));
-      h.consecutive_rejects = static_cast<int>(rejects);
-      RETURN_IF_ERROR(r.I64(&h.last_accept));
+      ar.Enum(h.health, SensorHealth::kExcluded);
+      ar.U64(h.accepted);
+      ar.U64(h.rejected);
+      ar.I64(h.consecutive_rejects);
+      ar.I64(h.last_accept);
     }
     for (double& g : last_gyro_) {
-      RETURN_IF_ERROR(r.F64(&g));
+      ar.F64(g);
     }
-    RETURN_IF_ERROR(RestoreImuSample(r, prev_imu_));
-    RETURN_IF_ERROR(r.Bool(&have_imu_));
-    int64_t identical = 0;
-    RETURN_IF_ERROR(r.I64(&identical));
-    identical_imu_count_ = static_cast<int>(identical);
-    return r.Bool(&dead_reckoning_);
+    VisitValue(ar, prev_imu_);
+    ar.Bool(have_imu_);
+    ar.I64(identical_imu_count_);
+    ar.Bool(dead_reckoning_);
+    return ar.status();
   }
 
  private:

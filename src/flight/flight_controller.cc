@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/snapshot/archive.h"
 #include "src/util/logging.h"
 
 namespace androne {
@@ -920,179 +921,61 @@ void FlightController::HandleParamSet(const ParamSet& ps) {
   Send(MavMessage{pv});
 }
 
-namespace {
-
-void SaveOptionalNed(SnapshotWriter& w, const std::optional<NedPoint>& p) {
-  w.Bool(p.has_value());
-  if (p.has_value()) {
-    SaveNedPoint(w, *p);
-  }
-}
-
-Status RestoreOptionalNed(SnapshotReader& r, std::optional<NedPoint>& p) {
-  bool present = false;
-  RETURN_IF_ERROR(r.Bool(&present));
-  p.reset();
-  if (present) {
-    p.emplace();
-    return RestoreNedPoint(r, *p);
-  }
-  return OkStatus();
-}
-
-}  // namespace
-
-void FlightController::SaveState(SnapshotWriter& w,
-                                 TimerRegistry& timers) const {
-  w.Section("FCTL");
-  w.Bool(running_);
-  w.Bool(armed_);
-  w.U32(static_cast<uint32_t>(mode_));
-  SaveOptionalNed(w, guided_target_);
-  SaveOptionalNed(w, guided_velocity_);
-  w.F64(target_yaw_);
-  SaveNedPoint(w, hold_target_);
-  w.U64(mission_.size());
-  for (const GeoPoint& p : mission_) {
-    SaveGeoPoint(w, p);
-  }
-  w.U64(mission_index_);
-  w.I64(rtl_phase_);
-  for (uint16_t c : rc_.chan) {
-    w.U32(c);
-  }
-  w.U8(rc_.target_system);
-  w.U8(rc_.target_component);
-  w.Bool(rc_active_);
-  w.Bool(fence_.enabled);
-  SaveGeoPoint(w, fence_.center);
-  w.F64(fence_.radius_m);
-  w.F64(fence_.max_altitude_m);
-  w.Bool(fence_recovering_);
-  SaveNedPoint(w, fence_recovery_target_);
-  w.U64(params_.size());
-  for (const auto& [name, value] : params_) {
-    w.Str(name);
-    w.F64(value);
-  }
-  w.Bool(battery_failsafe_triggered_);
-  w.Bool(gps_glitch_);
-  for (double o : last_output_) {
-    w.F64(o);
-  }
-  w.U64(fast_loops_);
-  w.U64(missed_deadlines_);
-  w.U8(tx_seq_);
-  w.I64(last_gps_read_);
-  w.I64(last_slow_read_);
-  w.I64(last_fence_check_);
-  estimator_.SaveState(w);
-  deduper_.SaveState(w);
-  attitude_ctrl_.SaveState(w);
-  position_ctrl_.SaveState(w);
-  safety_.SaveState(w);
-  log_.SaveState(w);
-
-  SimTime when = 0;
-  uint64_t seq = 0;
-  if (fast_loop_event_ != 0 &&
-      clock_->PendingInfo(fast_loop_event_, &when, &seq)) {
-    timers.Add("fc.fast", when, seq);
-  }
-  if (heartbeat_event_ != 0 &&
-      clock_->PendingInfo(heartbeat_event_, &when, &seq)) {
-    timers.Add("fc.heartbeat", when, seq);
-  }
-  if (attitude_event_ != 0 &&
-      clock_->PendingInfo(attitude_event_, &when, &seq)) {
-    timers.Add("fc.attitude", when, seq);
-  }
-  if (position_event_ != 0 &&
-      clock_->PendingInfo(position_event_, &when, &seq)) {
-    timers.Add("fc.position", when, seq);
-  }
-}
-
-Status FlightController::RestoreState(SnapshotReader& r) {
-  RETURN_IF_ERROR(r.Section("FCTL"));
-  RETURN_IF_ERROR(r.Bool(&running_));
-  RETURN_IF_ERROR(r.Bool(&armed_));
-  uint32_t mode = 0;
-  RETURN_IF_ERROR(r.U32(&mode));
-  mode_ = static_cast<CopterMode>(mode);
-  RETURN_IF_ERROR(RestoreOptionalNed(r, guided_target_));
-  RETURN_IF_ERROR(RestoreOptionalNed(r, guided_velocity_));
-  RETURN_IF_ERROR(r.F64(&target_yaw_));
-  RETURN_IF_ERROR(RestoreNedPoint(r, hold_target_));
-  uint64_t mission_size = 0;
-  RETURN_IF_ERROR(r.U64(&mission_size));
-  mission_.clear();
-  for (uint64_t i = 0; i < mission_size; ++i) {
-    GeoPoint p;
-    RETURN_IF_ERROR(RestoreGeoPoint(r, p));
-    mission_.push_back(p);
-  }
-  uint64_t mission_index = 0;
-  RETURN_IF_ERROR(r.U64(&mission_index));
-  mission_index_ = static_cast<size_t>(mission_index);
-  int64_t rtl_phase = 0;
-  RETURN_IF_ERROR(r.I64(&rtl_phase));
-  rtl_phase_ = static_cast<int>(rtl_phase);
+template <class Ar>
+Status FlightController::Visit(Ar& ar) {
+  ar.Section("FCTL");
+  ar.Bool(running_);
+  ar.Bool(armed_);
+  ar.Enum(mode_, CopterMode::kLand);
+  ar.Optional(guided_target_, [&](NedPoint& p) { VisitValue(ar, p); });
+  ar.Optional(guided_velocity_, [&](NedPoint& p) { VisitValue(ar, p); });
+  ar.F64(target_yaw_);
+  VisitValue(ar, hold_target_);
+  ar.Seq(mission_, [&](GeoPoint& p) { VisitValue(ar, p); });
+  ar.U64(mission_index_);
+  ar.I64(rtl_phase_);
   for (uint16_t& c : rc_.chan) {
-    uint32_t v = 0;
-    RETURN_IF_ERROR(r.U32(&v));
-    c = static_cast<uint16_t>(v);
+    ar.U32(c);
   }
-  RETURN_IF_ERROR(r.U8(&rc_.target_system));
-  RETURN_IF_ERROR(r.U8(&rc_.target_component));
-  RETURN_IF_ERROR(r.Bool(&rc_active_));
-  RETURN_IF_ERROR(r.Bool(&fence_.enabled));
-  RETURN_IF_ERROR(RestoreGeoPoint(r, fence_.center));
-  RETURN_IF_ERROR(r.F64(&fence_.radius_m));
-  RETURN_IF_ERROR(r.F64(&fence_.max_altitude_m));
-  RETURN_IF_ERROR(r.Bool(&fence_recovering_));
-  RETURN_IF_ERROR(RestoreNedPoint(r, fence_recovery_target_));
-  uint64_t param_count = 0;
-  RETURN_IF_ERROR(r.U64(&param_count));
-  params_.clear();
-  for (uint64_t i = 0; i < param_count; ++i) {
-    std::string name;
-    double value = 0;
-    RETURN_IF_ERROR(r.Str(&name));
-    RETURN_IF_ERROR(r.F64(&value));
-    params_[name] = value;
-  }
-  RETURN_IF_ERROR(r.Bool(&battery_failsafe_triggered_));
-  RETURN_IF_ERROR(r.Bool(&gps_glitch_));
+  ar.U8(rc_.target_system);
+  ar.U8(rc_.target_component);
+  ar.Bool(rc_active_);
+  ar.Bool(fence_.enabled);
+  VisitValue(ar, fence_.center);
+  ar.F64(fence_.radius_m);
+  ar.F64(fence_.max_altitude_m);
+  ar.Bool(fence_recovering_);
+  VisitValue(ar, fence_recovery_target_);
+  ar.Map(params_, [&](auto& name, double& value) {
+    ar.Str(name);
+    ar.F64(value);
+  });
+  ar.Bool(battery_failsafe_triggered_);
+  ar.Bool(gps_glitch_);
   for (double& o : last_output_) {
-    RETURN_IF_ERROR(r.F64(&o));
+    ar.F64(o);
   }
-  RETURN_IF_ERROR(r.U64(&fast_loops_));
-  RETURN_IF_ERROR(r.U64(&missed_deadlines_));
-  RETURN_IF_ERROR(r.U8(&tx_seq_));
-  RETURN_IF_ERROR(r.I64(&last_gps_read_));
-  RETURN_IF_ERROR(r.I64(&last_slow_read_));
-  RETURN_IF_ERROR(r.I64(&last_fence_check_));
-  RETURN_IF_ERROR(estimator_.RestoreState(r));
-  RETURN_IF_ERROR(deduper_.RestoreState(r));
-  RETURN_IF_ERROR(attitude_ctrl_.RestoreState(r));
-  RETURN_IF_ERROR(position_ctrl_.RestoreState(r));
-  RETURN_IF_ERROR(safety_.RestoreState(r));
-  RETURN_IF_ERROR(log_.RestoreState(r));
-  // Derived: mirror the restored WPNAV_SPEED into the position controller
-  // exactly as HandleParamSet would have (the PID state above already
-  // carried the live limits, so this is belt-and-braces for params-only
-  // divergence).
-  auto it = params_.find("WPNAV_SPEED");
-  if (it != params_.end()) {
-    position_ctrl_.set_max_speed(it->second);
-  }
-  fast_loop_event_ = 0;
-  heartbeat_event_ = 0;
-  attitude_event_ = 0;
-  position_event_ = 0;
-  return OkStatus();
+  ar.U64(fast_loops_);
+  ar.U64(missed_deadlines_);
+  ar.U8(tx_seq_);
+  ar.I64(last_gps_read_);
+  ar.I64(last_slow_read_);
+  ar.I64(last_fence_check_);
+  RETURN_IF_ERROR(estimator_.Visit(ar));
+  RETURN_IF_ERROR(deduper_.Visit(ar));
+  RETURN_IF_ERROR(attitude_ctrl_.Visit(ar));
+  RETURN_IF_ERROR(position_ctrl_.Visit(ar));
+  RETURN_IF_ERROR(safety_.Visit(ar));
+  RETURN_IF_ERROR(log_.Visit(ar));
+  ar.Timer("fc.fast", fast_loop_event_);
+  ar.Timer("fc.heartbeat", heartbeat_event_);
+  ar.Timer("fc.attitude", attitude_event_);
+  ar.Timer("fc.position", position_event_);
+  return ar.status();
 }
+
+template Status FlightController::Visit(SaveArchive&);
+template Status FlightController::Visit(LoadArchive&);
 
 void FlightController::RegisterTimers(TimerRearmer& rearmer) {
   rearmer.Register("fc.fast", [this](SimTime when) {

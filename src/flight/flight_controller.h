@@ -187,14 +187,15 @@ class FlightController {
   double parameter(const std::string& name, double fallback) const;
 
   // --- Checkpoint/restore (DESIGN.md §13) ---
-  // Serializes every field that influences future control decisions plus
-  // the four periodic loops' armed deadlines (keys fc.fast / fc.heartbeat /
+  // Lists every field that influences future control decisions plus the
+  // four periodic loops' armed deadlines (keys fc.fast / fc.heartbeat /
   // fc.attitude / fc.position). Callbacks (sender, fence, safety, camera)
-  // are re-wired by the restoring world, not persisted.
-  void SaveState(SnapshotWriter& w, TimerRegistry& timers) const;
-  Status RestoreState(SnapshotReader& r);
+  // are re-wired by the restoring world, not persisted. Instantiated for
+  // SaveArchive and LoadArchive in flight_controller.cc.
+  template <class Ar>
+  Status Visit(Ar& ar);
   // Registers the loop re-arm handlers on |rearmer|; the restoring world
-  // calls this after RestoreState and before TimerRearmer::Replay.
+  // calls this after the load and before TimerRearmer::Replay.
   void RegisterTimers(TimerRearmer& rearmer);
 
  private:

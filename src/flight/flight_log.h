@@ -8,7 +8,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/snapshot/snapshot.h"
+#include "src/util/status.h"
 #include "src/util/time.h"
 
 namespace androne {
@@ -31,43 +31,22 @@ class FlightLog {
   // Checkpoint/restore: the digest is an order-sensitive fold over every
   // entry, so the full log must travel with the world snapshot for the
   // recovery-equivalence guarantee to hold.
-  void SaveState(SnapshotWriter& w) const {
-    w.Section("FLOG");
-    w.U64(entries_.size());
-    for (const FlightLogEntry& e : entries_) {
-      w.I64(e.time);
-      w.F64(e.est_roll_rad);
-      w.F64(e.est_pitch_rad);
-      w.F64(e.est_yaw_rad);
-      w.F64(e.true_roll_rad);
-      w.F64(e.true_pitch_rad);
-      w.F64(e.true_yaw_rad);
-      w.F64(e.altitude_m);
-      w.U32(e.mode);
-      w.Bool(e.armed);
-    }
-  }
-  Status RestoreState(SnapshotReader& r) {
-    RETURN_IF_ERROR(r.Section("FLOG"));
-    uint64_t n = 0;
-    RETURN_IF_ERROR(r.U64(&n));
-    entries_.clear();
-    entries_.reserve(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      FlightLogEntry e;
-      RETURN_IF_ERROR(r.I64(&e.time));
-      RETURN_IF_ERROR(r.F64(&e.est_roll_rad));
-      RETURN_IF_ERROR(r.F64(&e.est_pitch_rad));
-      RETURN_IF_ERROR(r.F64(&e.est_yaw_rad));
-      RETURN_IF_ERROR(r.F64(&e.true_roll_rad));
-      RETURN_IF_ERROR(r.F64(&e.true_pitch_rad));
-      RETURN_IF_ERROR(r.F64(&e.true_yaw_rad));
-      RETURN_IF_ERROR(r.F64(&e.altitude_m));
-      RETURN_IF_ERROR(r.U32(&e.mode));
-      RETURN_IF_ERROR(r.Bool(&e.armed));
-      entries_.push_back(e);
-    }
-    return OkStatus();
+  template <class Ar>
+  Status Visit(Ar& ar) {
+    ar.Section("FLOG");
+    ar.Seq(entries_, [&](FlightLogEntry& e) {
+      ar.I64(e.time);
+      ar.F64(e.est_roll_rad);
+      ar.F64(e.est_pitch_rad);
+      ar.F64(e.est_yaw_rad);
+      ar.F64(e.true_roll_rad);
+      ar.F64(e.true_pitch_rad);
+      ar.F64(e.true_yaw_rad);
+      ar.F64(e.altitude_m);
+      ar.U32(e.mode);
+      ar.Bool(e.armed);
+    });
+    return ar.status();
   }
 
  private:

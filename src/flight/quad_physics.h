@@ -11,7 +11,7 @@
 #include "src/hw/ground_truth.h"
 #include "src/hw/motors.h"
 #include "src/hw/sensor_io.h"
-#include "src/snapshot/snapshot.h"
+#include "src/util/status.h"
 #include "src/util/geo.h"
 #include "src/util/time.h"
 
@@ -55,49 +55,29 @@ class QuadPhysics {
 
   // Checkpoint/restore: the full rigid-body state plus the derived ground
   // truth (params/home are config).
-  void SaveState(SnapshotWriter& w) const {
-    w.Section("PHYS");
-    SaveNedPoint(w, ned_);
-    SaveNedPoint(w, vel_);
-    w.F64(roll_);
-    w.F64(pitch_);
-    w.F64(yaw_);
-    w.F64(p_);
-    w.F64(q_);
-    w.F64(r_);
-    SaveGeoPoint(w, truth_.position);
-    SaveNedPoint(w, truth_.velocity_ms);
-    w.F64(truth_.roll_rad);
-    w.F64(truth_.pitch_rad);
-    w.F64(truth_.yaw_rad);
-    w.F64(truth_.roll_rate_rads);
-    w.F64(truth_.pitch_rate_rads);
-    w.F64(truth_.yaw_rate_rads);
-    w.F64(truth_.accel_up_mss);
-    w.F64(truth_.rotor_power_w);
-    w.Bool(truth_.airborne);
-  }
-  Status RestoreState(SnapshotReader& r) {
-    RETURN_IF_ERROR(r.Section("PHYS"));
-    RETURN_IF_ERROR(RestoreNedPoint(r, ned_));
-    RETURN_IF_ERROR(RestoreNedPoint(r, vel_));
-    RETURN_IF_ERROR(r.F64(&roll_));
-    RETURN_IF_ERROR(r.F64(&pitch_));
-    RETURN_IF_ERROR(r.F64(&yaw_));
-    RETURN_IF_ERROR(r.F64(&p_));
-    RETURN_IF_ERROR(r.F64(&q_));
-    RETURN_IF_ERROR(r.F64(&r_));
-    RETURN_IF_ERROR(RestoreGeoPoint(r, truth_.position));
-    RETURN_IF_ERROR(RestoreNedPoint(r, truth_.velocity_ms));
-    RETURN_IF_ERROR(r.F64(&truth_.roll_rad));
-    RETURN_IF_ERROR(r.F64(&truth_.pitch_rad));
-    RETURN_IF_ERROR(r.F64(&truth_.yaw_rad));
-    RETURN_IF_ERROR(r.F64(&truth_.roll_rate_rads));
-    RETURN_IF_ERROR(r.F64(&truth_.pitch_rate_rads));
-    RETURN_IF_ERROR(r.F64(&truth_.yaw_rate_rads));
-    RETURN_IF_ERROR(r.F64(&truth_.accel_up_mss));
-    RETURN_IF_ERROR(r.F64(&truth_.rotor_power_w));
-    return r.Bool(&truth_.airborne);
+  template <class Ar>
+  Status Visit(Ar& ar) {
+    ar.Section("PHYS");
+    VisitValue(ar, ned_);
+    VisitValue(ar, vel_);
+    ar.F64(roll_);
+    ar.F64(pitch_);
+    ar.F64(yaw_);
+    ar.F64(p_);
+    ar.F64(q_);
+    ar.F64(r_);
+    VisitValue(ar, truth_.position);
+    VisitValue(ar, truth_.velocity_ms);
+    ar.F64(truth_.roll_rad);
+    ar.F64(truth_.pitch_rad);
+    ar.F64(truth_.yaw_rad);
+    ar.F64(truth_.roll_rate_rads);
+    ar.F64(truth_.pitch_rate_rads);
+    ar.F64(truth_.yaw_rate_rads);
+    ar.F64(truth_.accel_up_mss);
+    ar.F64(truth_.rotor_power_w);
+    ar.Bool(truth_.airborne);
+    return ar.status();
   }
 
  private:

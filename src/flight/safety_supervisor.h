@@ -163,49 +163,23 @@ class SafetySupervisor {
   // Checkpoint/restore: the stage machine, hysteresis timers, episode
   // history, and the inner deadline monitor. The trace attachment and
   // callbacks are rewired by the restoring world, not persisted.
-  void SaveState(SnapshotWriter& w) const {
-    w.Section("SAFE");
-    w.U32(static_cast<uint32_t>(stage_));
-    w.U32(active_reasons_);
-    w.F64(hold_yaw_);
-    w.I64(first_bad_);
-    w.I64(first_good_);
-    w.I64(first_hard_);
-    w.I64(stage_entered_);
-    w.U64(episodes_.size());
-    for (const SafetyEpisode& e : episodes_) {
-      w.I64(e.entered);
-      w.I64(e.released);
-      w.U32(e.reasons);
-      w.U32(static_cast<uint32_t>(e.deepest));
-    }
-    deadline_monitor_.SaveState(w);
-  }
-  Status RestoreState(SnapshotReader& r) {
-    RETURN_IF_ERROR(r.Section("SAFE"));
-    uint32_t stage = 0;
-    RETURN_IF_ERROR(r.U32(&stage));
-    stage_ = static_cast<SafetyStage>(stage);
-    RETURN_IF_ERROR(r.U32(&active_reasons_));
-    RETURN_IF_ERROR(r.F64(&hold_yaw_));
-    RETURN_IF_ERROR(r.I64(&first_bad_));
-    RETURN_IF_ERROR(r.I64(&first_good_));
-    RETURN_IF_ERROR(r.I64(&first_hard_));
-    RETURN_IF_ERROR(r.I64(&stage_entered_));
-    uint64_t n = 0;
-    RETURN_IF_ERROR(r.U64(&n));
-    episodes_.clear();
-    for (uint64_t i = 0; i < n; ++i) {
-      SafetyEpisode e;
-      RETURN_IF_ERROR(r.I64(&e.entered));
-      RETURN_IF_ERROR(r.I64(&e.released));
-      RETURN_IF_ERROR(r.U32(&e.reasons));
-      uint32_t deepest = 0;
-      RETURN_IF_ERROR(r.U32(&deepest));
-      e.deepest = static_cast<SafetyStage>(deepest);
-      episodes_.push_back(e);
-    }
-    return deadline_monitor_.RestoreState(r);
+  template <class Ar>
+  Status Visit(Ar& ar) {
+    ar.Section("SAFE");
+    ar.Enum(stage_, SafetyStage::kCutoff);
+    ar.U32(active_reasons_);
+    ar.F64(hold_yaw_);
+    ar.I64(first_bad_);
+    ar.I64(first_good_);
+    ar.I64(first_hard_);
+    ar.I64(stage_entered_);
+    ar.Seq(episodes_, [&](SafetyEpisode& e) {
+      ar.I64(e.entered);
+      ar.I64(e.released);
+      ar.U32(e.reasons);
+      ar.Enum(e.deepest, SafetyStage::kCutoff);
+    });
+    return deadline_monitor_.Visit(ar);
   }
 
  private:

@@ -26,11 +26,13 @@ class Gimbal : public HardwareDevice {
   double roll_deg() const { return roll_deg_; }
   double yaw_deg() const { return yaw_deg_; }
 
-  // Checkpoint restore: overwrites the pointing state directly.
-  void RestoreOrientation(double pitch_deg, double roll_deg, double yaw_deg) {
-    pitch_deg_ = pitch_deg;
-    roll_deg_ = roll_deg;
-    yaw_deg_ = yaw_deg;
+  // Checkpoint/restore (DESIGN.md §13): the pointing state.
+  template <class Ar>
+  Status Visit(Ar& ar) {
+    ar.F64(pitch_deg_);
+    ar.F64(roll_deg_);
+    ar.F64(yaw_deg_);
+    return ar.status();
   }
 
  private:

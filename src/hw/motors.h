@@ -31,12 +31,21 @@ class MotorSet : public HardwareDevice {
   Status Arm(ContainerId caller);
   Status Disarm(ContainerId caller);
 
-  // Checkpoint restore: overwrites the actuator state directly (bypasses
-  // the open check — the restoring world rebuilt the same opener).
+  // Overwrites the actuator state directly, bypassing the open check.
   void RestoreActuatorState(const std::array<double, kNumMotors>& throttles,
                             bool armed) {
     throttles_ = throttles;
     armed_ = armed;
+  }
+
+  // Checkpoint/restore (DESIGN.md §13): the actuator state.
+  template <class Ar>
+  Status Visit(Ar& ar) {
+    for (double& throttle : throttles_) {
+      ar.F64(throttle);
+    }
+    ar.Bool(armed_);
+    return ar.status();
   }
 
  private:

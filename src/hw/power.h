@@ -8,6 +8,7 @@
 
 #include <algorithm>
 
+#include "src/util/status.h"
 #include "src/util/time.h"
 
 namespace androne {
@@ -53,9 +54,13 @@ class Battery {
     return 10.5 + 2.1 * std::max(0.0, fraction_remaining());
   }
 
-  // Checkpoint hook: the remaining charge is the battery's only dynamic
-  // state (capacity is config).
-  void RestoreRemaining(double remaining_j) { remaining_j_ = remaining_j; }
+  // Checkpoint/restore (DESIGN.md §13): the remaining charge is the
+  // battery's only dynamic state (capacity is config).
+  template <class Ar>
+  Status Visit(Ar& ar) {
+    ar.F64(remaining_j_);
+    return ar.status();
+  }
 
  private:
   double capacity_j_;

@@ -21,7 +21,6 @@
 
 #include "src/hw/sensor_io.h"
 #include "src/hw/sensors.h"
-#include "src/snapshot/snapshot.h"
 #include "src/util/sim_clock.h"
 #include "src/util/status.h"
 
@@ -75,36 +74,32 @@ class SensorBus {
   }
 
   // Checkpoint/restore (DESIGN.md §13). Saved between publishes, so the
-  // sequence is always even at capture time.
-  void SaveState(SnapshotWriter& w) const {
-    w.Section("SBUS");
-    w.U64(sequence_.load(std::memory_order_acquire));
-    SaveImuSample(w, slot_.imu);
-    SaveGpsFix(w, slot_.gps);
-    w.F64(slot_.baro_altitude_m);
-    w.F64(slot_.mag_heading_rad);
-    w.I64(slot_.baro_mag_time);
-    w.I64(slot_.publish_time);
-    w.U64(publishes_);
-    w.U64(reader_retries_.load(std::memory_order_relaxed));
-  }
-
-  Status RestoreState(SnapshotReader& r) {
-    RETURN_IF_ERROR(r.Section("SBUS"));
-    uint64_t sequence;
-    RETURN_IF_ERROR(r.U64(&sequence));
-    RETURN_IF_ERROR(RestoreImuSample(r, slot_.imu));
-    RETURN_IF_ERROR(RestoreGpsFix(r, slot_.gps));
-    RETURN_IF_ERROR(r.F64(&slot_.baro_altitude_m));
-    RETURN_IF_ERROR(r.F64(&slot_.mag_heading_rad));
-    RETURN_IF_ERROR(r.I64(&slot_.baro_mag_time));
-    RETURN_IF_ERROR(r.I64(&slot_.publish_time));
-    RETURN_IF_ERROR(r.U64(&publishes_));
-    uint64_t retries;
-    RETURN_IF_ERROR(r.U64(&retries));
-    reader_retries_.store(retries, std::memory_order_relaxed);
-    sequence_.store(sequence, std::memory_order_release);
-    return OkStatus();
+  // sequence is always even at capture time; an odd one would leave every
+  // reader spinning, so restore rejects it.
+  template <class Ar>
+  Status Visit(Ar& ar) {
+    ar.Section("SBUS");
+    uint64_t sequence = sequence_.load(std::memory_order_acquire);
+    ar.U64(sequence);
+    if (sequence & 1) {
+      ar.Fail(InvalidArgumentError("sensor bus checkpoint caught mid-publish"));
+    }
+    VisitValue(ar, slot_.imu);
+    VisitValue(ar, slot_.gps);
+    ar.F64(slot_.baro_altitude_m);
+    ar.F64(slot_.mag_heading_rad);
+    ar.I64(slot_.baro_mag_time);
+    ar.I64(slot_.publish_time);
+    ar.U64(publishes_);
+    uint64_t retries = reader_retries_.load(std::memory_order_relaxed);
+    ar.U64(retries);
+    if constexpr (Ar::kLoading) {
+      if (ar.ok()) {
+        reader_retries_.store(retries, std::memory_order_relaxed);
+        sequence_.store(sequence, std::memory_order_release);
+      }
+    }
+    return ar.status();
   }
 
  private:
@@ -149,22 +144,15 @@ class SensorHub {
   uint64_t samples_drawn() const { return samples_drawn_; }
 
   // Checkpoint/restore: the cadence bookkeeping plus the published slot.
-  void SaveState(SnapshotWriter& w) const {
-    w.Section("SHUB");
-    bus_.SaveState(w);
-    w.I64(last_imu_time_);
-    w.I64(last_slow_time_);
-    w.I64(last_gps_time_);
-    w.U64(samples_drawn_);
-  }
-
-  Status RestoreState(SnapshotReader& r) {
-    RETURN_IF_ERROR(r.Section("SHUB"));
-    RETURN_IF_ERROR(bus_.RestoreState(r));
-    RETURN_IF_ERROR(r.I64(&last_imu_time_));
-    RETURN_IF_ERROR(r.I64(&last_slow_time_));
-    RETURN_IF_ERROR(r.I64(&last_gps_time_));
-    return r.U64(&samples_drawn_);
+  template <class Ar>
+  Status Visit(Ar& ar) {
+    ar.Section("SHUB");
+    RETURN_IF_ERROR(bus_.Visit(ar));
+    ar.I64(last_imu_time_);
+    ar.I64(last_slow_time_);
+    ar.I64(last_gps_time_);
+    ar.U64(samples_drawn_);
+    return ar.status();
   }
 
  private:

@@ -15,8 +15,6 @@
 
 #include "src/hw/sensor_io.h"
 #include "src/hw/sensors.h"
-#include "src/snapshot/snapshot.h"
-#include "src/snapshot/state_io.h"
 #include "src/util/fault_plan.h"
 #include "src/util/rng.h"
 #include "src/util/sim_clock.h"
@@ -129,56 +127,18 @@ class SensorFaultInjector {
 
   // Checkpoint/restore: the noise stream, fault counters, and stuck-value
   // latches are the injector's only dynamic state (the plan is config).
-  void SaveState(SnapshotWriter& w) const {
-    w.Section("SFLT");
-    SaveRng(w, rng_);
-    w.U64(counters_.dropouts);
-    w.U64(counters_.stuck_reads);
-    w.U64(counters_.corrupted_reads);
-    w.Bool(stuck_gps_.has_value());
-    if (stuck_gps_.has_value()) SaveGpsFix(w, *stuck_gps_);
-    w.Bool(stuck_imu_.has_value());
-    if (stuck_imu_.has_value()) SaveImuSample(w, *stuck_imu_);
-    w.Bool(stuck_baro_.has_value());
-    if (stuck_baro_.has_value()) w.F64(*stuck_baro_);
-    w.Bool(stuck_mag_.has_value());
-    if (stuck_mag_.has_value()) w.F64(*stuck_mag_);
-  }
-
-  Status RestoreState(SnapshotReader& r) {
-    RETURN_IF_ERROR(r.Section("SFLT"));
-    RETURN_IF_ERROR(RestoreRng(r, rng_));
-    RETURN_IF_ERROR(r.U64(&counters_.dropouts));
-    RETURN_IF_ERROR(r.U64(&counters_.stuck_reads));
-    RETURN_IF_ERROR(r.U64(&counters_.corrupted_reads));
-    bool present = false;
-    RETURN_IF_ERROR(r.Bool(&present));
-    stuck_gps_.reset();
-    if (present) {
-      stuck_gps_.emplace();
-      RETURN_IF_ERROR(RestoreGpsFix(r, *stuck_gps_));
-    }
-    RETURN_IF_ERROR(r.Bool(&present));
-    stuck_imu_.reset();
-    if (present) {
-      stuck_imu_.emplace();
-      RETURN_IF_ERROR(RestoreImuSample(r, *stuck_imu_));
-    }
-    RETURN_IF_ERROR(r.Bool(&present));
-    stuck_baro_.reset();
-    if (present) {
-      double v;
-      RETURN_IF_ERROR(r.F64(&v));
-      stuck_baro_ = v;
-    }
-    RETURN_IF_ERROR(r.Bool(&present));
-    stuck_mag_.reset();
-    if (present) {
-      double v;
-      RETURN_IF_ERROR(r.F64(&v));
-      stuck_mag_ = v;
-    }
-    return OkStatus();
+  template <class Ar>
+  Status Visit(Ar& ar) {
+    ar.Section("SFLT");
+    rng_.Visit(ar);
+    ar.U64(counters_.dropouts);
+    ar.U64(counters_.stuck_reads);
+    ar.U64(counters_.corrupted_reads);
+    ar.Optional(stuck_gps_, [&](GpsFix& fix) { VisitValue(ar, fix); });
+    ar.Optional(stuck_imu_, [&](ImuSample& sample) { VisitValue(ar, sample); });
+    ar.Optional(stuck_baro_, [&](double& v) { ar.F64(v); });
+    ar.Optional(stuck_mag_, [&](double& v) { ar.F64(v); });
+    return ar.status();
   }
 
  private:

@@ -1,75 +1,32 @@
-// Snapshot adapters for the hw-layer sensor value types (DESIGN.md §13).
-// Shared by the sensor devices, the snapshot bus, and the fault injector's
-// stuck-value latches.
+// Snapshot visitors for the hw-layer sensor value types (DESIGN.md §13),
+// shared by the snapshot bus, the fault injector's stuck-value latches and
+// the flight stack. Each lists its fields once for both snapshot archives.
 #ifndef SRC_HW_SENSOR_IO_H_
 #define SRC_HW_SENSOR_IO_H_
 
 #include "src/hw/sensors.h"
-#include "src/snapshot/snapshot.h"
 #include "src/util/geo.h"
 
 namespace androne {
 
-inline void SaveGeoPoint(SnapshotWriter& w, const GeoPoint& p) {
-  w.F64(p.latitude_deg);
-  w.F64(p.longitude_deg);
-  w.F64(p.altitude_m);
+template <class Ar>
+void VisitValue(Ar& ar, GpsFix& fix) {
+  VisitValue(ar, fix.position);
+  VisitValue(ar, fix.velocity_ms);
+  ar.U32(fix.satellites);
+  ar.Bool(fix.has_fix);
+  ar.I64(fix.timestamp);
 }
 
-inline Status RestoreGeoPoint(SnapshotReader& r, GeoPoint& p) {
-  RETURN_IF_ERROR(r.F64(&p.latitude_deg));
-  RETURN_IF_ERROR(r.F64(&p.longitude_deg));
-  return r.F64(&p.altitude_m);
-}
-
-inline void SaveNedPoint(SnapshotWriter& w, const NedPoint& p) {
-  w.F64(p.north_m);
-  w.F64(p.east_m);
-  w.F64(p.down_m);
-}
-
-inline Status RestoreNedPoint(SnapshotReader& r, NedPoint& p) {
-  RETURN_IF_ERROR(r.F64(&p.north_m));
-  RETURN_IF_ERROR(r.F64(&p.east_m));
-  return r.F64(&p.down_m);
-}
-
-inline void SaveGpsFix(SnapshotWriter& w, const GpsFix& fix) {
-  SaveGeoPoint(w, fix.position);
-  SaveNedPoint(w, fix.velocity_ms);
-  w.U32(static_cast<uint32_t>(fix.satellites));
-  w.Bool(fix.has_fix);
-  w.I64(fix.timestamp);
-}
-
-inline Status RestoreGpsFix(SnapshotReader& r, GpsFix& fix) {
-  RETURN_IF_ERROR(RestoreGeoPoint(r, fix.position));
-  RETURN_IF_ERROR(RestoreNedPoint(r, fix.velocity_ms));
-  uint32_t satellites;
-  RETURN_IF_ERROR(r.U32(&satellites));
-  fix.satellites = static_cast<int>(satellites);
-  RETURN_IF_ERROR(r.Bool(&fix.has_fix));
-  return r.I64(&fix.timestamp);
-}
-
-inline void SaveImuSample(SnapshotWriter& w, const ImuSample& s) {
-  for (double v : s.gyro_rads) {
-    w.F64(v);
-  }
-  for (double v : s.accel_mss) {
-    w.F64(v);
-  }
-  w.I64(s.timestamp);
-}
-
-inline Status RestoreImuSample(SnapshotReader& r, ImuSample& s) {
+template <class Ar>
+void VisitValue(Ar& ar, ImuSample& s) {
   for (double& v : s.gyro_rads) {
-    RETURN_IF_ERROR(r.F64(&v));
+    ar.F64(v);
   }
   for (double& v : s.accel_mss) {
-    RETURN_IF_ERROR(r.F64(&v));
+    ar.F64(v);
   }
-  return r.I64(&s.timestamp);
+  ar.I64(s.timestamp);
 }
 
 }  // namespace androne

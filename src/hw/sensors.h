@@ -37,11 +37,17 @@ class GpsReceiver : public HardwareDevice {
   StatusOr<GpsFix> ReadFix(ContainerId caller);
 
   void set_satellites(int n) { satellites_ = n; }
-  int satellites() const { return satellites_; }
 
-  // Checkpoint access: the noise stream is world state — a restored world
-  // must continue drawing the same sensor noise sequence.
+  // The noise stream is world state: a restored world must continue drawing
+  // the same sensor noise sequence (DESIGN.md §13). Re-seeded at the
+  // template fork point (AnDroneSystem::ReseedStreams).
   Rng& checkpoint_rng() { return rng_; }
+  template <class Ar>
+  Status Visit(Ar& ar) {
+    rng_.Visit(ar);
+    ar.U32(satellites_);
+    return ar.status();
+  }
 
  private:
   SimClock* clock_;
@@ -103,8 +109,11 @@ class Microphone : public HardwareDevice {
   // Returns |samples| synthetic PCM samples.
   StatusOr<std::vector<int16_t>> Record(ContainerId caller, size_t samples);
 
-  uint64_t checkpoint_phase() const { return phase_; }
-  void RestorePhase(uint64_t phase) { phase_ = phase; }
+  template <class Ar>
+  Status Visit(Ar& ar) {
+    ar.U64(phase_);
+    return ar.status();
+  }
 
  private:
   SimClock* clock_;
@@ -122,8 +131,11 @@ class Speaker : public HardwareDevice {
   // "Plays" |samples| PCM samples (accounted, not rendered).
   Status Play(ContainerId caller, size_t samples);
 
-  uint64_t samples_played() const { return samples_played_; }
-  void RestoreSamplesPlayed(uint64_t n) { samples_played_ = n; }
+  template <class Ar>
+  Status Visit(Ar& ar) {
+    ar.U64(samples_played_);
+    return ar.status();
+  }
 
  private:
   uint64_t samples_played_ = 0;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "src/snapshot/state_io.h"
+#include "src/snapshot/archive.h"
 
 namespace androne {
 
@@ -114,60 +114,28 @@ void ReliableCommandSender::HandleFrame(const MavlinkFrame& frame) {
   Resolve(ack->command, /*delivered=*/true);
 }
 
-void ReliableCommandSender::SaveState(SnapshotWriter& w,
-                                      TimerRegistry& timers) const {
-  w.Section("RSND");
-  SaveRng(w, rng_);
-  w.U8(tx_seq_);
-  w.U64(commands_sent_);
-  w.U64(retransmissions_);
-  w.U64(acked_);
-  w.U64(gave_up_);
-  w.U64(pending_.size());
-  for (const auto& [command_id, p] : pending_) {
-    w.U32(command_id);
-    SaveCommandLong(w, p.cmd);
-    w.U8(p.seq);
-    w.I64(p.attempts);
-    bool armed = false;
-    SimTime when = 0;
-    uint64_t seq = 0;
-    if (p.timer != 0 && clock_->PendingInfo(p.timer, &when, &seq)) {
-      armed = true;
-      timers.Add("rel." + std::to_string(command_id), when, seq);
-    }
-    w.Bool(armed);
-  }
+template <class Ar>
+Status ReliableCommandSender::Visit(Ar& ar) {
+  ar.Section("RSND");
+  rng_.Visit(ar);
+  ar.U8(tx_seq_);
+  ar.U64(commands_sent_);
+  ar.U64(retransmissions_);
+  ar.U64(acked_);
+  ar.U64(gave_up_);
+  ar.Map(pending_, [&](auto& command_id, Pending& p) {
+    ar.U32(command_id);
+    VisitValue(ar, p.cmd);
+    ar.U8(p.seq);
+    ar.I64(p.attempts);
+    bool armed = ar.Timer("rel." + std::to_string(command_id), p.timer);
+    ar.Bool(armed);
+  });
+  return ar.status();
 }
 
-Status ReliableCommandSender::RestoreState(SnapshotReader& r) {
-  RETURN_IF_ERROR(r.Section("RSND"));
-  RETURN_IF_ERROR(RestoreRng(r, rng_));
-  RETURN_IF_ERROR(r.U8(&tx_seq_));
-  RETURN_IF_ERROR(r.U64(&commands_sent_));
-  RETURN_IF_ERROR(r.U64(&retransmissions_));
-  RETURN_IF_ERROR(r.U64(&acked_));
-  RETURN_IF_ERROR(r.U64(&gave_up_));
-  uint64_t n = 0;
-  RETURN_IF_ERROR(r.U64(&n));
-  pending_.clear();
-  for (uint64_t i = 0; i < n; ++i) {
-    uint32_t command_id = 0;
-    RETURN_IF_ERROR(r.U32(&command_id));
-    Pending p;
-    RETURN_IF_ERROR(RestoreCommandLong(r, p.cmd));
-    RETURN_IF_ERROR(r.U8(&p.seq));
-    int64_t attempts = 0;
-    RETURN_IF_ERROR(r.I64(&attempts));
-    p.attempts = static_cast<int>(attempts);
-    bool armed = false;
-    RETURN_IF_ERROR(r.Bool(&armed));
-    p.timer = 0;  // Re-armed via RegisterTimers when |armed| was saved.
-    (void)armed;
-    pending_[static_cast<uint16_t>(command_id)] = p;
-  }
-  return OkStatus();
-}
+template Status ReliableCommandSender::Visit(SaveArchive&);
+template Status ReliableCommandSender::Visit(LoadArchive&);
 
 void ReliableCommandSender::RegisterTimers(TimerRearmer& rearmer) {
   for (const auto& [command_id, p] : pending_) {

@@ -21,51 +21,27 @@
 
 namespace androne {
 
-// Snapshot adapters for the two command-channel payload types.
-inline void SaveCommandLong(SnapshotWriter& w, const CommandLong& cmd) {
-  w.F64(cmd.param1);
-  w.F64(cmd.param2);
-  w.F64(cmd.param3);
-  w.F64(cmd.param4);
-  w.F64(cmd.param5);
-  w.F64(cmd.param6);
-  w.F64(cmd.param7);
-  w.U32(cmd.command);
-  w.U8(cmd.target_system);
-  w.U8(cmd.target_component);
-  w.U8(cmd.confirmation);
+// Snapshot visitors for the two command-channel payload types. The float
+// params travel as doubles.
+template <class Ar>
+void VisitValue(Ar& ar, CommandLong& cmd) {
+  ar.F64(cmd.param1);
+  ar.F64(cmd.param2);
+  ar.F64(cmd.param3);
+  ar.F64(cmd.param4);
+  ar.F64(cmd.param5);
+  ar.F64(cmd.param6);
+  ar.F64(cmd.param7);
+  ar.U32(cmd.command);
+  ar.U8(cmd.target_system);
+  ar.U8(cmd.target_component);
+  ar.U8(cmd.confirmation);
 }
 
-inline Status RestoreCommandLong(SnapshotReader& r, CommandLong& cmd) {
-  double params[7];
-  for (double& p : params) {
-    RETURN_IF_ERROR(r.F64(&p));
-  }
-  cmd.param1 = static_cast<float>(params[0]);
-  cmd.param2 = static_cast<float>(params[1]);
-  cmd.param3 = static_cast<float>(params[2]);
-  cmd.param4 = static_cast<float>(params[3]);
-  cmd.param5 = static_cast<float>(params[4]);
-  cmd.param6 = static_cast<float>(params[5]);
-  cmd.param7 = static_cast<float>(params[6]);
-  uint32_t command = 0;
-  RETURN_IF_ERROR(r.U32(&command));
-  cmd.command = static_cast<uint16_t>(command);
-  RETURN_IF_ERROR(r.U8(&cmd.target_system));
-  RETURN_IF_ERROR(r.U8(&cmd.target_component));
-  return r.U8(&cmd.confirmation);
-}
-
-inline void SaveCommandAck(SnapshotWriter& w, const CommandAck& ack) {
-  w.U32(ack.command);
-  w.U8(ack.result);
-}
-
-inline Status RestoreCommandAck(SnapshotReader& r, CommandAck& ack) {
-  uint32_t command = 0;
-  RETURN_IF_ERROR(r.U32(&command));
-  ack.command = static_cast<uint16_t>(command);
-  return r.U8(&ack.result);
+template <class Ar>
+void VisitValue(Ar& ar, CommandAck& ack) {
+  ar.U32(ack.command);
+  ar.U8(ack.result);
 }
 
 struct RetryConfig {
@@ -127,10 +103,11 @@ class ReliableCommandSender {
   // --- Checkpoint/restore (DESIGN.md §13) ---
   // Pending commands persist with their armed retry deadlines under keys
   // "rel.<command_id>"; sinks/callbacks are re-wired by the caller.
-  void SaveState(SnapshotWriter& w, TimerRegistry& timers) const;
-  Status RestoreState(SnapshotReader& r);
+  // Instantiated for SaveArchive and LoadArchive in reliable.cc.
+  template <class Ar>
+  Status Visit(Ar& ar);
   // Registers one re-arm handler per restored pending command. Call after
-  // RestoreState, before TimerRearmer::Replay.
+  // the load, before TimerRearmer::Replay.
   void RegisterTimers(TimerRearmer& rearmer);
 
  private:
@@ -189,43 +166,19 @@ class CommandDeduper {
 
   // Checkpoint/restore: the dedup window is digest-relevant state (a
   // duplicate arriving after restore must still be suppressed).
-  void SaveState(SnapshotWriter& w) const {
-    w.Section("DEDU");
-    w.U64(entries_.size());
-    for (const Entry& e : entries_) {
-      w.U8(e.sysid);
-      w.U8(e.compid);
-      w.U8(e.seq);
-      SaveCommandLong(w, e.cmd);
-      w.I64(e.time);
-      w.Bool(e.ack.has_value());
-      if (e.ack.has_value()) {
-        SaveCommandAck(w, *e.ack);
-      }
-    }
-    w.U64(duplicates_suppressed_);
-  }
-  Status RestoreState(SnapshotReader& r) {
-    RETURN_IF_ERROR(r.Section("DEDU"));
-    uint64_t n = 0;
-    RETURN_IF_ERROR(r.U64(&n));
-    entries_.clear();
-    for (uint64_t i = 0; i < n; ++i) {
-      Entry e;
-      RETURN_IF_ERROR(r.U8(&e.sysid));
-      RETURN_IF_ERROR(r.U8(&e.compid));
-      RETURN_IF_ERROR(r.U8(&e.seq));
-      RETURN_IF_ERROR(RestoreCommandLong(r, e.cmd));
-      RETURN_IF_ERROR(r.I64(&e.time));
-      bool has_ack = false;
-      RETURN_IF_ERROR(r.Bool(&has_ack));
-      if (has_ack) {
-        e.ack.emplace();
-        RETURN_IF_ERROR(RestoreCommandAck(r, *e.ack));
-      }
-      entries_.push_back(std::move(e));
-    }
-    return r.U64(&duplicates_suppressed_);
+  template <class Ar>
+  Status Visit(Ar& ar) {
+    ar.Section("DEDU");
+    ar.Seq(entries_, [&](Entry& e) {
+      ar.U8(e.sysid);
+      ar.U8(e.compid);
+      ar.U8(e.seq);
+      VisitValue(ar, e.cmd);
+      ar.I64(e.time);
+      ar.Optional(e.ack, [&](CommandAck& ack) { VisitValue(ar, ack); });
+    });
+    ar.U64(duplicates_suppressed_);
+    return ar.status();
   }
 
  private:

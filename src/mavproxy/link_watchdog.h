@@ -68,46 +68,20 @@ class LinkWatchdog {
 
   // Checkpoint/restore: the failsafe machine, heartbeat bookkeeping, and
   // the armed periodic check (key "mav.watchdog").
-  void SaveState(SnapshotWriter& w, TimerRegistry& timers) const {
-    w.Section("WDOG");
-    w.Bool(running_);
-    w.U32(static_cast<uint32_t>(stage_));
-    w.I64(last_heartbeat_);
-    w.U64(heartbeats_seen_);
-    w.U64(episodes_.size());
-    for (const FailsafeEpisode& e : episodes_) {
-      w.I64(e.entered);
-      w.I64(e.recovered);
-      w.U32(static_cast<uint32_t>(e.deepest));
-    }
-    SimTime when = 0;
-    uint64_t seq = 0;
-    if (tick_event_ != 0 && clock_->PendingInfo(tick_event_, &when, &seq)) {
-      timers.Add("mav.watchdog", when, seq);
-    }
-  }
-  Status RestoreState(SnapshotReader& r) {
-    RETURN_IF_ERROR(r.Section("WDOG"));
-    RETURN_IF_ERROR(r.Bool(&running_));
-    uint32_t stage = 0;
-    RETURN_IF_ERROR(r.U32(&stage));
-    stage_ = static_cast<LinkFailsafeStage>(stage);
-    RETURN_IF_ERROR(r.I64(&last_heartbeat_));
-    RETURN_IF_ERROR(r.U64(&heartbeats_seen_));
-    uint64_t n = 0;
-    RETURN_IF_ERROR(r.U64(&n));
-    episodes_.clear();
-    for (uint64_t i = 0; i < n; ++i) {
-      FailsafeEpisode e;
-      RETURN_IF_ERROR(r.I64(&e.entered));
-      RETURN_IF_ERROR(r.I64(&e.recovered));
-      uint32_t deepest = 0;
-      RETURN_IF_ERROR(r.U32(&deepest));
-      e.deepest = static_cast<LinkFailsafeStage>(deepest);
-      episodes_.push_back(e);
-    }
-    tick_event_ = 0;
-    return OkStatus();
+  template <class Ar>
+  Status Visit(Ar& ar) {
+    ar.Section("WDOG");
+    ar.Bool(running_);
+    ar.Enum(stage_, LinkFailsafeStage::kRtl);
+    ar.I64(last_heartbeat_);
+    ar.U64(heartbeats_seen_);
+    ar.Seq(episodes_, [&](FailsafeEpisode& e) {
+      ar.I64(e.entered);
+      ar.I64(e.recovered);
+      ar.Enum(e.deepest, LinkFailsafeStage::kRtl);
+    });
+    ar.Timer("mav.watchdog", tick_event_);
+    return ar.status();
   }
   void RegisterTimers(TimerRearmer& rearmer) {
     rearmer.Register("mav.watchdog", [this](SimTime when) {

@@ -1,6 +1,7 @@
 #include "src/mavproxy/mavproxy.h"
 
 #include "src/obs/trace.h"
+#include "src/snapshot/archive.h"
 
 namespace androne {
 
@@ -162,64 +163,29 @@ void MavProxy::OnSafetyRelease() {
   }
 }
 
-void MavProxy::SaveState(SnapshotWriter& w, TimerRegistry& timers) const {
-  w.Section("PRXY");
-  w.U8(failsafe_seq_);
-  w.U64(master_frames_);
-  w.U64(wire_frames_);
-  w.U64(wire_flushes_);
-  w.Bytes(batch_scratch_.data(), batch_scratch_.size());
-  bool deadline_armed = batch_deadline_armed_;
-  SimTime when = 0;
-  uint64_t seq = 0;
-  if (deadline_armed && clock_->PendingInfo(batch_deadline_, &when, &seq)) {
-    timers.Add("mav.batch", when, seq);
-  } else {
-    deadline_armed = false;
+template <class Ar>
+Status MavProxy::Visit(Ar& ar) {
+  ar.Section("PRXY");
+  ar.U8(failsafe_seq_);
+  ar.U64(master_frames_);
+  ar.U64(wire_frames_);
+  ar.U64(wire_flushes_);
+  ar.Bytes(batch_scratch_);
+  // The batch deadline is armed exactly while its event is pending.
+  ar.Timer("mav.batch", batch_deadline_);
+  ar.Bool(batch_deadline_armed_);
+  if (ar.Present(watchdog_ != nullptr, "link-watchdog")) {
+    RETURN_IF_ERROR(watchdog_->Visit(ar));
   }
-  w.Bool(deadline_armed);
-  w.Bool(watchdog_ != nullptr);
-  if (watchdog_ != nullptr) {
-    watchdog_->SaveState(w, timers);
-  }
-  w.U64(vfcs_.size());
+  ar.Match(vfcs_.size(), "mavproxy VFC roster size");
   for (const auto& vfc : vfcs_) {
-    vfc->SaveState(w);
+    RETURN_IF_ERROR(vfc->Visit(ar));
   }
+  return ar.status();
 }
 
-Status MavProxy::RestoreState(SnapshotReader& r) {
-  RETURN_IF_ERROR(r.Section("PRXY"));
-  RETURN_IF_ERROR(r.U8(&failsafe_seq_));
-  RETURN_IF_ERROR(r.U64(&master_frames_));
-  RETURN_IF_ERROR(r.U64(&wire_frames_));
-  RETURN_IF_ERROR(r.U64(&wire_flushes_));
-  RETURN_IF_ERROR(r.BytesInto(&batch_scratch_));
-  RETURN_IF_ERROR(r.Bool(&batch_deadline_armed_));
-  batch_deadline_ = 0;  // Re-armed via RegisterTimers when it was armed.
-  bool has_watchdog = false;
-  RETURN_IF_ERROR(r.Bool(&has_watchdog));
-  if (has_watchdog) {
-    if (watchdog_ == nullptr) {
-      return InvalidArgumentError(
-          "mavproxy checkpoint has link-watchdog state but the restoring "
-          "world did not enable the link failsafe");
-    }
-    RETURN_IF_ERROR(watchdog_->RestoreState(r));
-  }
-  uint64_t vfc_count = 0;
-  RETURN_IF_ERROR(r.U64(&vfc_count));
-  if (vfc_count != vfcs_.size()) {
-    return InvalidArgumentError(
-        "mavproxy checkpoint VFC roster mismatch: snapshot has " +
-        std::to_string(vfc_count) + " VFCs, restoring world has " +
-        std::to_string(vfcs_.size()));
-  }
-  for (const auto& vfc : vfcs_) {
-    RETURN_IF_ERROR(vfc->RestoreState(r));
-  }
-  return OkStatus();
-}
+template Status MavProxy::Visit(SaveArchive&);
+template Status MavProxy::Visit(LoadArchive&);
 
 void MavProxy::RegisterTimers(TimerRearmer& rearmer) {
   rearmer.Register("mav.batch", [this](SimTime when) {

@@ -104,9 +104,10 @@ class MavProxy {
   // Persists counters, the in-flight telemetry batch (bytes + armed
   // deadline, key "mav.batch"), watchdog state, and each VFC's view machine
   // in creation order. The restoring world must have created the identical
-  // VFC roster (same Deploy at the same seed) before RestoreState.
-  void SaveState(SnapshotWriter& w, TimerRegistry& timers) const;
-  Status RestoreState(SnapshotReader& r);
+  // VFC roster (same Deploy at the same seed) before the load.
+  // Instantiated for SaveArchive and LoadArchive in mavproxy.cc.
+  template <class Ar>
+  Status Visit(Ar& ar);
   void RegisterTimers(TimerRearmer& rearmer);
 
  private:

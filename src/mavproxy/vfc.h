@@ -16,7 +16,7 @@
 
 #include "src/mavlink/messages.h"
 #include "src/mavproxy/whitelist.h"
-#include "src/snapshot/snapshot.h"
+#include "src/util/status.h"
 #include "src/util/geo.h"
 #include "src/util/sim_clock.h"
 
@@ -90,54 +90,22 @@ class VirtualFlightController {
 
   // Checkpoint/restore: the virtualized-view machine and counters (wiring,
   // whitelist, and tenant id are config recreated by the restoring world).
-  void SaveState(SnapshotWriter& w) const {
-    w.Section("VFC ");
-    w.U32(static_cast<uint32_t>(state_));
-    w.Bool(fence_suspended_);
-    w.Bool(link_suspended_);
-    w.Bool(safety_suspended_);
-    w.Bool(waypoint_.has_value());
-    if (waypoint_.has_value()) {
-      w.F64(waypoint_->latitude_deg);
-      w.F64(waypoint_->longitude_deg);
-      w.F64(waypoint_->altitude_m);
-    }
-    w.F64(virtual_altitude_m_);
-    w.F64(virtual_position_.latitude_deg);
-    w.F64(virtual_position_.longitude_deg);
-    w.F64(virtual_position_.altitude_m);
-    w.I64(last_view_update_);
-    w.F64(last_real_altitude_m_);
-    w.U8(tx_seq_);
-    w.U64(commands_forwarded_);
-    w.U64(commands_declined_);
-  }
-  Status RestoreState(SnapshotReader& r) {
-    RETURN_IF_ERROR(r.Section("VFC "));
-    uint32_t state = 0;
-    RETURN_IF_ERROR(r.U32(&state));
-    state_ = static_cast<VfcState>(state);
-    RETURN_IF_ERROR(r.Bool(&fence_suspended_));
-    RETURN_IF_ERROR(r.Bool(&link_suspended_));
-    RETURN_IF_ERROR(r.Bool(&safety_suspended_));
-    bool has_waypoint = false;
-    RETURN_IF_ERROR(r.Bool(&has_waypoint));
-    waypoint_.reset();
-    if (has_waypoint) {
-      waypoint_.emplace();
-      RETURN_IF_ERROR(r.F64(&waypoint_->latitude_deg));
-      RETURN_IF_ERROR(r.F64(&waypoint_->longitude_deg));
-      RETURN_IF_ERROR(r.F64(&waypoint_->altitude_m));
-    }
-    RETURN_IF_ERROR(r.F64(&virtual_altitude_m_));
-    RETURN_IF_ERROR(r.F64(&virtual_position_.latitude_deg));
-    RETURN_IF_ERROR(r.F64(&virtual_position_.longitude_deg));
-    RETURN_IF_ERROR(r.F64(&virtual_position_.altitude_m));
-    RETURN_IF_ERROR(r.I64(&last_view_update_));
-    RETURN_IF_ERROR(r.F64(&last_real_altitude_m_));
-    RETURN_IF_ERROR(r.U8(&tx_seq_));
-    RETURN_IF_ERROR(r.U64(&commands_forwarded_));
-    return r.U64(&commands_declined_);
+  template <class Ar>
+  Status Visit(Ar& ar) {
+    ar.Section("VFC ");
+    ar.Enum(state_, VfcState::kLanding);
+    ar.Bool(fence_suspended_);
+    ar.Bool(link_suspended_);
+    ar.Bool(safety_suspended_);
+    ar.Optional(waypoint_, [&](GeoPoint& p) { VisitValue(ar, p); });
+    ar.F64(virtual_altitude_m_);
+    VisitValue(ar, virtual_position_);
+    ar.I64(last_view_update_);
+    ar.F64(last_real_altitude_m_);
+    ar.U8(tx_seq_);
+    ar.U64(commands_forwarded_);
+    ar.U64(commands_declined_);
+    return ar.status();
   }
 
  private:

@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "src/obs/trace.h"
-#include "src/snapshot/state_io.h"
+#include "src/snapshot/archive.h"
 
 namespace androne {
 
@@ -69,55 +69,34 @@ void NetworkChannel::Deliver(uint64_t id) {
   receiver_(*payload);
 }
 
-void NetworkChannel::SaveState(SnapshotWriter& w, TimerRegistry& timers,
-                               const std::string& prefix) const {
-  w.Section("CHAN");
-  SaveRng(w, rng_);
-  w.U64(next_inflight_id_);
-  w.U64(sent_);
-  w.U64(delivered_);
-  w.U64(lost_);
-  w.U64(dropped_no_receiver_);
-  SaveHistogram(w, latency_us_);
-  w.U64(inflight_.size());
-  for (const auto& [id, entry] : inflight_) {
-    w.U64(id);
-    w.I64(entry.latency);
-    w.Bytes(entry.payload->data(), entry.payload->size());
-    SimTime when = 0;
-    uint64_t seq = 0;
-    if (clock_->PendingInfo(entry.event, &when, &seq)) {
-      timers.Add(prefix + "." + std::to_string(id), when, seq);
+template <class Ar>
+Status NetworkChannel::Visit(Ar& ar, const std::string& prefix) {
+  ar.Section("CHAN");
+  rng_.Visit(ar);
+  ar.U64(next_inflight_id_);
+  ar.U64(sent_);
+  ar.U64(delivered_);
+  ar.U64(lost_);
+  ar.U64(dropped_no_receiver_);
+  latency_us_.Visit(ar);
+  ar.Map(inflight_, [&](auto& id, Inflight& entry) {
+    ar.U64(id);
+    ar.I64(entry.latency);
+    if constexpr (Ar::kLoading) {
+      std::vector<uint8_t> bytes;
+      ar.Bytes(bytes);
+      entry.payload =
+          std::make_shared<const std::vector<uint8_t>>(std::move(bytes));
+    } else {
+      ar.Bytes(*entry.payload);
     }
-  }
+    ar.Timer(prefix + "." + std::to_string(id), entry.event);
+  });
+  return ar.status();
 }
 
-Status NetworkChannel::RestoreState(SnapshotReader& r) {
-  RETURN_IF_ERROR(r.Section("CHAN"));
-  RETURN_IF_ERROR(RestoreRng(r, rng_));
-  RETURN_IF_ERROR(r.U64(&next_inflight_id_));
-  RETURN_IF_ERROR(r.U64(&sent_));
-  RETURN_IF_ERROR(r.U64(&delivered_));
-  RETURN_IF_ERROR(r.U64(&lost_));
-  RETURN_IF_ERROR(r.U64(&dropped_no_receiver_));
-  RETURN_IF_ERROR(RestoreHistogram(r, latency_us_));
-  uint64_t count = 0;
-  RETURN_IF_ERROR(r.U64(&count));
-  inflight_.clear();
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t id = 0;
-    RETURN_IF_ERROR(r.U64(&id));
-    Inflight entry;
-    RETURN_IF_ERROR(r.I64(&entry.latency));
-    std::vector<uint8_t> bytes;
-    RETURN_IF_ERROR(r.BytesInto(&bytes));
-    entry.payload =
-        std::make_shared<const std::vector<uint8_t>>(std::move(bytes));
-    entry.event = 0;  // Re-armed via RegisterTimers.
-    inflight_.emplace(id, std::move(entry));
-  }
-  return OkStatus();
-}
+template Status NetworkChannel::Visit(SaveArchive&, const std::string&);
+template Status NetworkChannel::Visit(LoadArchive&, const std::string&);
 
 void NetworkChannel::RegisterTimers(TimerRearmer& rearmer,
                                     const std::string& prefix) {

@@ -79,13 +79,13 @@ class NetworkChannel {
   // --- Checkpoint/restore (DESIGN.md §13) ---
   // In-flight datagrams persist with their payload bytes and armed delivery
   // deadlines under keys "<prefix>.<id>"; the receiver is re-wired by the
-  // restoring world.
-  void SaveState(SnapshotWriter& w, TimerRegistry& timers,
-                 const std::string& prefix) const;
-  Status RestoreState(SnapshotReader& r);
+  // restoring world. Instantiated for SaveArchive and LoadArchive in
+  // channel.cc.
+  template <class Ar>
+  Status Visit(Ar& ar, const std::string& prefix);
   // Registers one re-arm handler per restored in-flight datagram. Call
-  // after RestoreState, before TimerRearmer::Replay, with the same prefix
-  // the save used.
+  // after the load, before TimerRearmer::Replay, with the same prefix the
+  // save used.
   void RegisterTimers(TimerRearmer& rearmer, const std::string& prefix);
 
  private:
@@ -157,13 +157,11 @@ class VpnTunnel {
 
   // Checkpoint/restore: only the rejection counter is dynamic state (the
   // scratch buffers are transient and the receiver is re-wired on restore).
-  void SaveState(SnapshotWriter& w) const {
-    w.Section("VPN ");
-    w.U64(rejected_);
-  }
-  Status RestoreState(SnapshotReader& r) {
-    RETURN_IF_ERROR(r.Section("VPN "));
-    return r.U64(&rejected_);
+  template <class Ar>
+  Status Visit(Ar& ar) {
+    ar.Section("VPN ");
+    ar.U64(rejected_);
+    return ar.status();
   }
 
   // Attaches the net trace category: encapsulations record an instant

@@ -115,9 +115,15 @@ class FaultyLinkModel : public LinkModel {
   bool SampleLoss(Rng& rng) const override;
 
   const FaultCounters& counters() const { return counters_; }
-  // Checkpoint hook: the counters are the decorator's only dynamic state
+  // Checkpoint/restore: the counters are the decorator's only dynamic state
   // (the plan and base model are config).
-  void RestoreCounters(const FaultCounters& counters) { counters_ = counters; }
+  template <class Ar>
+  Status Visit(Ar& ar) {
+    ar.U64(counters_.outage_losses);
+    ar.U64(counters_.burst_losses);
+    ar.U64(counters_.inflated_samples);
+    return ar.status();
+  }
 
  private:
   const LinkModel* base_;

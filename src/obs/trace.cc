@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "src/snapshot/archive.h"
 #include "src/util/json.h"
 
 namespace androne {
@@ -205,78 +206,64 @@ void TraceRecorder::Clear() {
   recorded_ = 0;
 }
 
-void TraceRecorder::SaveState(SnapshotWriter& w) const {
-  w.Section("TRCE");
-  w.U32(categories_);
-  w.U64(capacity_);
-  w.U64(recorded_);
-  w.U64(head_);
-  w.U64(ring_.size());
-  for (const TraceEvent& ev : ring_) {
-    w.I64(ev.ts);
-    w.U32(ev.category);
-    w.U32(ev.name_id);
-    w.U8(static_cast<uint8_t>(ev.kind));
-    w.U32(static_cast<uint32_t>(ev.container));
-    w.I64(ev.arg);
-  }
-  // Skip the reserved "?" entry at id 0 — the constructor recreates it.
-  w.U64(names_.size() - 1);
-  for (size_t i = 1; i < names_.size(); ++i) {
-    w.Str(names_[i]);
-  }
-}
-
-Status TraceRecorder::RestoreState(SnapshotReader& r) {
-  RETURN_IF_ERROR(r.Section("TRCE"));
-  uint32_t categories;
-  uint64_t capacity;
-  RETURN_IF_ERROR(r.U32(&categories));
-  RETURN_IF_ERROR(r.U64(&capacity));
+template <class Ar>
+Status TraceRecorder::Visit(Ar& ar) {
+  ar.Section("TRCE");
+  uint32_t categories = categories_;
+  uint64_t capacity = capacity_;
+  ar.U32(categories);
+  ar.U64(capacity);
   if (categories != categories_ || capacity != capacity_) {
-    return InvalidArgumentError(
+    ar.Fail(InvalidArgumentError(
         "trace checkpoint was recorded with a different category mask or "
-        "ring capacity than this recorder");
+        "ring capacity than this recorder"));
   }
-  RETURN_IF_ERROR(r.U64(&recorded_));
-  uint64_t head;
-  uint64_t size;
-  RETURN_IF_ERROR(r.U64(&head));
-  RETURN_IF_ERROR(r.U64(&size));
-  head_ = head;
-  ring_.resize(size);
-  for (TraceEvent& ev : ring_) {
-    uint8_t kind;
-    uint32_t container;
-    RETURN_IF_ERROR(r.I64(&ev.ts));
-    RETURN_IF_ERROR(r.U32(&ev.category));
-    RETURN_IF_ERROR(r.U32(&ev.name_id));
-    RETURN_IF_ERROR(r.U8(&kind));
-    RETURN_IF_ERROR(r.U32(&container));
-    RETURN_IF_ERROR(r.I64(&ev.arg));
-    ev.kind = static_cast<TraceEventKind>(kind);
-    ev.container = static_cast<int32_t>(container);
+  ar.U64(recorded_);
+  ar.U64(head_);
+  ar.Seq(ring_, [&](TraceEvent& ev) {
+    ar.I64(ev.ts);
+    ar.U32(ev.category);
+    ar.U32(ev.name_id);
+    ar.Enum(ev.kind, TraceEventKind::kCounter);
+    ar.U32(ev.container);
+    ar.I64(ev.arg);
+  });
+  // Record() overwrites ring_[head_] once the ring is full, so the ring
+  // may never outgrow the capacity and the head must index into it.
+  if (ring_.size() > capacity_ || recorded_ < ring_.size() ||
+      (head_ != 0 && head_ >= ring_.size())) {
+    ar.Fail(InvalidArgumentError(
+        "trace checkpoint ring is inconsistent: size " +
+        std::to_string(ring_.size()) + ", capacity " +
+        std::to_string(capacity_) + ", head " + std::to_string(head_) +
+        ", recorded " + std::to_string(recorded_)));
   }
-  uint64_t name_count;
-  RETURN_IF_ERROR(r.U64(&name_count));
-  for (uint64_t i = 0; i < name_count; ++i) {
-    std::string name;
-    RETURN_IF_ERROR(r.Str(&name));
-    if (i + 1 < names_.size()) {
-      // Instrumentation already re-interned this id during the restored
-      // world's wiring; the orders must agree or every cached id is wrong.
-      if (names_[i + 1] != name) {
-        return InvalidArgumentError(
+  // The reserved "?" entry at id 0 is recreated by the constructor.
+  uint64_t names = ar.Size(names_.size() - 1);
+  for (uint64_t i = 0; i < names && ar.ok(); ++i) {
+    std::string name = i + 1 < names_.size() ? names_[i + 1] : std::string();
+    ar.Str(name);
+    if constexpr (Ar::kLoading) {
+      if (!ar.ok()) {
+        break;
+      }
+      if (i + 1 >= names_.size()) {
+        InternName(name);
+      } else if (names_[i + 1] != name) {
+        // Instrumentation already re-interned this id during the restored
+        // world's wiring; the orders must agree or every cached id is wrong.
+        ar.Fail(InvalidArgumentError(
             "trace checkpoint name table diverges from this world's "
             "instrumentation at id " + std::to_string(i + 1) + ": saved '" +
-            name + "' vs live '" + names_[i + 1] + "'");
+            name + "' vs live '" + names_[i + 1] + "'"));
       }
-    } else {
-      InternName(name);
     }
   }
-  return OkStatus();
+  return ar.status();
 }
+
+template Status TraceRecorder::Visit(SaveArchive&);
+template Status TraceRecorder::Visit(LoadArchive&);
 
 void AttachClockTrace(SimClock* clock, TraceRecorder* trace,
                       uint64_t sample_every) {

@@ -18,8 +18,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/snapshot/snapshot.h"
 #include "src/util/sim_clock.h"
+#include "src/util/status.h"
 
 namespace androne {
 
@@ -140,8 +140,9 @@ class TraceRecorder {
   // produced a prefix of the saved table in the same order (true when the
   // restored world re-ran the identical wiring path); a mismatch means the
   // checkpoint came from differently-instrumented code and is an error.
-  void SaveState(SnapshotWriter& w) const;
-  Status RestoreState(SnapshotReader& r);
+  // Instantiated for SaveArchive and LoadArchive in trace.cc.
+  template <class Ar>
+  Status Visit(Ar& ar);
 
  private:
   const SimClock* clock_ = nullptr;

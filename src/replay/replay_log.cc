@@ -3,8 +3,8 @@
 #include <cstring>
 #include <utility>
 
-#include "src/hw/sensor_io.h"
 #include "src/util/bytes.h"
+#include "src/util/geo.h"
 
 namespace androne {
 
@@ -17,9 +17,22 @@ std::string HexU64(uint64_t v) {
   return buffer;
 }
 
+// Writer twins of RawCursor::Geo/Ned below.
+void PutGeo(SnapshotWriter& w, const GeoPoint& g) {
+  w.F64(g.latitude_deg);
+  w.F64(g.longitude_deg);
+  w.F64(g.altitude_m);
+}
+
+void PutNed(SnapshotWriter& w, const NedPoint& n) {
+  w.F64(n.north_m);
+  w.F64(n.east_m);
+  w.F64(n.down_m);
+}
+
 void SaveTruth(SnapshotWriter& w, const DroneGroundTruth& t) {
-  SaveGeoPoint(w, t.position);
-  SaveNedPoint(w, t.velocity_ms);
+  PutGeo(w, t.position);
+  PutNed(w, t.velocity_ms);
   w.F64(t.roll_rad);
   w.F64(t.pitch_rad);
   w.F64(t.yaw_rad);
@@ -36,8 +49,8 @@ void SaveSample(SnapshotWriter& w, const FlightPlaneSample& s) {
   w.F64(s.est_attitude.roll_rad);
   w.F64(s.est_attitude.pitch_rad);
   w.F64(s.est_attitude.yaw_rad);
-  SaveGeoPoint(w, s.est_position.position);
-  SaveNedPoint(w, s.est_position.velocity_ms);
+  PutGeo(w, s.est_position.position);
+  PutNed(w, s.est_position.velocity_ms);
   w.Bool(s.est_position.valid);
   w.I64(s.est_last_fix_time);
   for (uint8_t h : s.est_health) {

@@ -12,7 +12,7 @@
 #include <cstdint>
 #include <deque>
 
-#include "src/snapshot/snapshot.h"
+#include "src/util/status.h"
 #include "src/util/time.h"
 
 namespace androne {
@@ -39,25 +39,12 @@ class DeadlineMonitor {
 
   // Checkpoint/restore: the sliding window, lifetime count, and the storm
   // edge-detector latch (window/threshold are config).
-  void SaveState(SnapshotWriter& w) const {
-    w.U64(misses_.size());
-    for (SimTime t : misses_) {
-      w.I64(t);
-    }
-    w.U64(total_misses_);
-    w.Bool(storm_traced_);
-  }
-  Status RestoreState(SnapshotReader& r) {
-    uint64_t n = 0;
-    RETURN_IF_ERROR(r.U64(&n));
-    misses_.clear();
-    for (uint64_t i = 0; i < n; ++i) {
-      SimTime t = 0;
-      RETURN_IF_ERROR(r.I64(&t));
-      misses_.push_back(t);
-    }
-    RETURN_IF_ERROR(r.U64(&total_misses_));
-    return r.Bool(&storm_traced_);
+  template <class Ar>
+  Status Visit(Ar& ar) {
+    ar.Seq(misses_, [&](SimTime& t) { ar.I64(t); });
+    ar.U64(total_misses_);
+    ar.Bool(storm_traced_);
+    return ar.status();
   }
 
  private:

@@ -56,6 +56,22 @@ GeoPoint FromNed(const GeoPoint& origin, const NedPoint& ned);
 GeoPoint MoveToward(const GeoPoint& from, const GeoPoint& to,
                     double distance_m);
 
+// Snapshot visitors (DESIGN.md §13): each point lists its fields once for
+// both snapshot archives.
+template <class Ar>
+void VisitValue(Ar& ar, GeoPoint& p) {
+  ar.F64(p.latitude_deg);
+  ar.F64(p.longitude_deg);
+  ar.F64(p.altitude_m);
+}
+
+template <class Ar>
+void VisitValue(Ar& ar, NedPoint& p) {
+  ar.F64(p.north_m);
+  ar.F64(p.east_m);
+  ar.F64(p.down_m);
+}
+
 }  // namespace androne
 
 #endif  // SRC_UTIL_GEO_H_

@@ -46,27 +46,21 @@ class Histogram {
   // Multi-line summary: count/min/mean/max/p99 plus a bucket table.
   std::string ToString(const std::string& unit = "") const;
 
-  // Checkpoint support: the full accumulator state. The moment sums are
-  // restored bit-exactly (they are order-dependent double accumulations, so
-  // recomputing them from buckets would not reproduce Digest()).
-  struct State {
-    std::vector<uint64_t> buckets;
-    uint64_t count = 0;
-    double sum = 0.0;
-    double sum_sq = 0.0;
-    int64_t min = 0;
-    int64_t max = 0;
-  };
-  State SaveState() const {
-    return State{buckets_, count_, sum_, sum_sq_, min_, max_};
-  }
-  void RestoreState(const State& st) {
-    buckets_ = st.buckets;
-    count_ = st.count;
-    sum_ = st.sum;
-    sum_sq_ = st.sum_sq;
-    min_ = st.min;
-    max_ = st.max;
+  // Checkpoint support (DESIGN.md §13): the full accumulator state. The
+  // moment sums travel bit-exactly (they are order-dependent double
+  // accumulations, so recomputing them from buckets would not reproduce
+  // Digest()). The bucket layout is construction-time config and must match.
+  template <class Ar>
+  void Visit(Ar& ar) {
+    ar.Match(buckets_.size(), "histogram bucket count");
+    for (uint64_t& bucket : buckets_) {
+      ar.U64(bucket);
+    }
+    ar.U64(count_);
+    ar.F64(sum_);
+    ar.F64(sum_sq_);
+    ar.I64(min_);
+    ar.I64(max_);
   }
 
  private:

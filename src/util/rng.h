@@ -49,24 +49,16 @@ class Rng {
   // stream without coupling draw order across subsystems).
   Rng Fork();
 
-  // Checkpoint support: the complete generator state — the xoshiro words
-  // plus the Marsaglia spare-gaussian latch (without it a restored stream
-  // would emit one extra/missing normal draw and diverge).
-  struct State {
-    uint64_t s[4];
-    bool has_spare_gaussian;
-    double spare_gaussian;
-  };
-  State SaveState() const {
-    return State{{state_[0], state_[1], state_[2], state_[3]},
-                 has_spare_gaussian_, spare_gaussian_};
-  }
-  void RestoreState(const State& st) {
-    for (int i = 0; i < 4; ++i) {
-      state_[i] = st.s[i];
+  // Checkpoint support (DESIGN.md §13): the complete generator state — the
+  // xoshiro words plus the Marsaglia spare-gaussian latch (without it a
+  // restored stream would emit one extra/missing normal draw and diverge).
+  template <class Ar>
+  void Visit(Ar& ar) {
+    for (uint64_t& word : state_) {
+      ar.U64(word);
     }
-    has_spare_gaussian_ = st.has_spare_gaussian;
-    spare_gaussian_ = st.spare_gaussian;
+    ar.Bool(has_spare_gaussian_);
+    ar.F64(spare_gaussian_);
   }
 
  private:

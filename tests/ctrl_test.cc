@@ -16,7 +16,7 @@
 #include "src/ctrl/load_gen.h"
 #include "src/ctrl/router.h"
 #include "src/ctrl/tenant_mix.h"
-#include "src/snapshot/snapshot.h"
+#include "src/snapshot/archive.h"
 #include "src/util/rng.h"
 
 namespace androne {
@@ -296,17 +296,23 @@ TEST(AdmissionTest, SaveRestoreSaveIsByteFixedPoint) {
   admission.Launch(0);
   admission.Request(8, footprint + 0.125);  // A non-integral footprint.
 
+  // The controller arms no timers, so the archives get an idle clock.
+  SimClock clock;
+  TimerRegistry timers;
   SnapshotWriter first;
-  admission.SaveState(&first);
+  SaveArchive save_first(first, timers, clock);
+  ASSERT_TRUE(admission.Visit(save_first).ok());
   ASSERT_FALSE(first.bytes().empty());
 
   AdmissionController restored(config);
   SnapshotReader reader(first.bytes());
-  ASSERT_TRUE(restored.RestoreState(&reader).ok());
+  LoadArchive load(reader);
+  ASSERT_TRUE(restored.Visit(load).ok());
   EXPECT_EQ(reader.remaining(), 0u);
 
   SnapshotWriter second;
-  restored.SaveState(&second);
+  SaveArchive save_second(second, timers, clock);
+  ASSERT_TRUE(restored.Visit(save_second).ok());
   EXPECT_EQ(first.bytes(), second.bytes());
 
   // The restored controller behaves identically, not just serializes

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -10,6 +11,11 @@
 #include "src/exec/fleet_world.h"
 #include "src/exec/thread_pool.h"
 #include "src/exec/world_template.h"
+#include "src/hw/sensor_faults.h"
+#include "src/net/fault_injector.h"
+#include "src/obs/trace.h"
+#include "src/replay/replay_log.h"
+#include "src/snapshot/checkpoint.h"
 
 namespace androne {
 namespace {
@@ -438,6 +444,110 @@ TEST(WorldTemplateTest, BootRelevantKnobsInvalidateTheTemplate) {
   EXPECT_EQ(cloned.flight_digest, cold.flight_digest);
   EXPECT_EQ(cloned.counters, cold.counters);
   EXPECT_EQ(cloned.metrics.ToText(), cold.metrics.ToText());
+}
+
+// Every FleetWorldConfig field carries one tag (DESIGN.md §14): changing a
+// boot field moves both fingerprints, a world field only ConfigFingerprint,
+// and a runtime field neither.
+TEST(ConfigFingerprintTest, EveryFieldMovesTheFingerprintsItsTagNames) {
+  enum Tag { kBoot, kWorld, kRuntime };
+  struct Case {
+    const char* field;
+    Tag tag;
+    std::function<void(FleetWorldConfig&)> base;
+    std::function<void(FleetWorldConfig&)> mutate;
+  };
+  auto none = [](FleetWorldConfig&) {};
+
+  FaultPlan outage;
+  ASSERT_TRUE(outage.AddOutage(Seconds(8), Seconds(3)).ok());
+  FaultPlan burst;
+  ASSERT_TRUE(burst.AddBurstLoss(Seconds(8), Seconds(3), 0.5).ok());
+  SensorFaultPlan late_a;  // Windows after the 2 s boot warmup.
+  ASSERT_TRUE(late_a.AddDropout(SensorChannel::kGps, Seconds(10), Seconds(2)).ok());
+  SensorFaultPlan late_b;
+  ASSERT_TRUE(late_b.AddDropout(SensorChannel::kGps, Seconds(12), Seconds(2)).ok());
+  SensorFaultPlan early;  // A window inside the warmup.
+  ASSERT_TRUE(early.AddDropout(SensorChannel::kGps, Seconds(1), Seconds(2)).ok());
+  TraceRecorder recorder(kTraceAll, 64);
+  WorldTemplateCache cache;
+  ReplayLogStore logs;
+  CheckpointStore sink;
+  const std::string blob = "checkpoint";
+
+  const std::vector<Case> cases = {
+      {"tenants", kWorld, none, [](auto& c) { c.tenants = 3; }},
+      {"dwell_s", kWorld, none, [](auto& c) { c.dwell_s = 7; }},
+      {"waypoint_spread_m", kWorld, none,
+       [](auto& c) { c.waypoint_spread_m = 50; }},
+      {"tenant_placements", kWorld, none,
+       [](auto& c) { c.tenant_placements.resize(2); }},
+      {"tenant_placements[].east_m", kWorld,
+       [](auto& c) { c.tenant_placements.resize(2); },
+       [](auto& c) { c.tenant_placements[1].east_m = 9; }},
+      {"annealing_iterations", kWorld, none,
+       [](auto& c) { c.annealing_iterations = 10; }},
+      {"sensor_bus", kBoot, none, [](auto& c) { c.sensor_bus = false; }},
+      {"batch_telemetry", kWorld, none,
+       [](auto& c) { c.batch_telemetry = false; }},
+      {"batch_flush_bytes", kWorld, none,
+       [](auto& c) { c.batch_flush_bytes = 64; }},
+      {"batch_flush_ms", kWorld, none, [](auto& c) { c.batch_flush_ms = 5; }},
+      {"memory_budget_mb", kBoot, none,
+       [](auto& c) { c.memory_budget_mb = 2048; }},
+      {"trace_categories", kBoot, none,
+       [](auto& c) { c.trace_categories = kTraceAll; }},
+      {"trace_capacity", kBoot, none, [](auto& c) { c.trace_capacity = 99; }},
+      {"trace", kRuntime, none, [&](auto& c) { c.trace = &recorder; }},
+      {"downlink_profile", kWorld, none,
+       [](auto& c) { c.downlink_profile = LinkProfile::kWired; }},
+      {"net_faults", kWorld, none, [&](auto& c) { c.net_faults = &outage; }},
+      {"net_faults windows", kWorld, [&](auto& c) { c.net_faults = &outage; },
+       [&](auto& c) { c.net_faults = &burst; }},
+      {"sensor_faults", kBoot, none,
+       [&](auto& c) { c.sensor_faults = &late_a; }},
+      {"sensor_faults windows after warmup", kWorld,
+       [&](auto& c) { c.sensor_faults = &late_a; },
+       [&](auto& c) { c.sensor_faults = &late_b; }},
+      {"sensor_faults windows in warmup", kBoot,
+       [&](auto& c) { c.sensor_faults = &late_a; },
+       [&](auto& c) { c.sensor_faults = &early; }},
+      {"crash_loop.count", kWorld, none, [](auto& c) { c.crash_loop.count = 2; }},
+      {"crash_loop.start_s", kWorld, none,
+       [](auto& c) { c.crash_loop.start_s = 1; }},
+      {"crash_loop.period_s", kWorld, none,
+       [](auto& c) { c.crash_loop.period_s = 1; }},
+      {"crash_loop.max_restarts", kWorld, none,
+       [](auto& c) { c.crash_loop.max_restarts = 1; }},
+      {"checkpoint", kRuntime, none,
+       [](auto& c) { c.checkpoint.at_phase_boundaries = true; }},
+      {"crash_at_s", kWorld, none, [](auto& c) { c.crash_at_s = {4}; }},
+      {"restore", kRuntime, none, [](auto& c) { c.restore.max_restores = 9; }},
+      {"tolerate_deploy_rejection", kWorld, none,
+       [](auto& c) { c.tolerate_deploy_rejection = true; }},
+      {"templates", kRuntime, none, [&](auto& c) { c.templates = &cache; }},
+      {"provision_metrics", kRuntime, none,
+       [](auto& c) { c.provision_metrics = true; }},
+      {"record_into", kRuntime, none, [&](auto& c) { c.record_into = &logs; }},
+      {"replay_from", kRuntime, none, [&](auto& c) { c.replay_from = &logs; }},
+      {"fork_blob", kRuntime, none, [&](auto& c) { c.fork_blob = &blob; }},
+      {"fork_reseed", kRuntime, none, [](auto& c) { c.fork_reseed = 5; }},
+      {"checkpoint_sink", kRuntime, none,
+       [&](auto& c) { c.checkpoint_sink = &sink; }},
+      {"speed", kRuntime, none, [](auto& c) { c.speed = 2; }},
+  };
+  for (const Case& test : cases) {
+    FleetWorldConfig base;
+    test.base(base);
+    FleetWorldConfig mutated = base;
+    test.mutate(mutated);
+    EXPECT_EQ(TemplateFingerprint(base) != TemplateFingerprint(mutated),
+              test.tag == kBoot)
+        << test.field;
+    EXPECT_EQ(ConfigFingerprint(base) != ConfigFingerprint(mutated),
+              test.tag != kRuntime)
+        << test.field;
+  }
 }
 
 TEST(FleetWorldTest, LegacySensorPathStillFliesTheWorld) {

@@ -11,6 +11,7 @@
 #include "src/exec/fleet_executor.h"
 #include "src/exec/fleet_world.h"
 #include "src/exec/world_template.h"
+#include "src/hw/sensor_faults.h"
 #include "src/obs/trace.h"
 #include "src/snapshot/checkpoint.h"
 
@@ -283,6 +284,41 @@ TEST(CheckpointHeaderTest, RejectsGarbageMagic) {
   CheckpointHeader in;
   Status status = in.Load(r, 0, 0);
   EXPECT_FALSE(status.ok());
+}
+
+TEST(CheckpointHeaderTest, RejectsACheckpointFromADifferentSensorFaultPlan) {
+  // Both worlds run a sensor-fault plan and differ only in a window after
+  // the boot warmup: the checkpoint binds to its plan's windows, so a world
+  // under the other plan refuses it at the header.
+  SensorFaultPlan plan_a;
+  ASSERT_TRUE(
+      plan_a.AddBiasDrift(SensorChannel::kBaro, Seconds(20), Seconds(4), 0.05)
+          .ok());
+  SensorFaultPlan plan_b;
+  ASSERT_TRUE(
+      plan_b.AddBiasDrift(SensorChannel::kBaro, Seconds(24), Seconds(4), 0.05)
+          .ok());
+  CheckpointStore store;
+  FleetWorldConfig config = BaseConfig();
+  config.sensor_faults = &plan_a;
+  config.checkpoint = PhaseBoundaryCadence();
+  config.checkpoint_sink = &store;
+  ASSERT_FALSE(RunFleetWorld(config, MakeContext(19)).infra_failure);
+  StatusOr<std::string> blob = store.Latest();
+  ASSERT_TRUE(blob.ok());
+
+  FleetWorldConfig same = BaseConfig();
+  same.sensor_faults = &plan_a;
+  same.fork_blob = &*blob;
+  EXPECT_FALSE(RunFleetWorld(same, MakeContext(19)).infra_failure);
+
+  FleetWorldConfig other = same;
+  other.sensor_faults = &plan_b;
+  EXPECT_TRUE(RunFleetWorld(other, MakeContext(19)).infra_failure);
+  SnapshotReader r(*blob);
+  CheckpointHeader header;
+  Status status = header.Load(r, MakeContext(19).seed, ConfigFingerprint(other));
+  EXPECT_NE(status.message().find("fingerprint"), std::string::npos) << status;
 }
 
 // --- Executor infra-failure retry ---

@@ -14,6 +14,7 @@
 
 #include "src/exec/fleet_executor.h"
 #include "src/exec/fleet_world.h"
+#include "src/net/fault_injector.h"
 #include "src/obs/trace.h"
 #include "src/replay/explore.h"
 #include "src/replay/replay_log.h"
@@ -171,6 +172,29 @@ TEST(ReplayTest, ReplayAgainstDifferentConfigIsAnInfraFailure) {
   other.replay_from = &store;
   WorldResult result = RunFleetWorld(other, MakeContext(9));
   EXPECT_TRUE(result.infra_failure);
+}
+
+TEST(ReplayTest, ReplayUnderADifferentNetFaultPlanIsAnInfraFailure) {
+  // Both worlds carry a downlink fault plan, but the windows differ: the
+  // log must be refused at build by its fingerprint, not accepted and left
+  // to diverge mid-flight.
+  FaultPlan plan_a;
+  ASSERT_TRUE(plan_a.AddOutage(Seconds(8), Seconds(3)).ok());
+  FaultPlan plan_b;
+  ASSERT_TRUE(plan_b.AddBurstLoss(Seconds(4), Seconds(6), 0.5).ok());
+
+  ReplayLogStore store;
+  FleetWorldConfig record_config = SmallConfig();
+  record_config.net_faults = &plan_a;
+  record_config.record_into = &store;
+  ASSERT_FALSE(RunFleetWorld(record_config, MakeContext(12)).infra_failure);
+
+  FleetWorldConfig other = SmallConfig();
+  other.net_faults = &plan_b;
+  other.replay_from = &store;
+  WorldResult result = RunFleetWorld(other, MakeContext(12));
+  EXPECT_TRUE(result.infra_failure);
+  EXPECT_FALSE(result.replay.replayed);
 }
 
 TEST(ReplayTest, RecordOrReplayRejectsCrashChaos) {

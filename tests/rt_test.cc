@@ -181,6 +181,13 @@ struct CyclictestScenario {
   double max_hi;
 };
 
+// Prints the scenario by name. Without it gtest dumps the struct's raw
+// bytes, which include the address of `name`, so the discovered ctest
+// names would change from build to build under ASLR.
+void PrintTo(const CyclictestScenario& sc, std::ostream* os) {
+  *os << sc.name;
+}
+
 LoadProfile ScenarioLoad(int which) {
   switch (which) {
     case 0:
