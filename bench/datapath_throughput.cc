@@ -1,23 +1,19 @@
 // Data-path throughput: how fast one full AnDrone world (boot + plan +
 // multi-tenant flight + LTE telemetry downlink) runs through the per-world
-// hot loop under the three data-path configurations (DESIGN.md §10):
+// hot loop under the two downlink transport models (DESIGN.md §10):
 //
-//   legacy          per-read binder sensor transactions, one VPN datagram
-//                   per telemetry frame (the pre-fast-path baseline)
-//   fast_unbatched  single-writer sensor snapshot bus, unbatched downlink
-//   fast_batched    sensor bus + telemetry batching (production defaults)
+//   unbatched  one VPN datagram per telemetry frame
+//   batched    telemetry batching (the production default)
 //
-// For each configuration the same seeded world is flown at 1/2/4/8 tenants
-// and the bench reports simulated events/s and downlink frames/s of wall
-// time. The invariance contract is asserted inline: batching repacks
-// datagrams, so the *flight* digest (attitude log) must be byte-identical
-// between fast_unbatched and fast_batched at every tenant count — the drone
-// flies the same flight regardless of how telemetry is framed on the wire.
-// (The hub mirrors the legacy controller's sampling cadence exactly, so the
-// legacy digest typically matches too; only the fast pair is asserted.)
+// For each mode the same seeded world is flown at 1/2/4/8 tenants and the
+// bench reports simulated events/s and downlink datagrams/s of wall time.
+// The invariance contract is asserted inline: batching repacks datagrams,
+// so the *flight* digest (attitude log) must be byte-identical between the
+// two modes at every tenant count — the drone flies the same flight
+// regardless of how telemetry is framed on the wire.
 //
 // Writes BENCH_datapath.json with --json; CI greps it for
-// "flight_digest_match": true and the 2-tenant speedup.
+// "flight_digest_match": true.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -40,14 +36,12 @@ constexpr int kRepetitions = 3;
 
 struct Mode {
   const char* name;
-  bool sensor_bus;
   bool batch_telemetry;
 };
 
 const Mode kModes[] = {
-    {"legacy", false, false},
-    {"fast_unbatched", true, false},
-    {"fast_batched", true, true},
+    {"unbatched", false},
+    {"batched", true},
 };
 
 struct Point {
@@ -70,7 +64,6 @@ Point RunPoint(const Mode& mode, int tenants) {
   // telemetry hot loop this bench is about, not mode-independent planning.
   config.dwell_s = 30;
   config.annealing_iterations = 100;
-  config.sensor_bus = mode.sensor_bus;
   config.batch_telemetry = mode.batch_telemetry;
   // The board budget admits 3 virtual drones (paper Figure 12); the wider
   // sweep models a cloud host with room for all eight.
@@ -139,16 +132,16 @@ void ExportTraceAndMetrics(const char* trace_path, const char* metrics_path) {
 void Run(const char* json_path) {
   SetMinLogLevel(LogLevel::kWarning);
   BenchHeader("Datapath throughput",
-              "per-world hot loop: sensor bus + telemetry batching + "
-              "binder fast path");
+              "per-world hot loop: unbatched vs batched telemetry "
+              "downlink");
   BenchNote("one seeded world per cell: boot -> plan -> fly -> downlink; "
             "wall time excludes nothing (boot and teardown included); "
             "each cell reports the best of 3 identical runs");
 
   std::vector<Point> points;
   for (const Mode& mode : kModes) {
-    std::printf("\n%s (sensor_bus=%d batch_telemetry=%d):\n", mode.name,
-                mode.sensor_bus, mode.batch_telemetry);
+    std::printf("\n%s (batch_telemetry=%d):\n", mode.name,
+                mode.batch_telemetry);
     std::printf("  %-8s %9s %13s %14s %11s %9s  %s\n", "tenants", "wall s",
                 "sim events/s", "wire frames", "datagrams", "dgram/s",
                 "flight digest");
@@ -165,8 +158,8 @@ void Run(const char* json_path) {
     }
   }
 
-  // Invariance: batching must not move the flight. Compare fast_unbatched
-  // vs fast_batched flight digests at every tenant count.
+  // Invariance: batching must not move the flight. Compare unbatched vs
+  // batched flight digests at every tenant count.
   auto find = [&](const char* mode, int tenants) -> const Point* {
     for (const Point& p : points) {
       if (p.mode == mode && p.tenants == tenants) {
@@ -177,8 +170,8 @@ void Run(const char* json_path) {
   };
   bool digest_match = true;
   for (int tenants : kTenantCounts) {
-    const Point* unbatched = find("fast_unbatched", tenants);
-    const Point* batched = find("fast_batched", tenants);
+    const Point* unbatched = find("unbatched", tenants);
+    const Point* batched = find("batched", tenants);
     digest_match = digest_match && unbatched != nullptr &&
                    batched != nullptr &&
                    unbatched->flight_digest == batched->flight_digest;
@@ -187,27 +180,11 @@ void Run(const char* json_path) {
               "telemetry\n",
               digest_match ? "IDENTICAL" : "DIVERGED");
 
-  // Headline: the canonical 2-tenant world, new defaults vs legacy.
-  const Point* legacy2 = find("legacy", 2);
-  const Point* fast2 = find("fast_batched", 2);
-  double speedup_events =
-      fast2->events_per_s / legacy2->events_per_s;
-  double speedup_wall = legacy2->wall_s / fast2->wall_s;
-  std::printf("  2-tenant world: %.2fx events/s, %.2fx wall time, "
-              "%.1fx fewer datagrams vs legacy\n",
-              speedup_events, speedup_wall,
-              static_cast<double>(legacy2->wire_flushes) /
-                  static_cast<double>(fast2->wire_flushes));
-  BenchNote("the hub mirrors the legacy per-read cadence, so flight digests "
-            "typically match across all three modes as well");
-
   if (json_path != nullptr) {
     JsonObject doc;
     doc["bench"] = "datapath_throughput";
     doc["base_seed"] = static_cast<double>(kBaseSeed);
     doc["flight_digest_match"] = digest_match;
-    doc["speedup_events_per_s_2_tenants"] = speedup_events;
-    doc["speedup_wall_2_tenants"] = speedup_wall;
     JsonArray rows;
     for (const Point& p : points) {
       JsonObject row;

@@ -17,9 +17,9 @@
 # cloning gates (grep "digests_match"/"clone_digest_match": true and
 # "clone_speedup_ge_3": true — cloned worlds must match cold-booted ones
 # bit for bit and cut per-world startup by at least 3x); BENCH_datapath.json
-# (bench/datapath_throughput): hot-loop throughput across the legacy /
-# sensor-bus / batched-telemetry modes plus the flight-digest-invariance
-# guard (batching must not change what the drone flew); BENCH_campaign.json
+# (bench/datapath_throughput): hot-loop throughput with unbatched and
+# batched telemetry plus the flight-digest-invariance guard (batching must
+# not change what the drone flew); BENCH_campaign.json
 # (bench/campaign_sweep): the full builtin chaos campaign with report
 # determinism across repeats and thread counts; and BENCH_recovery.json
 # (bench/recovery_sweep): crash/restore equivalence — a crashed world
@@ -37,6 +37,8 @@
 # both the plain and sanitizer builds: every failure must land in an
 # expected bucket (unexpected == 0), and the recovery-equivalence and
 # replay-equivalence tests run on the plain, ASan/UBSan, and TSan builds.
+# Sanitizer reports are fatal (-fno-sanitize-recover=all), and the
+# ASan/UBSan leg adds float-cast-overflow, which "undefined" leaves out.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -95,9 +97,11 @@ if [[ "$REPEAT_DETERMINISM" == "1" ]]; then
 fi
 
 if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
-  echo "=== tier-1: sanitizer build (address,undefined) ==="
+  # GCC's "undefined" group leaves out float-cast-overflow (a double out of
+  # the target integer's range); the build makes every report fatal.
+  echo "=== tier-1: sanitizer build (address,undefined,float-cast-overflow) ==="
   cmake -S . -B build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DANDRONE_SANITIZE=address,undefined >/dev/null
+        -DANDRONE_SANITIZE=address,undefined,float-cast-overflow >/dev/null
   cmake --build build-asan -j "$JOBS"
   (cd build-asan && ctest --output-on-failure)
 

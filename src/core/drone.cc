@@ -90,20 +90,15 @@ Status AnDroneSystem::Boot() {
   RETURN_IF_ERROR(gimbal_->Open(flight_container_->id()));
   ASSIGN_OR_RETURN(const ContainerProcess* ardupilot,
                    flight_container_->FindProcess("ardupilot"));
-  ASSIGN_OR_RETURN(hal_bridge_, BinderHalBridge::Create(ardupilot->binder));
   BinderProc* ardupilot_proc = ardupilot->binder;
 
-  // Sensor fast path: read the device container's snapshot bus by reference
-  // instead of a binder transaction per sensor read. The HAL bridge stays up
-  // as the legacy/reference path (paper §4.3 wire protocol).
-  SensorSource* sensor_source = hal_bridge_.get();
-  if (options_.use_sensor_bus && device_stack_.sensor_hub != nullptr) {
-    bus_source_ =
-        std::make_unique<BusSensorSource>(device_stack_.sensor_hub.get());
-    sensor_source = bus_source_.get();
-  }
-  // Scripted sensor chaos decorates whichever source was chosen, so the
-  // fault plan is orthogonal to the fast-path/binder-path decision.
+  // The flight stack reads the device container's sensor snapshot by
+  // reference: the hub samples each sensor once per cadence period and
+  // publishes it for every consumer (paper §4.3 device sharing).
+  bus_source_ =
+      std::make_unique<BusSensorSource>(device_stack_.sensor_hub.get());
+  SensorSource* sensor_source = bus_source_.get();
+  // Scripted sensor chaos decorates the bus reads.
   if (options_.sensor_faults != nullptr) {
     sensor_fault_injector_ = std::make_unique<SensorFaultInjector>(
         options_.sensor_faults, clock_, boot_seed + 13);

@@ -1,7 +1,7 @@
 // The integrated AnDrone physical drone (paper Figure 3): one SimClock
 // hosting the hardware models, the container runtime with device + flight
-// containers, the Binder-bridged flight stack (physics + ArduPilot-analog
-// controller reading sensors through the device container), MAVProxy with
+// containers, the flight stack (physics + ArduPilot-analog controller
+// reading sensors through the device container's snapshot), MAVProxy with
 // per-tenant virtual flight controllers, and the VDC. Also implements the
 // flight-plan executor that flies planned routes waypoint-to-waypoint,
 // handing control to each tenant in turn (the paper's Figure 4 workflow and
@@ -17,7 +17,6 @@
 #include "src/cloud/flight_planner.h"
 #include "src/core/vdc.h"
 #include "src/flight/flight_controller.h"
-#include "src/flight/hal_bridge.h"
 #include "src/hw/gimbal.h"
 #include "src/hw/power.h"
 #include "src/hw/sensors.h"
@@ -52,11 +51,6 @@ struct AnDroneOptions {
   // Dwell limit at waypoints whose tenant requests no flight control and
   // never calls waypointCompleted().
   double no_control_dwell_s = 20.0;
-  // Flight stack reads sensors from the device container's snapshot bus
-  // (one sample per cadence period, read by reference) instead of issuing
-  // a binder transaction per read through the HAL bridge. The legacy
-  // per-read path stays available for comparison benches.
-  bool use_sensor_bus = true;
   // Usable RAM for container admission; 0 means the default board budget
   // (on which the paper's 4th virtual drone fails to start — Figure 12).
   // Benches that sweep tenant counts past 3 model a larger cloud host.
@@ -270,7 +264,6 @@ class AnDroneSystem {
   DeviceContainerStack device_stack_;
 
   // Flight stack.
-  std::unique_ptr<BinderHalBridge> hal_bridge_;
   std::unique_ptr<BusSensorSource> bus_source_;
   std::unique_ptr<SensorFaultInjector> sensor_fault_injector_;
   std::unique_ptr<FaultySensorSource> faulty_sensors_;

@@ -44,19 +44,6 @@ Status CheckAttributes(const XmlElement& element,
   return OkStatus();
 }
 
-StatusOr<int> ParseMixInt(const std::string& text, const std::string& what,
-                          int min_value) {
-  ASSIGN_OR_RETURN(double value, ParseManifestNumber(text, what));
-  if (static_cast<double>(static_cast<int64_t>(value)) != value) {
-    return InvalidArgumentError(what + ": \"" + text + "\" is not an integer");
-  }
-  if (value < min_value || value > 1e9) {
-    return InvalidArgumentError(what + ": " + text + " out of range (min " +
-                                std::to_string(min_value) + ")");
-  }
-  return static_cast<int>(value);
-}
-
 StatusOr<double> ParseMixRate(const std::string& text,
                               const std::string& what) {
   ASSIGN_OR_RETURN(double value, ParseManifestNumber(text, what));
@@ -90,14 +77,14 @@ StatusOr<SessionClass> ParseClassElement(const XmlElement& element) {
   if (cls.weight <= 0) {
     return InvalidArgumentError(where + "weight must be positive");
   }
-  ASSIGN_OR_RETURN(cls.waypoints,
-                   ParseMixInt(element.Attr("waypoints",
-                                            std::to_string(
-                                                kClassDefaults.waypoints)),
-                               where + "waypoints", 1));
+  ASSIGN_OR_RETURN(
+      cls.waypoints,
+      ParseManifestInt(
+          element.Attr("waypoints", std::to_string(kClassDefaults.waypoints)),
+          where + "waypoints", 1));
   ASSIGN_OR_RETURN(
       cls.dwell_s,
-      ParseManifestNumber(
+      ParseManifestSeconds(
           element.Attr("dwell_s", FormatNumberCompact(kClassDefaults.dwell_s)),
           where + "dwell_s"));
   if (cls.dwell_s <= 0) {
@@ -121,11 +108,11 @@ StatusOr<SessionClass> ParseClassElement(const XmlElement& element) {
   if (cls.spread_m < 0) {
     return InvalidArgumentError(where + "spread_m must be non-negative");
   }
-  ASSIGN_OR_RETURN(cls.processes,
-                   ParseMixInt(element.Attr("processes",
-                                            std::to_string(
-                                                kClassDefaults.processes)),
-                               where + "processes", 1));
+  ASSIGN_OR_RETURN(
+      cls.processes,
+      ParseManifestInt(
+          element.Attr("processes", std::to_string(kClassDefaults.processes)),
+          where + "processes", 1));
   ASSIGN_OR_RETURN(cls.cancel_rate,
                    ParseMixRate(element.Attr("cancel_rate", "0"),
                                 where + "cancel_rate"));

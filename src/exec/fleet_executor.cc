@@ -100,7 +100,7 @@ FleetReport FleetExecutor::Run(int num_worlds, const WorldFn& fn) {
     pool.Wait();
   }
 
-  // Merge in world-index order: the fold over maps and the fleet digest are
+  // Merge in world-index order: the metrics fold and the fleet digest are
   // then independent of which worker finished which world first.
   uint64_t digest = kFnv1a64Offset;
   for (const WorldResult& world : report.worlds) {
@@ -121,12 +121,6 @@ FleetReport FleetExecutor::Run(int num_worlds, const WorldFn& fn) {
     }
     report.boot_seconds += static_cast<double>(world.provision.boot_ns) * 1e-9;
     report.fly_seconds += static_cast<double>(world.provision.fly_ns) * 1e-9;
-    for (const auto& [name, value] : world.counters) {
-      report.counters[name] += value;
-    }
-    for (const auto& [name, hist] : world.histograms) {
-      report.histograms[name].Merge(hist);
-    }
     report.metrics.Merge(world.metrics);
     digest = Fnv1a64Value(world.index, digest);
     digest = Fnv1a64Value(world.digest, digest);

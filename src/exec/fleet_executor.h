@@ -4,7 +4,7 @@
 // ArduPilot SITL farms and batched RL simulators), so the executor's job is
 // purely (a) distributing whole worlds to workers, (b) guaranteeing that
 // per-world results are bit-identical regardless of thread count, and
-// (c) merging per-world histograms/counters into one fleet report.
+// (c) merging per-world metric snapshots into one fleet report.
 //
 // Determinism contract:
 //   - every world receives a seed derived only from (base_seed, world index)
@@ -12,7 +12,7 @@
 //   - a world owns its entire stack — SimClock, RNGs, containers, flight
 //     stack — and shares nothing mutable with other worlds;
 //   - the merge stage folds results in world-index order after all worlds
-//     finish, so merged histograms and the fleet digest are thread-count
+//     finish, so merged metrics and the fleet digest are thread-count
 //     invariant too.
 #ifndef SRC_EXEC_FLEET_EXECUTOR_H_
 #define SRC_EXEC_FLEET_EXECUTOR_H_
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "src/obs/metrics.h"
-#include "src/util/histogram.h"
 
 namespace androne {
 
@@ -50,8 +49,8 @@ struct WorldContext {
   }
 };
 
-// What a world hands back. Histograms are keyed by name so heterogeneous
-// worlds can still merge; counters are plain name -> value sums.
+// What a world hands back. Everything that merges fleet-wide lives in
+// |metrics|; |counters| is the world's own name -> value scrape.
 struct WorldResult {
   int index = 0;
   uint64_t seed = 0;
@@ -129,7 +128,6 @@ struct WorldResult {
   // |digest|, but must never move the flight itself.
   uint64_t flight_digest = 0;
   std::map<std::string, double> counters;
-  std::map<std::string, Histogram> histograms;
   // Structured per-world metrics (DESIGN.md §11); empty unless the world
   // filled a MetricsRegistry. Merged fleet-wide in index order.
   MetricsSnapshot metrics;
@@ -161,8 +159,6 @@ struct FleetReport {
   double boot_seconds = 0;  // Summed across worlds (not wall-parallel time).
   double fly_seconds = 0;
   uint64_t events_run = 0;
-  std::map<std::string, double> counters;
-  std::map<std::string, Histogram> histograms;
   // Per-world metric snapshots folded in world-index order (counters sum,
   // gauges last-world-wins, histograms merge).
   MetricsSnapshot metrics;

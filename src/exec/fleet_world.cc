@@ -86,13 +86,12 @@ void VisitConfig(const FleetWorldConfig& config, V&& v) {
   constexpr ConfigPhase kBoot = ConfigPhase::kBoot;
   constexpr ConfigPhase kWorld = ConfigPhase::kWorld;
   const auto& [tenants, dwell_s, waypoint_spread_m, tenant_placements,
-               annealing_iterations, sensor_bus, batch_telemetry,
-               batch_flush_bytes, batch_flush_ms, memory_budget_mb,
+               annealing_iterations, batch_telemetry, memory_budget_mb,
                trace_categories, trace_capacity, trace, downlink_profile,
                net_faults, sensor_faults, crash_loop, checkpoint, crash_at_s,
-               restore, tolerate_deploy_rejection, templates,
-               provision_metrics, record_into, replay_from, fork_blob,
-               fork_reseed, checkpoint_sink, speed] = config;
+               restore, tolerate_deploy_rejection, templates, record_into,
+               replay_from, fork_blob, fork_reseed, checkpoint_sink,
+               speed] = config;
   auto window = [&v](ConfigPhase phase, const FaultWindowSpec& w) {
     v(phase, w.kind, w.scope, w.start, w.end, w.p0, w.p1, w.d0);
   };
@@ -100,9 +99,7 @@ void VisitConfig(const FleetWorldConfig& config, V&& v) {
   for (const TenantPlacement& placement : tenant_placements) {
     v(kWorld, placement.north_m, placement.east_m, placement.dwell_s);
   }
-  v(kWorld, annealing_iterations);
-  v(kBoot, sensor_bus);
-  v(kWorld, batch_telemetry, batch_flush_bytes, batch_flush_ms);
+  v(kWorld, annealing_iterations, batch_telemetry);
   v(kBoot, memory_budget_mb, trace_categories, trace_capacity);
   v(kWorld, downlink_profile, net_faults != nullptr);
   if (net_faults != nullptr) {
@@ -123,8 +120,7 @@ void VisitConfig(const FleetWorldConfig& config, V&& v) {
   }
   v(kWorld, tolerate_deploy_rejection);
   v(ConfigPhase::kRuntime, trace, checkpoint, restore, templates,
-    provision_metrics, record_into, replay_from, fork_blob, fork_reseed,
-    checkpoint_sink, speed);
+    record_into, replay_from, fork_blob, fork_reseed, checkpoint_sink, speed);
 }
 
 // FNV-1a over the fields VisitConfig tags with the wanted phases, in tag
@@ -207,7 +203,6 @@ class WorldAttempt {
     // cold boot. Clones skip the warmup the template blob already contains.
     options.boot_seed = kCanonicalBootSeed;
     options.boot_warmup = !cloned_;
-    options.use_sensor_bus = config_.sensor_bus;
     options.memory_budget_mb = config_.memory_budget_mb;
     options.trace = trace_;
     options.sensor_faults = config_.sensor_faults;
@@ -237,10 +232,7 @@ class WorldAttempt {
     system_->ReseedStreams(ctx_.seed);
 
     if (config_.batch_telemetry) {
-      TelemetryBatchConfig batch;
-      batch.flush_bytes = config_.batch_flush_bytes;
-      batch.flush_after = Millis(config_.batch_flush_ms);
-      system_->proxy().EnableTelemetryBatching(batch);
+      system_->proxy().EnableTelemetryBatching();
     }
 
     // Tenant waypoints scatter around the base, drawn from a world-private
@@ -525,7 +517,6 @@ class WorldAttempt {
         static_cast<double>(system_->proxy().wire_flushes());
     result.counters["wire_frames"] =
         static_cast<double>(system_->proxy().wire_frames());
-    result.histograms["downlink_latency_us"] = downlink_->latency_us();
 
     // Structured metrics snapshot (DESIGN.md §11): scraped once at the
     // world boundary, merged fleet-wide in index order by FleetExecutor.
@@ -593,19 +584,6 @@ class WorldAttempt {
       }
       if (chaos_supervisor_ != nullptr) {
         chaos_supervisor_->ExportMetrics(metrics);
-      }
-      if (config_.provision_metrics) {
-        // Opt-in only: wall-clock timings and arena placement vary run to
-        // run, and per-world metrics must stay deterministic by default
-        // (the cross-thread-count digest tests compare them verbatim).
-        metrics.Add(cloned_ ? "world.clone_ns" : "world.boot_ns",
-                    static_cast<double>(boot_ns_));
-        if (ctx_.arena != nullptr) {
-          metrics.Set("arena.bytes_reserved",
-                      static_cast<double>(ctx_.arena->bytes_reserved()));
-          metrics.Set("arena.chunks",
-                      static_cast<double>(ctx_.arena->chunks()));
-        }
       }
       result.metrics = metrics.Snapshot();
     }

@@ -61,12 +61,10 @@ struct FleetWorldConfig {
   // manager can fly the waypoints its tenants actually ordered.
   std::vector<TenantPlacement> tenant_placements;
   int annealing_iterations = 600;  // Planner effort (sec66 uses 4000).
-  // Data-path fast paths (DESIGN.md §10). Defaults are the production
-  // configuration; the legacy paths stay selectable for A/B benches.
-  bool sensor_bus = true;       // Flight stack reads the snapshot bus.
-  bool batch_telemetry = true;  // Coalesce planner downlink datagrams.
-  size_t batch_flush_bytes = 512;
-  int batch_flush_ms = 25;
+  // Coalesce planner downlink telemetry into batched datagrams with the
+  // MavProxy defaults (DESIGN.md §10). A transport model: it moves the
+  // downlink counters and the world digest, never the flight digest.
+  bool batch_telemetry = true;
   // 0 = board default (admits 3 virtual drones, per paper Figure 12);
   // tenant sweeps past 3 raise it to model a larger cloud host.
   double memory_budget_mb = 0;
@@ -126,11 +124,6 @@ struct FleetWorldConfig {
   // are re-seeded from WorldContext::seed at that boundary on BOTH paths,
   // so a cloned world is digest-identical to a cold-booted one.
   WorldTemplateCache* templates = nullptr;
-  // Publish per-world provisioning metrics (world.boot_ns, world.clone_ns,
-  // arena.bytes_reserved, arena.chunks) into WorldResult::metrics. Off by
-  // default: these are wall-clock/placement values, and per-world metrics
-  // must stay deterministic for the cross-thread-count digest contract.
-  bool provision_metrics = false;
 
   // --- Record-once replay engine (DESIGN.md §15) ---
   // Record: each world serializes its continuous flight plane (per-tick
@@ -169,8 +162,8 @@ struct FleetWorldConfig {
 // Runs one world to completion (or early abort on fleet cancellation) and
 // returns its result: events_run from the world SimClock, a digest mixing
 // the flight log with the downlink latency histogram, per-world counters
-// (waypoints, battery, downlink frames/bytes), and the downlink latency
-// histogram keyed "downlink_latency_us".
+// (waypoints, battery, downlink frames/bytes), and the metrics snapshot,
+// which carries the downlink latency histogram "downlink_latency_us".
 WorldResult RunFleetWorld(const FleetWorldConfig& config,
                           const WorldContext& ctx);
 
@@ -185,9 +178,9 @@ Status VerifyFleetCheckpoint(const FleetWorldConfig& config,
 // fleet_world.cc). TemplateFingerprint folds only boot fields and keys the
 // world template cache; ConfigFingerprint folds boot and world fields and
 // binds checkpoints and replay logs to the world that wrote them.
-// Runtime-only fields — trace, templates, provision_metrics, record_into,
-// replay_from, fork_blob, fork_reseed, checkpoint_sink, checkpoint,
-// restore, speed — feed neither.
+// Runtime-only fields — trace, templates, record_into, replay_from,
+// fork_blob, fork_reseed, checkpoint_sink, checkpoint, restore, speed —
+// feed neither.
 uint64_t TemplateFingerprint(const FleetWorldConfig& config);
 uint64_t ConfigFingerprint(const FleetWorldConfig& config);
 

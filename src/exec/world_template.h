@@ -20,14 +20,14 @@
 //
 // The cache key is TemplateFingerprint (fleet_world.h), derived from the
 // same tagged walk over FleetWorldConfig as ConfigFingerprint: it folds
-// only the fields tagged boot — sensor bus, memory budget, trace
-// categories and capacity, sensor-fault presence and the windows that can
-// touch the warmup horizon. World fields (tenants, dwell, net faults,
-// crash schedule, batching, ...) act after the boundary and do not split
-// the cache, which is what lets a 1000-scenario campaign share a handful
-// of templates. Runtime-only fields (trace, templates, provision_metrics,
-// record_into, replay_from, fork_blob, fork_reseed, checkpoint_sink,
-// checkpoint, restore, speed) feed neither fingerprint.
+// only the fields tagged boot — memory budget, trace categories and
+// capacity, sensor-fault presence and the windows that can touch the
+// warmup horizon. World fields (tenants, dwell, net faults, crash
+// schedule, batching, ...) act after the boundary and do not split the
+// cache, which is what lets a 1000-scenario campaign share a handful of
+// templates. Runtime-only fields (trace, templates, record_into,
+// replay_from, fork_blob, fork_reseed, checkpoint_sink, checkpoint,
+// restore, speed) feed neither fingerprint.
 #ifndef SRC_EXEC_WORLD_TEMPLATE_H_
 #define SRC_EXEC_WORLD_TEMPLATE_H_
 

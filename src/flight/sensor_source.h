@@ -1,7 +1,7 @@
 // Sensor access seam for the flight controller. On AnDrone the flight
-// container has no direct device access — it reads sensors through a
-// Binder HAL bridge into the device container (paper §4.3). For unit tests
-// and standalone SITL runs a direct in-process source is provided.
+// container has no direct device access — it reads the snapshot the device
+// container's SensorHub publishes (BusSensorSource, paper §4.3). For unit
+// tests and standalone SITL runs a direct in-process source is provided.
 #ifndef SRC_FLIGHT_SENSOR_SOURCE_H_
 #define SRC_FLIGHT_SENSOR_SOURCE_H_
 
@@ -45,11 +45,10 @@ class DirectSensorSource : public SensorSource {
   ContainerId opener_;
 };
 
-// Reads the device container's SensorHub snapshot — the data-path fast
-// path: the hub samples each sensor once at its native cadence and the
-// flight stack reads the published snapshot by reference, with no binder
-// transaction or parcel decode per read. Composes under FaultySensorSource
-// like any other source, so fault injection is unchanged.
+// Reads the device container's SensorHub snapshot: the hub samples each
+// sensor once at its native cadence and the flight stack reads the
+// published snapshot by reference, with no binder transaction or parcel
+// decode per read. Composes under FaultySensorSource like any other source.
 class BusSensorSource : public SensorSource {
  public:
   explicit BusSensorSource(SensorHub* hub) : hub_(hub) {}

@@ -23,9 +23,14 @@ StatusOr<CameraFrame> Camera::Capture(ContainerId caller) {
   };
   mix(frame.sequence);
   mix(static_cast<uint64_t>(frame.timestamp));
-  mix(static_cast<uint64_t>(truth_->position.latitude_deg * 1e7));
-  mix(static_cast<uint64_t>(truth_->position.longitude_deg * 1e7));
-  mix(static_cast<uint64_t>(truth_->position.altitude_m * 100));
+  // Pose components go through int64_t: west/south/below-base values are
+  // negative, and a negative double -> uint64_t conversion is undefined.
+  auto fixed = [](double v) {
+    return static_cast<uint64_t>(static_cast<int64_t>(v));
+  };
+  mix(fixed(truth_->position.latitude_deg * 1e7));
+  mix(fixed(truth_->position.longitude_deg * 1e7));
+  mix(fixed(truth_->position.altitude_m * 100));
   frame.content_hash = h;
   return frame;
 }

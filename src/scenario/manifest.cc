@@ -20,19 +20,6 @@ const ScenarioTemplate kTemplateDefaults;
 const CrashLoopConfig kCrashLoopDefaults;
 const CrashPlanConfig kCrashDefaults;
 
-StatusOr<int> ParseManifestInt(const std::string& text,
-                               const std::string& what, int min_value) {
-  ASSIGN_OR_RETURN(double value, ParseManifestNumber(text, what));
-  if (std::floor(value) != value) {
-    return InvalidArgumentError(what + ": \"" + text + "\" is not an integer");
-  }
-  if (value < min_value || value > 1e9) {
-    return InvalidArgumentError(what + ": " + text + " out of range (min " +
-                                std::to_string(min_value) + ")");
-  }
-  return static_cast<int>(value);
-}
-
 StatusOr<bool> ParseManifestBool(const std::string& text,
                                  const std::string& what) {
   if (text == "true") {
@@ -82,8 +69,8 @@ StatusOr<JitteredWindow> ParseFaultElement(const XmlElement& element,
                    FaultWindowFromXml(element, vocabulary, {kJitterAttr}));
   ASSIGN_OR_RETURN(
       jittered.start_jitter_s,
-      ParseManifestNumber(element.Attr(kJitterAttr, "0"),
-                          "<" + element.name + "> " + kJitterAttr));
+      ParseManifestSeconds(element.Attr(kJitterAttr, "0"),
+                           "<" + element.name + "> " + kJitterAttr));
   if (jittered.start_jitter_s < 0) {
     return InvalidArgumentError("<" + element.name + ">: negative " +
                                 kJitterAttr);
@@ -130,17 +117,23 @@ StatusOr<CrashLoopConfig> ParseCrashLoop(const XmlElement& element) {
                                                   "<crash_loop> count", 1));
   ASSIGN_OR_RETURN(
       config.start_s,
-      ParseManifestNumber(
+      ParseManifestSeconds(
           element.Attr("start_s", FormatNumberCompact(config.start_s)),
           "<crash_loop> start_s"));
   ASSIGN_OR_RETURN(
       config.period_s,
-      ParseManifestNumber(
+      ParseManifestSeconds(
           element.Attr("period_s", FormatNumberCompact(config.period_s)),
           "<crash_loop> period_s"));
   if (config.start_s < 0 || config.period_s <= 0) {
     return InvalidArgumentError(
         "<crash_loop>: start_s must be >= 0 and period_s > 0");
+  }
+  if (config.start_s + (config.count - 1) * config.period_s >
+      kMaxManifestSeconds) {
+    return InvalidArgumentError(
+        "<crash_loop>: the last crash, start_s + (count - 1) * period_s, is "
+        "past " + FormatNumberCompact(kMaxManifestSeconds) + " s");
   }
   ASSIGN_OR_RETURN(
       config.max_restarts,
@@ -161,8 +154,8 @@ StatusOr<std::vector<double>> ParseCrashTimes(const std::string& text,
     size_t comma = text.find(',', start);
     size_t end = comma == std::string::npos ? text.size() : comma;
     ASSIGN_OR_RETURN(double value,
-                     ParseManifestNumber(text.substr(start, end - start),
-                                         what));
+                     ParseManifestSeconds(text.substr(start, end - start),
+                                          what));
     times.push_back(value);
     if (comma == std::string::npos) {
       break;
@@ -188,7 +181,7 @@ StatusOr<CrashPlanConfig> ParseCrash(const XmlElement& element) {
                    ParseCrashTimes(element.Attr("at_s"), "<crash> at_s"));
   ASSIGN_OR_RETURN(
       config.checkpoint_s,
-      ParseManifestNumber(
+      ParseManifestSeconds(
           element.Attr("checkpoint_s",
                        FormatNumberCompact(config.checkpoint_s)),
           "<crash> checkpoint_s"));
@@ -200,7 +193,7 @@ StatusOr<CrashPlanConfig> ParseCrash(const XmlElement& element) {
           "<crash> phase_checkpoints"));
   ASSIGN_OR_RETURN(
       config.jitter_s,
-      ParseManifestNumber(
+      ParseManifestSeconds(
           element.Attr(kJitterAttr, FormatNumberCompact(config.jitter_s)),
           std::string("<crash> ") + kJitterAttr));
   ASSIGN_OR_RETURN(
@@ -259,7 +252,7 @@ StatusOr<ScenarioTemplate> ParseScenarioElement(const XmlElement& element) {
   }
   ASSIGN_OR_RETURN(
       tmpl.dwell_s,
-      ParseManifestNumber(
+      ParseManifestSeconds(
           element.Attr("dwell_s", FormatNumberCompact(tmpl.dwell_s)),
           where + " dwell_s"));
   ASSIGN_OR_RETURN(
@@ -352,9 +345,10 @@ StatusOr<CampaignSpec> ParseCampaignElement(const XmlElement& root) {
   ASSIGN_OR_RETURN(double seed,
                    ParseManifestNumber(root.Attr("seed", "1"),
                                        "<campaign> seed"));
-  if (seed < 0 || std::floor(seed) != seed) {
+  // 2^64 bounds what the uint64_t conversion below can hold.
+  if (seed < 0 || std::floor(seed) != seed || seed >= 0x1p64) {
     return InvalidArgumentError("<campaign> seed: must be a non-negative "
-                                "integer");
+                                "integer below 2^64");
   }
   campaign.seed = static_cast<uint64_t>(seed);
 

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <string_view>
 
 #include "src/util/fault_plan_io.h"
 #include "src/util/json.h"
@@ -11,70 +12,27 @@ namespace androne {
 
 namespace {
 
-// Splits a latency-SLO metric name "hist.<name>.p<N>" into the histogram
-// name and a percentile fraction. Returns false when |name| is not in the
-// hist.* namespace at all; a hist.* name with a malformed percentile
-// suffix sets |bad_suffix| so the parser can reject it with a real error
-// instead of letting it fail "[missing]" at evaluation time.
-bool SplitHistMetric(const std::string& name, std::string* hist_name,
-                     double* fraction, bool* bad_suffix) {
-  constexpr const char kPrefix[] = "hist.";
-  constexpr size_t kPrefixLen = sizeof(kPrefix) - 1;
-  if (name.compare(0, kPrefixLen, kPrefix) != 0) {
-    return false;
-  }
-  *bad_suffix = true;  // From here on, every early-out is a malformed name.
-  size_t tail = name.rfind(".p");
-  if (tail == std::string::npos || tail < kPrefixLen) {
-    return false;
-  }
-  int percentile = 0;
-  size_t digits = tail + 2;
-  if (digits == name.size()) {
-    return false;
-  }
-  for (size_t i = digits; i < name.size(); ++i) {
-    char c = name[i];
-    if (c < '0' || c > '9' || percentile > 100) {
-      return false;
-    }
-    percentile = percentile * 10 + (c - '0');
-  }
-  if (percentile < 1 || percentile > 100) {
-    return false;
-  }
-  *hist_name = name.substr(kPrefixLen, tail - kPrefixLen);
-  if (hist_name->empty()) {
-    return false;
-  }
-  *bad_suffix = false;
-  *fraction = percentile / 100.0;
-  return true;
+constexpr std::string_view kHistPrefix = "hist.";
+constexpr std::string_view kLatencyPrefix = "latency.";
+
+bool HasPrefix(const std::string& name, std::string_view prefix) {
+  return name.compare(0, prefix.size(), prefix) == 0;
 }
 
-// Splits a stage-latency SLO name "latency.<stage>.p<N>" into the stage
-// name and a percentile fraction, mirroring SplitHistMetric. The sugar
-// resolves the histogram "latency.<stage>_us" (the control plane's
-// per-stage convention) and compares in milliseconds.
-bool SplitLatencyMetric(const std::string& name, std::string* stage,
-                        double* fraction, bool* bad_suffix) {
-  constexpr const char kPrefix[] = "latency.";
-  constexpr size_t kPrefixLen = sizeof(kPrefix) - 1;
-  if (name.compare(0, kPrefixLen, kPrefix) != 0) {
-    return false;
-  }
-  *bad_suffix = true;
-  size_t tail = name.rfind(".p");
-  if (tail == std::string::npos || tail < kPrefixLen) {
+// Splits a percentile metric "<prefix><name>.p<N>" (1 <= N <= 100) into the
+// histogram name and a percentile fraction. Callers match |prefix| first;
+// false means a malformed suffix, which ParseAssertion rejects with a real
+// error instead of letting it fail "[missing]" at evaluation time.
+bool SplitPercentileMetric(const std::string& metric, std::string_view prefix,
+                           std::string* name, double* fraction) {
+  const size_t tail = metric.rfind(".p");
+  if (tail == std::string::npos || tail <= prefix.size() ||
+      tail + 2 == metric.size()) {
     return false;
   }
   int percentile = 0;
-  size_t digits = tail + 2;
-  if (digits == name.size()) {
-    return false;
-  }
-  for (size_t i = digits; i < name.size(); ++i) {
-    char c = name[i];
+  for (size_t i = tail + 2; i < metric.size(); ++i) {
+    char c = metric[i];
     if (c < '0' || c > '9' || percentile > 100) {
       return false;
     }
@@ -83,146 +41,113 @@ bool SplitLatencyMetric(const std::string& name, std::string* stage,
   if (percentile < 1 || percentile > 100) {
     return false;
   }
-  *stage = name.substr(kPrefixLen, tail - kPrefixLen);
-  if (stage->empty()) {
-    return false;
-  }
-  *bad_suffix = false;
+  *name = metric.substr(prefix.size(), tail - prefix.size());
   *fraction = percentile / 100.0;
   return true;
 }
 
 const Histogram* FindHistogram(const std::string& name,
                                const WorldResult& result) {
-  auto hist = result.histograms.find(name);
-  if (hist != result.histograms.end()) {
-    return &hist->second;
-  }
-  hist = result.metrics.histograms.find(name);
-  if (hist != result.metrics.histograms.end()) {
-    return &hist->second;
-  }
-  return nullptr;
+  auto hist = result.metrics.histograms.find(name);
+  return hist == result.metrics.histograms.end() ? nullptr : &hist->second;
 }
+
+// The |fraction| percentile of |hist| divided by |divisor|. False when the
+// histogram is absent or empty: no samples, nothing to hold an SLO against.
+bool PercentileOf(const Histogram* hist, double fraction, double divisor,
+                  double* out) {
+  if (hist == nullptr || hist->total_count() == 0) {
+    return false;
+  }
+  *out = static_cast<double>(hist->Percentile(fraction)) / divisor;
+  return true;
+}
+
+// Side-struct fields reachable by name. Recovery and replay bookkeeping is
+// deliberately absent from counters/metrics (a recovered or replayed world
+// must merge identically to its twin), so scenarios gate on it here.
+struct ResultField {
+  std::string_view name;
+  double (*get)(const WorldResult&);
+};
+
+const ResultField kResultFields[] = {
+    {"completed", [](const WorldResult& r) { return r.completed ? 1.0 : 0.0; }},
+    {"recovery.crashes",
+     [](const WorldResult& r) {
+       return static_cast<double>(r.recovery.crashes);
+     }},
+    {"recovery.restores",
+     [](const WorldResult& r) {
+       return static_cast<double>(r.recovery.restores);
+     }},
+    {"recovery.replays_from_boot",
+     [](const WorldResult& r) {
+       return static_cast<double>(r.recovery.replays_from_boot);
+     }},
+    {"recovery.checkpoints_saved",
+     [](const WorldResult& r) {
+       return static_cast<double>(r.recovery.checkpoints_saved);
+     }},
+    {"recovery.gave_up",
+     [](const WorldResult& r) { return r.recovery.gave_up ? 1.0 : 0.0; }},
+    {"recovery.fixed_point_ok",
+     [](const WorldResult& r) { return r.recovery.fixed_point_ok ? 1.0 : 0.0; }},
+    {"replay.recorded",
+     [](const WorldResult& r) { return r.replay.recorded ? 1.0 : 0.0; }},
+    {"replay.replayed",
+     [](const WorldResult& r) { return r.replay.replayed ? 1.0 : 0.0; }},
+    {"replay.digest_match",
+     [](const WorldResult& r) { return r.replay.digest_match ? 1.0 : 0.0; }},
+    {"replay.ticks",
+     [](const WorldResult& r) { return static_cast<double>(r.replay.ticks); }},
+    {"replay.underruns",
+     [](const WorldResult& r) {
+       return static_cast<double>(r.replay.underruns);
+     }},
+    {"replay.log_bytes",
+     [](const WorldResult& r) {
+       return static_cast<double>(r.replay.log_bytes);
+     }},
+};
 
 // Resolution order documented on AssertionSpec. Returns false when the
 // metric exists nowhere in the result.
 bool ResolveMetric(const std::string& name, const WorldResult& result,
                    double* out) {
-  {
-    std::string stage;
-    double fraction = 0;
-    bool bad_suffix = false;
-    if (SplitLatencyMetric(name, &stage, &fraction, &bad_suffix)) {
-      // Microsecond histograms by convention; a bare "latency.<stage>"
-      // histogram (already in µs) is accepted as a fallback spelling.
-      const Histogram* hist = FindHistogram("latency." + stage + "_us", result);
-      if (hist == nullptr) {
-        hist = FindHistogram("latency." + stage, result);
-      }
-      if (hist == nullptr || hist->total_count() == 0) {
-        return false;  // No samples: nothing to hold an SLO against.
-      }
-      *out = static_cast<double>(hist->Percentile(fraction)) / 1000.0;
+  std::string base;
+  double fraction = 0;
+  // A malformed percentile suffix is caught at parse time, so the false
+  // returns of the splitter are unreachable via ParseAssertion.
+  if (HasPrefix(name, kLatencyPrefix)) {
+    if (!SplitPercentileMetric(name, kLatencyPrefix, &base, &fraction)) {
+      return false;
+    }
+    // Microsecond histograms by convention; a bare "latency.<stage>"
+    // histogram (already in µs) is accepted as a fallback spelling.
+    const Histogram* hist = FindHistogram("latency." + base + "_us", result);
+    if (hist == nullptr) {
+      hist = FindHistogram("latency." + base, result);
+    }
+    return PercentileOf(hist, fraction, 1000.0, out);
+  }
+  if (HasPrefix(name, kHistPrefix)) {
+    return SplitPercentileMetric(name, kHistPrefix, &base, &fraction) &&
+           PercentileOf(FindHistogram(base, result), fraction, 1.0, out);
+  }
+  for (const ResultField& field : kResultFields) {
+    if (field.name == name) {
+      *out = field.get(result);
       return true;
     }
-    if (bad_suffix) {
-      return false;  // Caught at parse time; unreachable via ParseAssertion.
-    }
   }
-  {
-    std::string hist_name;
-    double fraction = 0;
-    bool bad_suffix = false;
-    if (SplitHistMetric(name, &hist_name, &fraction, &bad_suffix)) {
-      auto hist = result.histograms.find(hist_name);
-      if (hist == result.histograms.end()) {
-        hist = result.metrics.histograms.find(hist_name);
-        if (hist == result.metrics.histograms.end()) {
-          return false;
-        }
-      }
-      if (hist->second.total_count() == 0) {
-        return false;  // An empty histogram has no tail to gate on.
-      }
-      *out = static_cast<double>(hist->second.Percentile(fraction));
+  for (const auto* values :
+       {&result.counters, &result.metrics.counters, &result.metrics.gauges}) {
+    auto it = values->find(name);
+    if (it != values->end()) {
+      *out = it->second;
       return true;
     }
-    if (bad_suffix) {
-      return false;  // Caught at parse time; unreachable via ParseAssertion.
-    }
-  }
-  if (name == "completed") {
-    *out = result.completed ? 1.0 : 0.0;
-    return true;
-  }
-  // Recovery bookkeeping is deliberately absent from counters/metrics (a
-  // recovered world must merge identically to its uninterrupted twin), so
-  // crash-family scenarios reach it through these virtual names instead.
-  if (name == "recovery.crashes") {
-    *out = result.recovery.crashes;
-    return true;
-  }
-  if (name == "recovery.restores") {
-    *out = result.recovery.restores;
-    return true;
-  }
-  if (name == "recovery.replays_from_boot") {
-    *out = result.recovery.replays_from_boot;
-    return true;
-  }
-  if (name == "recovery.checkpoints_saved") {
-    *out = result.recovery.checkpoints_saved;
-    return true;
-  }
-  if (name == "recovery.gave_up") {
-    *out = result.recovery.gave_up ? 1.0 : 0.0;
-    return true;
-  }
-  if (name == "recovery.fixed_point_ok") {
-    *out = result.recovery.fixed_point_ok ? 1.0 : 0.0;
-    return true;
-  }
-  // Replay bookkeeping rides the same side-struct convention as recovery,
-  // so replay scenarios gate on it through virtual names too.
-  if (name == "replay.recorded") {
-    *out = result.replay.recorded ? 1.0 : 0.0;
-    return true;
-  }
-  if (name == "replay.replayed") {
-    *out = result.replay.replayed ? 1.0 : 0.0;
-    return true;
-  }
-  if (name == "replay.digest_match") {
-    *out = result.replay.digest_match ? 1.0 : 0.0;
-    return true;
-  }
-  if (name == "replay.ticks") {
-    *out = static_cast<double>(result.replay.ticks);
-    return true;
-  }
-  if (name == "replay.underruns") {
-    *out = static_cast<double>(result.replay.underruns);
-    return true;
-  }
-  if (name == "replay.log_bytes") {
-    *out = static_cast<double>(result.replay.log_bytes);
-    return true;
-  }
-  auto counter = result.counters.find(name);
-  if (counter != result.counters.end()) {
-    *out = counter->second;
-    return true;
-  }
-  auto metric = result.metrics.counters.find(name);
-  if (metric != result.metrics.counters.end()) {
-    *out = metric->second;
-    return true;
-  }
-  auto gauge = result.metrics.gauges.find(name);
-  if (gauge != result.metrics.gauges.end()) {
-    *out = gauge->second;
-    return true;
   }
   return false;
 }
@@ -345,25 +270,19 @@ StatusOr<AssertionSpec> ParseAssertion(const std::string& expr) {
                                 "\": unknown operator \"" + op +
                                 "\" (expected one of: <=, >=, ==, !=, <, >)");
   }
-  if (metric.compare(0, 5, "hist.") == 0) {
-    std::string hist_name;
-    double fraction = 0;
-    bool bad_suffix = false;
-    if (!SplitHistMetric(metric, &hist_name, &fraction, &bad_suffix)) {
-      return InvalidArgumentError(
-          "assertion \"" + expr + "\": histogram metric must be "
-          "\"hist.<name>.p<N>\" with 1 <= N <= 100");
-    }
+  std::string base;
+  double fraction = 0;
+  if (HasPrefix(metric, kHistPrefix) &&
+      !SplitPercentileMetric(metric, kHistPrefix, &base, &fraction)) {
+    return InvalidArgumentError(
+        "assertion \"" + expr + "\": histogram metric must be "
+        "\"hist.<name>.p<N>\" with 1 <= N <= 100");
   }
-  if (metric.compare(0, 8, "latency.") == 0) {
-    std::string stage;
-    double fraction = 0;
-    bool bad_suffix = false;
-    if (!SplitLatencyMetric(metric, &stage, &fraction, &bad_suffix)) {
-      return InvalidArgumentError(
-          "assertion \"" + expr + "\": stage-latency metric must be "
-          "\"latency.<stage>.p<N>\" with 1 <= N <= 100 (bound in ms)");
-    }
+  if (HasPrefix(metric, kLatencyPrefix) &&
+      !SplitPercentileMetric(metric, kLatencyPrefix, &base, &fraction)) {
+    return InvalidArgumentError(
+        "assertion \"" + expr + "\": stage-latency metric must be "
+        "\"latency.<stage>.p<N>\" with 1 <= N <= 100 (bound in ms)");
   }
   if (IsDigestMetric(metric)) {
     if (spec.op != CompareOp::kEq && spec.op != CompareOp::kNe) {

@@ -40,8 +40,8 @@ const char* CompareOpName(CompareOp op);
 //
 // Latency-SLO assertions: "hist.<name>.p<N> <= 250000" resolves the N-th
 // percentile (1 <= N <= 100, conservative upper bucket bound) of the
-// named histogram — world histograms (e.g. "net.downlink.latency_us")
-// first, then metric histograms — so campaigns can gate on tail latency.
+// named histogram in result.metrics (e.g. "downlink_latency_us"), so
+// campaigns can gate on tail latency.
 // The percentile suffix is validated at parse time; a histogram absent
 // from the result reports "[missing]" like any other metric.
 //

@@ -35,8 +35,8 @@ struct DeviceContainerStack {
 // Boots the device container's stack. The container must be running. Opens
 // every hardware device exclusively for the device container and registers
 // the Table-1 services as shared (auto-published to all namespaces).
-// |trusted_container| is the flight container's id (its native HAL bridge
-// bypasses per-app permission checks); pass -1 if it does not exist yet and
+// |trusted_container| is the flight container's id (its native processes
+// bypass per-app permission checks); pass -1 if it does not exist yet and
 // set it later via the checker. With a non-null |clock| the stack also runs
 // a SensorHub: sensors are drawn once per cadence period into a versioned
 // snapshot that SensorService/LocationManagerService serve from, instead of

@@ -44,6 +44,9 @@ bool ByteReader::Take(void* out, size_t n) {
     failed_ = true;
     return false;
   }
+  if (n == 0) {
+    return true;  // |out| may be null (an empty vector's data()).
+  }
   std::memcpy(out, data_ + pos_, n);
   pos_ += n;
   return true;

@@ -43,6 +43,30 @@ StatusOr<double> ParseManifestNumber(const std::string& text,
   return value;
 }
 
+StatusOr<double> ParseManifestSeconds(const std::string& text,
+                                      const std::string& what) {
+  ASSIGN_OR_RETURN(double value, ParseManifestNumber(text, what));
+  if (std::fabs(value) > kMaxManifestSeconds) {
+    return InvalidArgumentError(what + ": " + text + " out of range (max " +
+                                FormatNumberCompact(kMaxManifestSeconds) +
+                                " s)");
+  }
+  return value;
+}
+
+StatusOr<int> ParseManifestInt(const std::string& text,
+                               const std::string& what, int min_value) {
+  ASSIGN_OR_RETURN(double value, ParseManifestNumber(text, what));
+  if (std::floor(value) != value) {
+    return InvalidArgumentError(what + ": \"" + text + "\" is not an integer");
+  }
+  if (value < min_value || value > 1e9) {
+    return InvalidArgumentError(what + ": " + text + " out of range (min " +
+                                std::to_string(min_value) + ")");
+  }
+  return static_cast<int>(value);
+}
+
 StatusOr<std::unique_ptr<XmlElement>> FaultWindowToXml(
     const FaultWindowSpec& window, const FaultVocabulary& vocabulary) {
   RETURN_IF_ERROR(FaultSchedule::ValidateWindow(window, vocabulary.max_kind(),
@@ -109,12 +133,13 @@ StatusOr<FaultWindowSpec> FaultWindowFromXml(
                     where + " " + vocabulary.scope_attr));
   }
 
-  ASSIGN_OR_RETURN(double start_s, ParseManifestNumber(
+  ASSIGN_OR_RETURN(double start_s, ParseManifestSeconds(
                                        element.Attr("start_s", "0"),
                                        where + " start_s"));
-  ASSIGN_OR_RETURN(double dur_s, ParseManifestNumber(element.Attr("dur_s", "0"),
-                                                     where + " dur_s"));
-  if (std::isnan(dur_s) || dur_s < 0) {
+  ASSIGN_OR_RETURN(double dur_s,
+                   ParseManifestSeconds(element.Attr("dur_s", "0"),
+                                        where + " dur_s"));
+  if (dur_s < 0) {
     return InvalidArgumentError(where + ": negative duration");
   }
   window.start = SecondsF(start_s);
@@ -127,6 +152,12 @@ StatusOr<FaultWindowSpec> FaultWindowFromXml(
                                                      where + " d0_ms"));
   if (d0_ms < 0) {
     return InvalidArgumentError(where + ": negative d0_ms");
+  }
+  if (d0_ms > kMaxManifestSeconds * 1000) {
+    return InvalidArgumentError(where + " d0_ms: " + element.Attr("d0_ms") +
+                                " out of range (max " +
+                                FormatNumberCompact(kMaxManifestSeconds * 1000) +
+                                " ms)");
   }
   window.d0 = Millis(static_cast<int64_t>(d0_ms));
 

@@ -55,6 +55,20 @@ StatusOr<FaultWindowSpec> FaultWindowFromXml(
 StatusOr<double> ParseManifestNumber(const std::string& text,
                                      const std::string& what);
 
+// The largest magnitude a manifest time may have, in seconds (~11.6 days):
+// far past any mission, and far enough inside SimTime's int64 nanosecond
+// range that sums of a few manifest times still convert without overflow.
+inline constexpr double kMaxManifestSeconds = 1e6;
+
+// ParseManifestNumber for a time in seconds, rejecting magnitudes above
+// kMaxManifestSeconds with an error that names |what|.
+StatusOr<double> ParseManifestSeconds(const std::string& text,
+                                      const std::string& what);
+
+// ParseManifestNumber for an integer in [min_value, 1e9].
+StatusOr<int> ParseManifestInt(const std::string& text,
+                               const std::string& what, int min_value);
+
 }  // namespace androne
 
 #endif  // SRC_UTIL_FAULT_PLAN_IO_H_

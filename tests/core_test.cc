@@ -153,7 +153,7 @@ class DroneFixture : public ::testing::Test {
 TEST_F(DroneFixture, BootBringsUpTheArchitecture) {
   EXPECT_TRUE(system_.runtime().FindByName("device").ok());
   EXPECT_TRUE(system_.runtime().FindByName("flight").ok());
-  // Flight controller reads sensors through the Binder HAL bridge; its
+  // Flight controller reads the device container's sensor snapshot; its
   // estimator should have a GPS fix after warmup.
   EXPECT_TRUE(system_.flight().estimator().position().valid);
   // Memory matches the base + dev/flight configuration band.

@@ -379,6 +379,15 @@ TEST(TenantMixTest, RejectsInvalidMixes) {
                               "<class name=\"a\" wieght=\"1\"/>"
                               "</tenant_mix>")
                    .ok());
+  // Numbers past what the integer and SimTime conversions can hold.
+  for (const std::string field : {"waypoints", "processes", "dwell_s"}) {
+    auto mix = ParseTenantMix("<tenant_mix name=\"m\"><class name=\"a\" " +
+                              field + "=\"1e30\"/></tenant_mix>");
+    ASSERT_FALSE(mix.ok()) << field;
+    EXPECT_NE(mix.status().message().find(field + ": 1e30 out of range"),
+              std::string::npos)
+        << mix.status().message();
+  }
 }
 
 // --- Load generator ---

@@ -122,10 +122,10 @@ WorldResult CountingWorld(const WorldContext& ctx) {
   result.completed = true;
   result.events_run = 10;
   result.digest = ctx.seed;
-  result.counters["index_sum"] = ctx.index;
+  result.metrics.counters["index_sum"] = ctx.index;
   Histogram h;
   h.Record(ctx.index + 1);
-  result.histograms["values"] = h;
+  result.metrics.histograms["values"] = h;
   return result;
 }
 
@@ -144,8 +144,9 @@ TEST(FleetExecutorTest, MergesCountersHistogramsAndEvents) {
   EXPECT_EQ(report.completed, 6);
   EXPECT_EQ(report.cancelled, 0);
   EXPECT_EQ(report.events_run, 60u);
-  EXPECT_DOUBLE_EQ(report.counters.at("index_sum"), 0 + 1 + 2 + 3 + 4 + 5);
-  EXPECT_EQ(report.histograms.at("values").total_count(), 6u);
+  EXPECT_DOUBLE_EQ(report.metrics.counters.at("index_sum"),
+                   0 + 1 + 2 + 3 + 4 + 5);
+  EXPECT_EQ(report.metrics.histograms.at("values").total_count(), 6u);
   ASSERT_EQ(report.worlds.size(), 6u);
   for (int i = 0; i < 6; ++i) {
     EXPECT_EQ(report.worlds[i].index, i);  // Index order, not finish order.
@@ -258,9 +259,10 @@ TEST(FleetWorldTest, DigestsAreIdenticalAcrossThreadCounts) {
                 reports[t].worlds[w].events_run);
     }
     // Merged histogram digests match because merge order is index order.
-    ASSERT_EQ(reports[0].histograms.size(), reports[t].histograms.size());
-    for (const auto& [name, hist] : reports[0].histograms) {
-      EXPECT_EQ(hist.Digest(), reports[t].histograms.at(name).Digest())
+    ASSERT_EQ(reports[0].metrics.histograms.size(),
+              reports[t].metrics.histograms.size());
+    for (const auto& [name, hist] : reports[0].metrics.histograms) {
+      EXPECT_EQ(hist.Digest(), reports[t].metrics.histograms.at(name).Digest())
           << "merged histogram " << name;
     }
   }
@@ -298,7 +300,8 @@ TEST(FleetWorldTest, WorldReportsFlightAndDownlinkCounters) {
   EXPECT_GT(world.counters.at("flight_time_s"), 0.0);
   EXPECT_GT(world.counters.at("battery_used_j"), 0.0);
   EXPECT_GT(world.counters.at("downlink_frames"), 0.0);
-  EXPECT_GT(report.histograms.at("downlink_latency_us").total_count(), 0u);
+  EXPECT_GT(report.metrics.histograms.at("downlink_latency_us").total_count(),
+            0u);
 }
 
 TEST(FleetWorldTest, TelemetryBatchingPreservesTheFlightDigest) {
@@ -417,11 +420,10 @@ TEST(WorldTemplateTest, BootRelevantKnobsInvalidateTheTemplate) {
   ASSERT_TRUE(RunFleetWorld(budget, ctx).completed);
   EXPECT_EQ(templates.misses(), 2u);
 
-  // Boot-relevant: the legacy sensor path boots a different stack.
-  FleetWorldConfig legacy = base;
-  legacy.sensor_bus = false;
-  legacy.batch_telemetry = false;
-  ASSERT_TRUE(RunFleetWorld(legacy, ctx).completed);
+  // Boot-relevant: tracing records the boot warmup into the template.
+  FleetWorldConfig traced = base;
+  traced.trace_categories = kTraceAll;
+  ASSERT_TRUE(RunFleetWorld(traced, ctx).completed);
   EXPECT_EQ(templates.misses(), 3u);
   EXPECT_EQ(templates.hits(), 0u);
 
@@ -487,12 +489,8 @@ TEST(ConfigFingerprintTest, EveryFieldMovesTheFingerprintsItsTagNames) {
        [](auto& c) { c.tenant_placements[1].east_m = 9; }},
       {"annealing_iterations", kWorld, none,
        [](auto& c) { c.annealing_iterations = 10; }},
-      {"sensor_bus", kBoot, none, [](auto& c) { c.sensor_bus = false; }},
       {"batch_telemetry", kWorld, none,
        [](auto& c) { c.batch_telemetry = false; }},
-      {"batch_flush_bytes", kWorld, none,
-       [](auto& c) { c.batch_flush_bytes = 64; }},
-      {"batch_flush_ms", kWorld, none, [](auto& c) { c.batch_flush_ms = 5; }},
       {"memory_budget_mb", kBoot, none,
        [](auto& c) { c.memory_budget_mb = 2048; }},
       {"trace_categories", kBoot, none,
@@ -526,8 +524,6 @@ TEST(ConfigFingerprintTest, EveryFieldMovesTheFingerprintsItsTagNames) {
       {"tolerate_deploy_rejection", kWorld, none,
        [](auto& c) { c.tolerate_deploy_rejection = true; }},
       {"templates", kRuntime, none, [&](auto& c) { c.templates = &cache; }},
-      {"provision_metrics", kRuntime, none,
-       [](auto& c) { c.provision_metrics = true; }},
       {"record_into", kRuntime, none, [&](auto& c) { c.record_into = &logs; }},
       {"replay_from", kRuntime, none, [&](auto& c) { c.replay_from = &logs; }},
       {"fork_blob", kRuntime, none, [&](auto& c) { c.fork_blob = &blob; }},
@@ -548,21 +544,6 @@ TEST(ConfigFingerprintTest, EveryFieldMovesTheFingerprintsItsTagNames) {
               test.tag != kRuntime)
         << test.field;
   }
-}
-
-TEST(FleetWorldTest, LegacySensorPathStillFliesTheWorld) {
-  FleetWorldConfig config;
-  config.tenants = 1;
-  config.dwell_s = 5;
-  config.annealing_iterations = 50;
-  config.sensor_bus = false;
-  config.batch_telemetry = false;
-  WorldContext ctx;
-  ctx.index = 0;
-  ctx.seed = FleetExecutor::WorldSeed(77, 0);
-  WorldResult legacy = RunFleetWorld(config, ctx);
-  EXPECT_TRUE(legacy.completed);
-  EXPECT_GT(legacy.events_run, 0u);
 }
 
 }  // namespace

@@ -464,20 +464,25 @@ TEST(TimeGovernorTest, ParseSpeedValidates) {
 }
 
 TEST(TimeGovernorTest, GovernedWorldKeepsItsDigest) {
-  // A high --speed on a small world: pacing sleeps the worker but never
-  // touches the SimClock, so every digest is identical to the unthrottled
-  // run. The speed is far below the world's unthrottled sim-to-wall ratio,
-  // so at least one Pace() call must actually sleep.
+  // Pacing sleeps the worker but never touches the SimClock, so every
+  // digest is identical to the unthrottled run. The speed is a quarter of
+  // the sim-to-wall ratio this build measured flying the same world
+  // unthrottled, so on any build (sanitized ones are many times slower) at
+  // least one Pace() call must actually sleep.
   WorldResult plain = RunFleetWorld(SmallConfig(), MakeContext(44));
   ASSERT_TRUE(plain.completed);
   EXPECT_EQ(plain.replay.governor_sleeps, 0);
+  ASSERT_GT(plain.provision.fly_ns, 0u);
+  const double unthrottled_speed =
+      plain.counters.at("flight_time_s") /
+      (static_cast<double>(plain.provision.fly_ns) * 1e-9);
 
   FleetWorldConfig config = SmallConfig();
-  config.speed = 500;
+  config.speed = unthrottled_speed / 4;
   WorldResult governed = RunFleetWorld(config, MakeContext(44));
   EXPECT_GT(governed.replay.governor_sleeps, 0);
   EXPECT_GT(governed.replay.governor_slept_us, 0);
-  ExpectEquivalent(plain, governed, "speed=500 vs unthrottled");
+  ExpectEquivalent(plain, governed, "governed vs unthrottled");
 }
 
 }  // namespace

@@ -465,6 +465,27 @@ TEST(ManifestTest, RejectsBadFaultWindows) {
       "<net_fault kind=\"burst_loss\" start_s=\"1\" dur_s=\"1\" "
       "p0=\"1.5\"/></scenario></campaign>",
       "probability");
+  // Times past the manifest bound would overflow SimTime.
+  ExpectManifestError(
+      "<campaign><scenario name=\"x\">"
+      "<net_fault kind=\"outage\" start_s=\"1e30\" dur_s=\"1\"/>"
+      "</scenario></campaign>",
+      "start_s: 1e30 out of range");
+  ExpectManifestError(
+      "<campaign><scenario name=\"x\">"
+      "<net_fault kind=\"outage\" start_s=\"1\" dur_s=\"1e12\"/>"
+      "</scenario></campaign>",
+      "dur_s: 1e12 out of range");
+  ExpectManifestError(
+      "<campaign><scenario name=\"x\">"
+      "<net_fault kind=\"latency\" start_s=\"1\" dur_s=\"1\" p0=\"2\" "
+      "d0_ms=\"1e30\"/></scenario></campaign>",
+      "d0_ms: 1e30 out of range");
+  ExpectManifestError(
+      "<campaign><scenario name=\"x\">"
+      "<sensor_fault kind=\"dropout\" channel=\"gps\" start_s=\"1\" "
+      "dur_s=\"1\" jitter_s=\"1e12\"/></scenario></campaign>",
+      "jitter_s: 1e12 out of range");
 }
 
 TEST(ManifestTest, RejectsBadScalarsAndConflicts) {
@@ -491,6 +512,12 @@ TEST(ManifestTest, RejectsBadScalarsAndConflicts) {
   ExpectManifestError(
       "<campaign><scenario name=\"x\" dwell_s=\"oops\"/></campaign>",
       "dwell_s");
+  ExpectManifestError("<campaign seed=\"1e30\"><scenario name=\"x\"/>"
+                      "</campaign>",
+                      "seed: must be a non-negative integer below 2^64");
+  ExpectManifestError(
+      "<campaign><scenario name=\"x\" dwell_s=\"1e12\"/></campaign>",
+      "dwell_s: 1e12 out of range");
 }
 
 TEST(ManifestTest, RejectsBadCrashLoopAndAssertions) {
@@ -505,6 +532,18 @@ TEST(ManifestTest, RejectsBadCrashLoopAndAssertions) {
       "<campaign><scenario name=\"x\"><crash_loop count=\"1\"/>"
       "<crash_loop count=\"1\"/></scenario></campaign>",
       "more than one");
+  ExpectManifestError(
+      "<campaign><scenario name=\"x\"><crash_loop count=\"2\" "
+      "start_s=\"1e30\"/></scenario></campaign>",
+      "start_s: 1e30 out of range");
+  ExpectManifestError(
+      "<campaign><scenario name=\"x\"><crash_loop count=\"2\" "
+      "period_s=\"1e12\"/></scenario></campaign>",
+      "period_s: 1e12 out of range");
+  ExpectManifestError(
+      "<campaign><scenario name=\"x\"><crash_loop count=\"1000000\" "
+      "period_s=\"10\"/></scenario></campaign>",
+      "the last crash");
   ExpectManifestError(
       "<campaign><scenario name=\"x\"><assert/></scenario></campaign>",
       "missing expr");
@@ -542,6 +581,18 @@ TEST(ManifestTest, RejectsBadCrashElements) {
       "<campaign><scenario name=\"x\"><crash at_s=\"5\" "
       "max_restores=\"-1\"/></scenario></campaign>",
       "out of range");
+  ExpectManifestError(
+      "<campaign><scenario name=\"x\"><crash at_s=\"5,1e30\"/>"
+      "</scenario></campaign>",
+      "at_s: 1e30 out of range");
+  ExpectManifestError(
+      "<campaign><scenario name=\"x\"><crash at_s=\"5\" "
+      "checkpoint_s=\"1e30\"/></scenario></campaign>",
+      "checkpoint_s: 1e30 out of range");
+  ExpectManifestError(
+      "<campaign><scenario name=\"x\"><crash at_s=\"5\" "
+      "jitter_s=\"1e12\"/></scenario></campaign>",
+      "jitter_s: 1e12 out of range");
   ExpectManifestError(
       "<campaign><scenario name=\"x\"><crash at_s=\"5\"/>"
       "<crash at_s=\"9\"/></scenario></campaign>",

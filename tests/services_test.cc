@@ -221,7 +221,7 @@ TEST_F(ServicesFixture, TrustedContainerBypassesPermissionCheck) {
   ASSERT_TRUE(runtime_.StartContainer(flight->id()).ok());
   // Mark it trusted on a fresh checker (simulating boot-time config).
   DeviceContainerStack restacked = device_stack_;
-  auto proc = runtime_.SpawnProcess(flight->id(), "hal_bridge", 0).value();
+  auto proc = runtime_.SpawnProcess(flight->id(), "ardupilot", 0).value();
 
   // Without trust: denied (no activity@<flight> registered).
   CrossContainerPermissionChecker untrusted(device_stack_.system_server_proc,

@@ -14,7 +14,6 @@
 #include "src/core/drone.h"
 #include "src/exec/fleet_world.h"
 #include "src/snapshot/snapshot.h"
-#include "src/util/bytes.h"
 #include "src/util/geo.h"
 #include "src/util/sim_clock.h"
 
@@ -104,18 +103,6 @@ inline FleetWorldConfig WorldConfig() {
   config.checkpoint.period_s = 0;
   config.checkpoint.at_phase_boundaries = true;
   return config;
-}
-
-// The template cache key of an untraced world without sensor faults: the
-// boot-relevant knobs FNV-folded in declaration order (DESIGN.md §14).
-inline uint64_t UntracedTemplateKey(const FleetWorldConfig& config) {
-  uint64_t fp = kFnv1a64Offset;
-  fp = Fnv1a64Value(config.sensor_bus, fp);
-  fp = Fnv1a64Value(config.memory_budget_mb, fp);
-  fp = Fnv1a64Value(config.trace_categories, fp);
-  fp = Fnv1a64Value(config.trace_capacity, fp);
-  fp = Fnv1a64Value(config.sensor_faults != nullptr, fp);
-  return fp;
 }
 
 inline WorldContext WorldCtx() {

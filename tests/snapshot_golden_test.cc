@@ -68,10 +68,10 @@ std::string CurrentDigests() {
 
   bool builder = false;
   std::shared_ptr<const WorldTemplate> tpl =
-      cache.Acquire(UntracedTemplateKey(base), &builder);
+      cache.Acquire(TemplateFingerprint(base), &builder);
   EXPECT_FALSE(builder) << "no template under the expected cache key";
   if (builder) {
-    cache.AbandonBuild(UntracedTemplateKey(base));
+    cache.AbandonBuild(TemplateFingerprint(base));
   }
   if (tpl != nullptr) {
     out += DigestLine("fleet_template_body", tpl->blob.substr(kHeaderBytes));
