@@ -17,12 +17,12 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/exec/fleet_executor.h"
 #include "src/exec/fleet_world.h"
-#include "src/exec/thread_pool.h"
 #include "src/exec/world_template.h"
 #include "src/util/json.h"
 #include "src/util/logging.h"
@@ -128,7 +128,8 @@ void Run(const char* json_path) {
 
   BenchHeader("Fleet scale",
               "parallel fleet executor throughput and determinism");
-  int hardware = ThreadPool::HardwareThreads();
+  const int hardware =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
   std::printf("  %d worlds x (%d tenants, boot->plan->fly->downlink), "
               "host has %d hardware thread(s)\n\n",
               kWorlds, BenchConfig().tenants, hardware);

@@ -105,8 +105,10 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   cmake --build build-asan -j "$JOBS"
   (cd build-asan && ctest --output-on-failure)
 
-  # The fleet executor is the one genuinely multi-threaded subsystem; its
-  # tests — the trace/metrics determinism harness, which runs traced
+  # The fleet executor is the one genuinely multi-threaded subsystem: plain
+  # worker threads claiming world indices from one atomic counter. Its
+  # tests — the executor suite (thread counts 0/1/2/8/16 over the same
+  # fleet), the trace/metrics determinism harness, which runs traced
   # worlds on 1/2/8 executor threads, the crash-recovery equivalence
   # suite, whose restore-and-replay must stay bit-identical at any thread
   # count, and the clone-determinism matrix (WorldTemplateTest: a cloned
@@ -120,7 +122,7 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   cmake -S . -B build-tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DANDRONE_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "$JOBS" --target exec_test determinism_test \
-        trace_golden_test recovery_test replay_test util_test
+        trace_golden_test recovery_test replay_test
   ./build-tsan/tests/exec_test
   ./build-tsan/tests/determinism_test
   ./build-tsan/tests/trace_golden_test
@@ -128,7 +130,6 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   # Replay under TSan: the shared ReplayLogStore (record fleet, replay at
   # 1/2/8 threads) and the parsed-log cache are the cross-thread surfaces.
   ./build-tsan/tests/replay_test
-  ./build-tsan/tests/util_test --gtest_filter='*Arena*'
 
   # The same campaign smoke under ASan/UBSan: fault windows, triage
   # re-runs, and the manifest loader all exercise pointer-heavy paths.

@@ -4,89 +4,6 @@
 
 namespace androne {
 
-namespace {
-// Upper bound on parked entry vectors per thread; enough for the deepest
-// transaction recursion the driver allows plus in-flight replies, small
-// enough that an idle thread holds only a few KB.
-constexpr size_t kFreelistCap = 64;
-
-// Per-thread scratch-arena binding. Freelisted capacity is only valid for
-// the arena (and arena reset generation) it was carved from, so the binding
-// remembers both and the freelist is flushed whenever either changes.
-struct ScratchBinding {
-  Arena* arena = nullptr;
-  uint64_t generation = 0;
-};
-
-ScratchBinding& LocalScratch() {
-  thread_local ScratchBinding scratch;
-  return scratch;
-}
-}  // namespace
-
-// The freelist lives behind a function-local thread_local so it is
-// constructed on first use per thread (workers come and go in the fleet
-// executor's pool).
-std::vector<Parcel::EntryVec>& Parcel::LocalFreelist() {
-  thread_local std::vector<EntryVec> freelist;
-  return freelist;
-}
-
-size_t Parcel::FreelistSize() { return LocalFreelist().size(); }
-
-void Parcel::SetScratchArena(Arena* arena) {
-  ScratchBinding& scratch = LocalScratch();
-  const uint64_t generation = arena != nullptr ? arena->resets() : 0;
-  if (scratch.arena != arena || scratch.generation != generation) {
-    // Parked capacity points into the previous arena generation; recycling
-    // it would hand out storage the arena may have reclaimed.
-    LocalFreelist().clear();
-    scratch.arena = arena;
-    scratch.generation = generation;
-  }
-}
-
-Parcel::Parcel() : entries_(ArenaAllocator<Entry>(LocalScratch().arena)) {
-  auto& freelist = LocalFreelist();
-  if (!freelist.empty()) {
-    entries_ = std::move(freelist.back());
-    freelist.pop_back();
-  }
-}
-
-Parcel::~Parcel() { ReleaseEntries(); }
-
-void Parcel::ReleaseEntries() {
-  ScratchBinding& scratch = LocalScratch();
-  auto& freelist = LocalFreelist();
-  if (entries_.capacity() == 0 || freelist.size() >= kFreelistCap ||
-      entries_.get_allocator().arena() != scratch.arena) {
-    // A parcel constructed before the thread switched scratch arenas keeps
-    // its storage to itself — its capacity must not be recycled into the
-    // new binding.
-    return;
-  }
-  // Clear first so pooled vectors hold no live strings, only raw capacity.
-  entries_.clear();
-  freelist.push_back(std::move(entries_));
-  entries_ = EntryVec(ArenaAllocator<Entry>(scratch.arena));
-}
-
-Parcel::Parcel(const Parcel& other) : Parcel() {
-  entries_.assign(other.entries_.begin(), other.entries_.end());
-  cursor_ = other.cursor_;
-  binder_entries_ = other.binder_entries_;
-}
-
-Parcel& Parcel::operator=(const Parcel& other) {
-  if (this != &other) {
-    entries_.assign(other.entries_.begin(), other.entries_.end());
-    cursor_ = other.cursor_;
-    binder_entries_ = other.binder_entries_;
-  }
-  return *this;
-}
-
 Parcel::Parcel(Parcel&& other) noexcept
     : entries_(std::move(other.entries_)),
       cursor_(other.cursor_),
@@ -98,7 +15,6 @@ Parcel::Parcel(Parcel&& other) noexcept
 
 Parcel& Parcel::operator=(Parcel&& other) noexcept {
   if (this != &other) {
-    ReleaseEntries();
     entries_ = std::move(other.entries_);
     cursor_ = other.cursor_;
     binder_entries_ = other.binder_entries_;

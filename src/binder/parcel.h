@@ -3,12 +3,6 @@
 // binder object references (translated to per-process handles by the
 // driver on delivery), and file descriptors (shared-memory tokens used by
 // e.g. CameraService to hand frame buffers across containers).
-//
-// Entry storage is recycled through a thread-local freelist: a destroyed
-// parcel donates its entry vector (capacity intact) to the next parcel
-// constructed on the same thread, so steady-state transactions allocate
-// nothing for the parcel body. Thread-local keeps the pool safe when the
-// fleet executor runs many worlds in parallel.
 #ifndef SRC_BINDER_PARCEL_H_
 #define SRC_BINDER_PARCEL_H_
 
@@ -16,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "src/util/arena.h"
 #include "src/util/status.h"
 
 namespace androne {
@@ -36,10 +29,9 @@ using FdToken = int64_t;
 
 class Parcel {
  public:
-  Parcel();
-  ~Parcel();
-  Parcel(const Parcel& other);
-  Parcel& operator=(const Parcel& other);
+  Parcel() = default;
+  Parcel(const Parcel& other) = default;
+  Parcel& operator=(const Parcel& other) = default;
   Parcel(Parcel&& other) noexcept;
   Parcel& operator=(Parcel&& other) noexcept;
 
@@ -72,19 +64,6 @@ class Parcel {
   // that carry references, since only those need handle swizzling).
   size_t binder_entry_count() const { return binder_entries_; }
 
-  // Entry vectors currently parked in this thread's freelist (test/bench
-  // introspection of the recycling behaviour).
-  static size_t FreelistSize();
-
-  // Routes this thread's parcel entry storage into |arena| (nullptr = the
-  // global allocator, the default). The fleet executor points each worker
-  // at its per-worker arena before running a world (DESIGN.md §14).
-  // Whenever the arena identity *or its reset generation* changes, the
-  // freelist is cleared first — recycled capacity must never dangle into a
-  // torn-down arena generation. Parcels alive across a scratch-arena
-  // switch keep their old storage and are excluded from recycling.
-  static void SetScratchArena(Arena* arena);
-
  private:
   friend class BinderDriver;
 
@@ -97,18 +76,12 @@ class Parcel {
     std::string text;
   };
 
-  using EntryVec = std::vector<Entry, ArenaAllocator<Entry>>;
-
   StatusOr<const Entry*> Next(Kind expected) const;
   // Driver-side append of a binder reference (keeps binder_entries_ honest
   // when the driver builds delivery parcels directly).
   void AppendBinderEntry(int64_t scalar);
-  // Returns this parcel's entry vector to the thread-local freelist.
-  void ReleaseEntries();
-  // Per-thread pool of retired entry vectors (capacity preserved).
-  static std::vector<EntryVec>& LocalFreelist();
 
-  EntryVec entries_;
+  std::vector<Entry> entries_;
   mutable size_t cursor_ = 0;
   size_t binder_entries_ = 0;
 };

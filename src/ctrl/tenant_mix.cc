@@ -1,6 +1,5 @@
 #include "src/ctrl/tenant_mix.h"
 
-#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -14,35 +13,6 @@ namespace {
 // Defaults shared by the parser (fallbacks) and dumper (omission). Must
 // track the SessionClass member initializers.
 const SessionClass kClassDefaults;
-
-bool IsWhitespace(const std::string& text) {
-  for (char c : text) {
-    if (c != ' ' && c != '\t' && c != '\n' && c != '\r') {
-      return false;
-    }
-  }
-  return true;
-}
-
-Status CheckNoText(const XmlElement& element) {
-  if (!IsWhitespace(element.text)) {
-    return InvalidArgumentError("<" + element.name +
-                                ">: unexpected text content");
-  }
-  return OkStatus();
-}
-
-Status CheckAttributes(const XmlElement& element,
-                       const std::vector<std::string>& allowed) {
-  for (const auto& [key, value] : element.attributes) {
-    (void)value;
-    if (std::find(allowed.begin(), allowed.end(), key) == allowed.end()) {
-      return InvalidArgumentError("<" + element.name +
-                                  ">: unknown attribute \"" + key + "\"");
-    }
-  }
-  return OkStatus();
-}
 
 StatusOr<double> ParseMixRate(const std::string& text,
                               const std::string& what) {
@@ -223,13 +193,6 @@ StatusOr<std::unique_ptr<XmlElement>> JsonToMixElement(
     }
   }
   return root;
-}
-
-void EmitNumberUnlessDefault(XmlElement& element, const std::string& attr,
-                             double value, double fallback) {
-  if (value != fallback) {
-    element.attributes[attr] = FormatNumberCompact(value);
-  }
 }
 
 }  // namespace

@@ -1,15 +1,12 @@
 #include "src/exec/fleet_executor.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
 #include <utility>
-
-#include <memory>
 #include <vector>
 
-#include "src/exec/thread_pool.h"
-#include "src/util/arena.h"
 #include "src/util/bytes.h"
 #include "src/util/rng.h"
 
@@ -37,67 +34,62 @@ FleetReport FleetExecutor::Run(int num_worlds, const WorldFn& fn) {
   report.worlds.resize(static_cast<size_t>(num_worlds));
   std::atomic<int> retried{0};
 
-  {
-    // One arena per worker, not per world: a worker runs its worlds
-    // serially, so Reset() between worlds recycles the same warm slabs
-    // for every world that lands on that worker (shard-per-worker
-    // placement). Declared before the pool so the arenas strictly outlive
-    // every worker thread.
-    std::vector<std::unique_ptr<Arena>> arenas;
-    ThreadPool pool(options_.threads);
-    arenas.reserve(static_cast<size_t>(pool.size()));
-    for (int i = 0; i < pool.size(); ++i) {
-      arenas.push_back(std::make_unique<Arena>());
+  auto run_world = [this, &fn, &report, &retried, budgeted, deadline](int i) {
+    WorldContext ctx;
+    ctx.index = i;
+    ctx.seed = WorldSeed(options_.base_seed, i);
+    ctx.cancelled = &cancel_;
+    WorldResult& out = report.worlds[static_cast<size_t>(i)];
+    if (budgeted && std::chrono::steady_clock::now() >= deadline) {
+      cancel_.store(true, std::memory_order_relaxed);
     }
-    for (int i = 0; i < num_worlds; ++i) {
-      pool.Submit([this, i, &fn, &report, &retried, &arenas, budgeted,
-                   deadline] {
-        WorldContext ctx;
-        ctx.index = i;
-        ctx.seed = WorldSeed(options_.base_seed, i);
-        ctx.cancelled = &cancel_;
-        const int worker = ThreadPool::CurrentWorkerIndex();
-        if (worker >= 0 && worker < static_cast<int>(arenas.size())) {
-          ctx.arena = arenas[static_cast<size_t>(worker)].get();
-          // The previous world on this worker is fully torn down (tasks on
-          // one worker are serial); reclaim its arena space for this one.
-          ctx.arena->Reset();
-        }
-        WorldResult& out = report.worlds[static_cast<size_t>(i)];
-        if (budgeted && std::chrono::steady_clock::now() >= deadline) {
-          cancel_.store(true, std::memory_order_relaxed);
-        }
-        if (ctx.ShouldCancel()) {
-          // Budget already spent: record the skip without running the world.
-          out.index = i;
-          out.seed = ctx.seed;
-          out.completed = false;
-          out.skipped = true;
-          return;
-        }
-        out = fn(ctx);
-        if (out.infra_failure && !ctx.ShouldCancel()) {
-          // Infrastructure failures (the world never came up — boot, deploy
-          // machinery, planner) are not scenario outcomes: give the world
-          // one more chance after a short wall-clock breather. Worlds are
-          // deterministic in (config, seed), so a retry that succeeds
-          // produces exactly the result the first attempt should have.
-          std::this_thread::sleep_for(std::chrono::milliseconds(25));
-          retried.fetch_add(1, std::memory_order_relaxed);
-          if (ctx.arena != nullptr) {
-            ctx.arena->Reset();  // The failed attempt's world is gone.
+    if (ctx.ShouldCancel()) {
+      // Budget already spent: record the skip without running the world.
+      out.index = i;
+      out.seed = ctx.seed;
+      out.completed = false;
+      out.skipped = true;
+      return;
+    }
+    out = fn(ctx);
+    if (out.infra_failure && !ctx.ShouldCancel()) {
+      // Infrastructure failures (the world never came up — boot, deploy
+      // machinery, planner) are not scenario outcomes: give the world
+      // one more chance after a short wall-clock breather. Worlds are
+      // deterministic in (config, seed), so a retry that succeeds
+      // produces exactly the result the first attempt should have.
+      std::this_thread::sleep_for(std::chrono::milliseconds(25));
+      retried.fetch_add(1, std::memory_order_relaxed);
+      out = fn(ctx);
+    }
+    out.index = i;
+    // Worlds that report their own seed (scenario sweeps override the
+    // index-derived default) keep it; plain worlds get the context seed.
+    if (out.seed == 0) {
+      out.seed = ctx.seed;
+    }
+  };
+
+  // Each worker claims the next unclaimed world index until none are left,
+  // so worlds start in index order and a worker that finishes early simply
+  // claims more. Every result lands in its own index slot.
+  std::atomic<int> next{0};
+  {
+    // jthreads join when the block exits, on every path.
+    std::vector<std::jthread> workers;
+    const int threads = std::max(1, options_.threads);
+    workers.reserve(static_cast<size_t>(threads));
+    for (int t = 0; t < threads; ++t) {
+      workers.emplace_back([&next, num_worlds, &run_world] {
+        for (;;) {
+          const int i = next.fetch_add(1, std::memory_order_relaxed);
+          if (i >= num_worlds) {
+            return;
           }
-          out = fn(ctx);
-        }
-        out.index = i;
-        // Worlds that report their own seed (scenario sweeps override the
-        // index-derived default) keep it; plain worlds get the context seed.
-        if (out.seed == 0) {
-          out.seed = ctx.seed;
+          run_world(i);
         }
       });
     }
-    pool.Wait();
   }
 
   // Merge in world-index order: the metrics fold and the fleet digest are

@@ -1,8 +1,8 @@
-// FleetExecutor: runs N independent simulation worlds across a work-stealing
-// thread pool. AnDrone's single-drone stack is deterministic on one SimClock;
-// fleets of device+virtual-drone worlds are embarrassingly parallel (cf.
-// ArduPilot SITL farms and batched RL simulators), so the executor's job is
-// purely (a) distributing whole worlds to workers, (b) guaranteeing that
+// FleetExecutor: runs N independent simulation worlds on a fixed set of plain
+// worker threads. AnDrone's single-drone stack is deterministic on one
+// SimClock; fleets of device+virtual-drone worlds are embarrassingly parallel
+// (cf. ArduPilot SITL farms and batched RL simulators), so the executor's job
+// is purely (a) distributing whole worlds to workers, (b) guaranteeing that
 // per-world results are bit-identical regardless of thread count, and
 // (c) merging per-world metric snapshots into one fleet report.
 //
@@ -28,8 +28,6 @@
 
 namespace androne {
 
-class Arena;
-
 // Everything a world function receives. Worlds must derive all randomness
 // from |seed| and poll |cancelled| at convenient boundaries (e.g. a periodic
 // sim-clock event) to honor the fleet's wall-clock budget.
@@ -37,12 +35,6 @@ struct WorldContext {
   int index = 0;
   uint64_t seed = 0;
   const std::atomic<bool>* cancelled = nullptr;
-  // Per-worker bump allocator (borrowed, may be null): the executor resets
-  // it between the worlds a worker runs, so world-lifetime containers
-  // (event heap, trace ring, in-flight registries, parcel scratch) can
-  // carve from warm slabs instead of the global allocator (DESIGN.md §14).
-  // Never simulation-visible: allocation placement must not affect digests.
-  Arena* arena = nullptr;
 
   bool ShouldCancel() const {
     return cancelled != nullptr && cancelled->load(std::memory_order_relaxed);
@@ -93,8 +85,6 @@ struct WorldResult {
     bool built_template = false;  // This world cold-booted + published it.
     uint64_t boot_ns = 0;      // Wall time to a deployed, mission-ready world.
     uint64_t fly_ns = 0;       // Wall time spent flying the mission.
-    uint64_t arena_bytes_reserved = 0;  // Worker arena footprint after run.
-    uint64_t arena_chunks = 0;
   };
   Provision provision;
   // Record/replay bookkeeping (DESIGN.md §15). Same discipline as
@@ -186,8 +176,10 @@ class FleetExecutor {
   // single-world reproductions can replay one world of a fleet.
   static uint64_t WorldSeed(uint64_t base_seed, int index);
 
-  // Runs |num_worlds| invocations of |fn| across the pool and merges the
-  // results. Blocking; reusable (each Run is independent).
+  // Runs |num_worlds| invocations of |fn| on max(1, threads) worker
+  // threads, each claiming the next unclaimed world index until none are
+  // left, and merges the results. Blocking; reusable (each Run is
+  // independent).
   FleetReport Run(int num_worlds, const WorldFn& fn);
 
   // Trips the cancel flag of the Run in progress (callable from any thread,

@@ -8,7 +8,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/binder/parcel.h"
+#include "src/binder/binder_driver.h"
 #include "src/cloud/energy_model.h"
 #include "src/cloud/flight_planner.h"
 #include "src/container/supervisor.h"
@@ -22,7 +22,6 @@
 #include "src/replay/replay_log.h"
 #include "src/snapshot/archive.h"
 #include "src/snapshot/checkpoint.h"
-#include "src/util/arena.h"
 #include "src/util/bytes.h"
 #include "src/util/fault_plan.h"
 #include "src/util/logging.h"
@@ -160,8 +159,7 @@ class WorldAttempt {
       : config_(config),
         ctx_(ctx),
         crashes_consumed_(crashes_consumed),
-        fingerprint_(ConfigFingerprint(config)),
-        clock_(ctx.arena) {}
+        fingerprint_(ConfigFingerprint(config)) {}
 
   // Deterministic construction: trace wiring, boot (cold or cloned from a
   // world template), deploys, chaos payload, downlink, cancel poll,
@@ -172,8 +170,8 @@ class WorldAttempt {
     const uint64_t boot_start_ns = WallNowNs();
     trace_ = config_.trace;
     if (trace_ == nullptr && config_.trace_categories != 0) {
-      owned_trace_ = std::make_unique<TraceRecorder>(
-          config_.trace_categories, config_.trace_capacity, ctx_.arena);
+      owned_trace_ = std::make_unique<TraceRecorder>(config_.trace_categories,
+                                                     config_.trace_capacity);
       trace_ = owned_trace_.get();
     }
     if (trace_ != nullptr) {
@@ -325,7 +323,7 @@ class WorldAttempt {
       downlink_model = faulty_link_.get();
     }
     downlink_ = std::make_unique<NetworkChannel>(
-        &clock_, downlink_model, SplitMix64(ctx_.seed + 0x11e7), ctx_.arena);
+        &clock_, downlink_model, SplitMix64(ctx_.seed + 0x11e7));
     tunnel_tx_ = std::make_unique<VpnTunnel>(downlink_.get(), 42);
     tunnel_rx_ = std::make_unique<VpnTunnel>(downlink_.get(), 42);
     if (trace_ != nullptr) {
@@ -707,7 +705,7 @@ class WorldAttempt {
     if (!due) {
       return;
     }
-    (void)store->Put(clock_.now(), Capture(BlobKind::kCheckpoint));
+    store->Put(clock_.now(), Capture(BlobKind::kCheckpoint));
     have_checkpoint_ = true;
     last_checkpoint_time_ = clock_.now();
     last_checkpoint_phase_ = progress.phase;
@@ -889,18 +887,6 @@ class WorldAttempt {
   uint64_t fly_ns_ = 0;
 };
 
-// Routes the current thread's parcel scratch storage into the world's
-// worker arena for the world's lifetime. Restoring to nullptr on exit also
-// flushes the thread's freelist, so no recycled parcel capacity can outlive
-// the arena (RunFleetWorld is callable off-pool with a stack-local arena).
-class ScratchArenaGuard {
- public:
-  explicit ScratchArenaGuard(Arena* arena) { Parcel::SetScratchArena(arena); }
-  ~ScratchArenaGuard() { Parcel::SetScratchArena(nullptr); }
-  ScratchArenaGuard(const ScratchArenaGuard&) = delete;
-  ScratchArenaGuard& operator=(const ScratchArenaGuard&) = delete;
-};
-
 }  // namespace
 
 WorldResult RunFleetWorld(const FleetWorldConfig& config,
@@ -908,7 +894,6 @@ WorldResult RunFleetWorld(const FleetWorldConfig& config,
   WorldResult result;
   result.index = ctx.index;
   result.seed = ctx.seed;
-  ScratchArenaGuard scratch(ctx.arena);
 
   // The replay engine and the crash fault family are mutually exclusive: a
   // recovery loop re-runs ticks from the last checkpoint, which would
@@ -999,17 +984,12 @@ WorldResult RunFleetWorld(const FleetWorldConfig& config,
   }
   result.recovery.checkpoints_saved = store.count();
   result.recovery.checkpoint_bytes = static_cast<uint64_t>(store.latest_bytes());
-  if (ctx.arena != nullptr) {
-    result.provision.arena_bytes_reserved = ctx.arena->bytes_reserved();
-    result.provision.arena_chunks = ctx.arena->chunks();
-  }
   return result;
 }
 
 Status VerifyFleetCheckpoint(const FleetWorldConfig& config,
                              const WorldContext& ctx,
                              const std::string& blob) {
-  ScratchArenaGuard scratch(ctx.arena);
   WorldAttempt attempt(config, ctx, /*crashes_consumed=*/0);
   RETURN_IF_ERROR(attempt.Build());
   return attempt.Resume(blob, /*reseed=*/0);

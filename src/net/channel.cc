@@ -8,24 +8,11 @@
 
 namespace androne {
 
-namespace {
-// Pooled datagram buffers kept per channel; enough for every in-flight
-// datagram on realistic link latencies without hoarding memory.
-constexpr size_t kBufferPoolCap = 32;
-}  // namespace
-
 NetworkChannel::NetworkChannel(SimClock* clock, const LinkModel* link,
-                               uint64_t seed, Arena* arena)
-    : clock_(clock),
-      link_(link),
-      rng_(seed),
-      inflight_(ArenaAllocator<std::pair<const uint64_t, Inflight>>(arena)) {}
+                               uint64_t seed)
+    : clock_(clock), link_(link), rng_(seed) {}
 
 void NetworkChannel::Send(std::vector<uint8_t> payload) {
-  SendShared(std::make_shared<const std::vector<uint8_t>>(std::move(payload)));
-}
-
-void NetworkChannel::SendShared(SharedPayload payload) {
   ++sent_;
   if (link_->SampleLoss(rng_)) {
     ++lost_;
@@ -49,7 +36,7 @@ void NetworkChannel::Deliver(uint64_t id) {
   if (it == inflight_.end()) {
     return;
   }
-  SharedPayload payload = std::move(it->second.payload);
+  std::vector<uint8_t> payload = std::move(it->second.payload);
   SimDuration latency = it->second.latency;
   inflight_.erase(it);
   if (!receiver_) {
@@ -66,7 +53,7 @@ void NetworkChannel::Deliver(uint64_t id) {
   if (trace_ != nullptr && trace_->enabled(kTraceNet)) {
     trace_->Instant(kTraceNet, delivered_name_, -1, ToMicros(latency));
   }
-  receiver_(*payload);
+  receiver_(payload);
 }
 
 template <class Ar>
@@ -82,14 +69,7 @@ Status NetworkChannel::Visit(Ar& ar, const std::string& prefix) {
   ar.Map(inflight_, [&](auto& id, Inflight& entry) {
     ar.U64(id);
     ar.I64(entry.latency);
-    if constexpr (Ar::kLoading) {
-      std::vector<uint8_t> bytes;
-      ar.Bytes(bytes);
-      entry.payload =
-          std::make_shared<const std::vector<uint8_t>>(std::move(bytes));
-    } else {
-      ar.Bytes(*entry.payload);
-    }
+    ar.Bytes(entry.payload);
     ar.Timer(prefix + "." + std::to_string(id), entry.event);
   });
   return ar.status();
@@ -117,31 +97,6 @@ void NetworkChannel::SetTrace(TraceRecorder* trace) {
     lost_name_ = trace_->InternName("net.lost");
     drop_name_ = trace_->InternName("net.drop_no_receiver");
   }
-}
-
-void NetworkChannel::SendCopy(const uint8_t* data, size_t size) {
-  std::unique_ptr<std::vector<uint8_t>> buffer;
-  if (!pool_->free.empty()) {
-    buffer = std::move(pool_->free.back());
-    pool_->free.pop_back();
-  } else {
-    buffer = std::make_unique<std::vector<uint8_t>>();
-  }
-  buffer->assign(data, data + size);
-  // The shared payload's deleter recycles the buffer instead of freeing it.
-  // A weak_ptr breaks the cycle if the channel (and its pool) die while the
-  // datagram is still in flight.
-  std::weak_ptr<BufferPool> weak_pool = pool_;
-  SharedPayload payload(buffer.release(),
-                        [weak_pool](const std::vector<uint8_t>* p) {
-    auto owned = std::unique_ptr<std::vector<uint8_t>>(
-        const_cast<std::vector<uint8_t>*>(p));
-    std::shared_ptr<BufferPool> pool = weak_pool.lock();
-    if (pool != nullptr && pool->free.size() < kBufferPoolCap) {
-      pool->free.push_back(std::move(owned));
-    }
-  });
-  SendShared(std::move(payload));
 }
 
 VpnTunnel::VpnTunnel(NetworkChannel* underlying, uint32_t tunnel_id)
@@ -182,20 +137,19 @@ void VpnTunnel::SetReceiver(Receiver receiver) {
 }
 
 void VpnTunnel::Send(const std::vector<uint8_t>& payload) {
-  // Encapsulate into a reused scratch, then hand off through the channel's
-  // buffer pool: steady-state tunnel sends allocate nothing.
-  encap_scratch_.clear();
-  encap_scratch_.reserve(payload.size() + 4);
-  encap_scratch_.push_back(static_cast<uint8_t>(tunnel_id_ & 0xFF));
-  encap_scratch_.push_back(static_cast<uint8_t>((tunnel_id_ >> 8) & 0xFF));
-  encap_scratch_.push_back(static_cast<uint8_t>((tunnel_id_ >> 16) & 0xFF));
-  encap_scratch_.push_back(static_cast<uint8_t>((tunnel_id_ >> 24) & 0xFF));
-  encap_scratch_.insert(encap_scratch_.end(), payload.begin(), payload.end());
+  // Encapsulate into a fresh datagram the channel takes ownership of.
+  std::vector<uint8_t> datagram;
+  datagram.reserve(payload.size() + 4);
+  datagram.push_back(static_cast<uint8_t>(tunnel_id_ & 0xFF));
+  datagram.push_back(static_cast<uint8_t>((tunnel_id_ >> 8) & 0xFF));
+  datagram.push_back(static_cast<uint8_t>((tunnel_id_ >> 16) & 0xFF));
+  datagram.push_back(static_cast<uint8_t>((tunnel_id_ >> 24) & 0xFF));
+  datagram.insert(datagram.end(), payload.begin(), payload.end());
   if (trace_ != nullptr && trace_->enabled(kTraceNet)) {
     trace_->Instant(kTraceNet, encap_name_, -1,
-                    static_cast<int64_t>(encap_scratch_.size()));
+                    static_cast<int64_t>(datagram.size()));
   }
-  underlying_->SendCopy(encap_scratch_.data(), encap_scratch_.size());
+  underlying_->Send(std::move(datagram));
 }
 
 void VpnTunnel::SetTrace(TraceRecorder* trace) {

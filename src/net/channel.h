@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -24,40 +23,18 @@ class TraceRecorder;
 class NetworkChannel {
  public:
   using Receiver = std::function<void(const std::vector<uint8_t>&)>;
-  // In-flight datagrams are held by shared ownership: the delivery closure
-  // captures a shared_ptr instead of a payload copy (std::function requires
-  // copyable captures, and the sim-clock event queue may copy events during
-  // heap maintenance — a by-value payload would be deep-copied there).
-  using SharedPayload = std::shared_ptr<const std::vector<uint8_t>>;
 
-  // |arena| (optional, borrowed) backs the in-flight datagram registry, so
-  // per-send map nodes come from the owning world's arena (DESIGN.md §14).
-  // Payload buffers stay on the recycled BufferPool — they are shared with
-  // delivery closures that can outlive a world teardown ordering.
-  NetworkChannel(SimClock* clock, const LinkModel* link, uint64_t seed,
-                 Arena* arena = nullptr);
+  NetworkChannel(SimClock* clock, const LinkModel* link, uint64_t seed);
 
   void SetReceiver(Receiver receiver) { receiver_ = std::move(receiver); }
 
   // Sends one datagram; it is delivered to the receiver after a sampled
-  // latency, or silently dropped on sampled loss. The buffer is moved into
-  // shared ownership — the receiver observes the sender's bytes with no
-  // further copies.
+  // latency, or silently dropped on sampled loss. The buffer moves into the
+  // in-flight registry and from there to the receiver, which observes the
+  // sender's bytes with no copies. The delivery closure captures only the
+  // registry id, so a datagram still in flight when the channel dies is
+  // freed with the channel.
   void Send(std::vector<uint8_t> payload);
-
-  // Zero-copy form for fan-out senders: the same shared buffer may be handed
-  // to many channels (broadcast) without duplicating it per link. (Named
-  // rather than overloaded: a braced payload like Send({0}) would otherwise
-  // be ambiguous against shared_ptr's nullptr constructor.)
-  void SendShared(SharedPayload payload);
-
-  // Copies |size| bytes into a pooled buffer and sends it: senders that
-  // reuse a scratch buffer (VPN encapsulation, telemetry batching) pay no
-  // heap allocation per datagram once the pool is warm. Delivered buffers
-  // return to the pool when the last shared reference drops; the pool is
-  // held by shared_ptr so in-flight datagrams stay safe if the channel is
-  // destroyed first.
-  void SendCopy(const uint8_t* data, size_t size);
 
   // Attaches the net trace category: deliveries record an instant
   // ("net.delivered", arg = one-way latency in us), sampled losses record
@@ -89,13 +66,10 @@ class NetworkChannel {
   void RegisterTimers(TimerRearmer& rearmer, const std::string& prefix);
 
  private:
-  struct BufferPool {
-    std::vector<std::unique_ptr<std::vector<uint8_t>>> free;
-  };
   // One scheduled-but-undelivered datagram, held in a registry (keyed by a
   // monotone id) so checkpoints can enumerate the in-flight set.
   struct Inflight {
-    SharedPayload payload;
+    std::vector<uint8_t> payload;
     SimDuration latency = 0;
     EventId event = 0;
   };
@@ -106,10 +80,7 @@ class NetworkChannel {
   const LinkModel* link_;
   Rng rng_;
   Receiver receiver_;
-  std::shared_ptr<BufferPool> pool_ = std::make_shared<BufferPool>();
-  std::map<uint64_t, Inflight, std::less<uint64_t>,
-           ArenaAllocator<std::pair<const uint64_t, Inflight>>>
-      inflight_;
+  std::map<uint64_t, Inflight> inflight_;
   uint64_t next_inflight_id_ = 0;
   uint64_t sent_ = 0;
   uint64_t delivered_ = 0;
@@ -156,7 +127,7 @@ class VpnTunnel {
   uint64_t rejected_datagrams() const { return rejected_; }
 
   // Checkpoint/restore: only the rejection counter is dynamic state (the
-  // scratch buffers are transient and the receiver is re-wired on restore).
+  // scratch buffer is transient and the receiver is re-wired on restore).
   template <class Ar>
   Status Visit(Ar& ar) {
     ar.Section("VPN ");
@@ -175,7 +146,6 @@ class VpnTunnel {
   uint32_t tunnel_id_;
   Receiver receiver_;
   std::vector<uint8_t> decap_scratch_;
-  std::vector<uint8_t> encap_scratch_;
   uint64_t rejected_ = 0;
   TraceRecorder* trace_ = nullptr;
   uint32_t encap_name_ = 0;

@@ -84,11 +84,8 @@ uint32_t ParseTraceCategories(std::string_view spec) {
   return mask;
 }
 
-TraceRecorder::TraceRecorder(uint32_t categories, size_t capacity,
-                             Arena* arena)
-    : categories_(categories),
-      capacity_(capacity == 0 ? 1 : capacity),
-      ring_(ArenaAllocator<TraceEvent>(arena)) {
+TraceRecorder::TraceRecorder(uint32_t categories, size_t capacity)
+    : categories_(categories), capacity_(capacity == 0 ? 1 : capacity) {
   ring_.reserve(capacity_ < 4096 ? capacity_ : 4096);
   // Id 0 is reserved as "unnamed" so a zero-initialized name id is safe.
   names_.push_back("?");

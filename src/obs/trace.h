@@ -64,11 +64,8 @@ class TraceRecorder {
  public:
   static constexpr size_t kDefaultCapacity = 1 << 14;
 
-  // |arena| (optional, borrowed) backs the event ring, so per-world
-  // recorders in a fleet draw from their worker's arena (DESIGN.md §14).
   explicit TraceRecorder(uint32_t categories = kTraceAll,
-                         size_t capacity = kDefaultCapacity,
-                         Arena* arena = nullptr);
+                         size_t capacity = kDefaultCapacity);
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
@@ -148,7 +145,7 @@ class TraceRecorder {
   const SimClock* clock_ = nullptr;
   uint32_t categories_;
   size_t capacity_;
-  std::vector<TraceEvent, ArenaAllocator<TraceEvent>> ring_;
+  std::vector<TraceEvent> ring_;
   size_t head_ = 0;  // Next overwrite position once the ring is full.
   uint64_t recorded_ = 0;
   std::vector<std::string> names_;

@@ -166,6 +166,14 @@ Status RestorePlan(SnapshotReader& r, PlannedRoute& route) {
   RETURN_IF_ERROR(r.F64(&route.total_time_s));
   uint32_t stops = 0;
   RETURN_IF_ERROR(r.U32(&stops));
+  // Bound the count by the bytes left before reserving: the PLAN section
+  // precedes the tick checksum, so nothing else vets a corrupt count.
+  constexpr size_t kStopBytes = 8 + 8 + 8;  // job index, energy, time
+  if (stops > r.remaining() / kStopBytes) {
+    return InvalidArgumentError(
+        "replay log: plan claims " + std::to_string(stops) + " stops, " +
+        std::to_string(r.remaining()) + " bytes remain");
+  }
   route.stops.clear();
   route.stops.reserve(stops);
   for (uint32_t i = 0; i < stops; ++i) {

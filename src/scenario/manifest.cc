@@ -1,6 +1,5 @@
 #include "src/scenario/manifest.h"
 
-#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <utility>
@@ -30,35 +29,6 @@ StatusOr<bool> ParseManifestBool(const std::string& text,
   }
   return InvalidArgumentError(what + ": \"" + text +
                               "\" is not a boolean (expected true or false)");
-}
-
-bool IsWhitespace(const std::string& text) {
-  for (char c : text) {
-    if (c != ' ' && c != '\t' && c != '\n' && c != '\r') {
-      return false;
-    }
-  }
-  return true;
-}
-
-Status CheckNoText(const XmlElement& element) {
-  if (!IsWhitespace(element.text)) {
-    return InvalidArgumentError("<" + element.name +
-                                ">: unexpected text content");
-  }
-  return OkStatus();
-}
-
-Status CheckAttributes(const XmlElement& element,
-                       const std::vector<std::string>& allowed) {
-  for (const auto& [key, value] : element.attributes) {
-    (void)value;
-    if (std::find(allowed.begin(), allowed.end(), key) == allowed.end()) {
-      return InvalidArgumentError("<" + element.name +
-                                  ">: unknown attribute \"" + key + "\"");
-    }
-  }
-  return OkStatus();
 }
 
 StatusOr<JitteredWindow> ParseFaultElement(const XmlElement& element,
@@ -482,13 +452,6 @@ StatusOr<std::unique_ptr<XmlElement>> JsonToCampaignElement(
 }
 
 // --- Canonical dump --------------------------------------------------------
-
-void EmitNumberUnlessDefault(XmlElement& element, const std::string& attr,
-                             double value, double fallback) {
-  if (value != fallback) {
-    element.attributes[attr] = FormatNumberCompact(value);
-  }
-}
 
 void EmitIntUnlessDefault(XmlElement& element, const std::string& attr,
                           int value, int fallback) {

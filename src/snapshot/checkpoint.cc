@@ -1,5 +1,8 @@
 #include "src/snapshot/checkpoint.h"
 
+#include <string>
+#include <utility>
+
 namespace androne {
 
 void CheckpointHeader::Save(SnapshotWriter& w) const {
@@ -39,30 +42,17 @@ Status CheckpointHeader::Load(SnapshotReader& r, uint64_t expected_seed,
   return r.I64(&sim_time);
 }
 
-Status CheckpointStore::Put(SimTime sim_time, std::string blob) {
-  size_t bytes = blob.size();
-  LayerId layer = images_.AddLayer(
-      LayerFiles{{"/checkpoint/state", {std::move(blob), false}}});
-  ASSIGN_OR_RETURN(ImageId image,
-                   images_.CreateImage("ckpt@" + std::to_string(sim_time),
-                                       {layer}));
-  latest_image_ = image;
+void CheckpointStore::Put(SimTime sim_time, std::string blob) {
+  latest_ = std::move(blob);
   latest_time_ = sim_time;
-  latest_bytes_ = bytes;
   ++count_;
-  return OkStatus();
 }
 
 StatusOr<std::string> CheckpointStore::Latest() const {
-  if (latest_image_ == 0) {
+  if (count_ == 0) {
     return NotFoundError("no checkpoint captured yet");
   }
-  ASSIGN_OR_RETURN(auto files, images_.Flatten(latest_image_));
-  auto it = files.find("/checkpoint/state");
-  if (it == files.end()) {
-    return InternalError("checkpoint image missing state file");
-  }
-  return it->second;
+  return latest_;
 }
 
 }  // namespace androne

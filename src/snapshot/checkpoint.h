@@ -1,15 +1,12 @@
 // World checkpoints (DESIGN.md §13): a versioned header around the
 // snapshot byte stream, a cadence policy deciding when FleetWorld captures
-// one, and a store that persists checkpoint blobs as container images so
-// recovery rides the same image_store Export/Import path a virtual drone's
-// VDR state does.
+// one, and a store that keeps the latest checkpoint blob for recovery.
 #ifndef SRC_SNAPSHOT_CHECKPOINT_H_
 #define SRC_SNAPSHOT_CHECKPOINT_H_
 
 #include <cstdint>
 #include <string>
 
-#include "src/container/image_store.h"
 #include "src/snapshot/snapshot.h"
 #include "src/util/time.h"
 
@@ -47,25 +44,22 @@ struct CheckpointHeader {
               uint64_t expected_fingerprint);
 };
 
-// Keeps the most recent checkpoints as images in an ImageStore. Each
-// Put() creates an image "ckpt@<sim_time_ns>" whose single layer holds the
-// blob; Latest() flattens the newest image back to bytes — the
-// supervisor's restore-with-backoff path loads from here.
+// Keeps the most recent checkpoint blob: each Put() replaces the previous
+// one, so a world holds one blob however many it captures. The
+// supervisor's restore-with-backoff path loads Latest().
 class CheckpointStore {
  public:
-  Status Put(SimTime sim_time, std::string blob);
+  void Put(SimTime sim_time, std::string blob);
   // NotFoundError when no checkpoint has been stored yet.
   StatusOr<std::string> Latest() const;
 
   int count() const { return count_; }
   SimTime latest_time() const { return latest_time_; }
-  size_t latest_bytes() const { return latest_bytes_; }
+  size_t latest_bytes() const { return latest_.size(); }
 
  private:
-  ImageStore images_;
-  ImageId latest_image_ = 0;
+  std::string latest_;
   SimTime latest_time_ = 0;
-  size_t latest_bytes_ = 0;
   int count_ = 0;
 };
 

@@ -67,6 +67,33 @@ StatusOr<int> ParseManifestInt(const std::string& text,
   return static_cast<int>(value);
 }
 
+Status CheckNoText(const XmlElement& element) {
+  if (element.text.find_first_not_of(" \t\n\r") != std::string::npos) {
+    return InvalidArgumentError("<" + element.name +
+                                ">: unexpected text content");
+  }
+  return OkStatus();
+}
+
+Status CheckAttributes(const XmlElement& element,
+                       const std::vector<std::string>& allowed) {
+  for (const auto& [key, value] : element.attributes) {
+    (void)value;
+    if (std::find(allowed.begin(), allowed.end(), key) == allowed.end()) {
+      return InvalidArgumentError("<" + element.name +
+                                  ">: unknown attribute \"" + key + "\"");
+    }
+  }
+  return OkStatus();
+}
+
+void EmitNumberUnlessDefault(XmlElement& element, const std::string& attr,
+                             double value, double fallback) {
+  if (value != fallback) {
+    element.attributes[attr] = FormatNumberCompact(value);
+  }
+}
+
 StatusOr<std::unique_ptr<XmlElement>> FaultWindowToXml(
     const FaultWindowSpec& window, const FaultVocabulary& vocabulary) {
   RETURN_IF_ERROR(FaultSchedule::ValidateWindow(window, vocabulary.max_kind(),
@@ -100,19 +127,10 @@ StatusOr<FaultWindowSpec> FaultWindowFromXml(
     const XmlElement& element, const FaultVocabulary& vocabulary,
     const std::vector<std::string>& extra_allowed) {
   const std::string where = "<" + element.name + ">";
-  for (const auto& [key, value] : element.attributes) {
-    (void)value;
-    if (key == "kind" || key == vocabulary.scope_attr || key == "start_s" ||
-        key == "dur_s" || key == "p0" || key == "p1" || key == "d0_ms") {
-      continue;
-    }
-    if (std::find(extra_allowed.begin(), extra_allowed.end(), key) !=
-        extra_allowed.end()) {
-      continue;
-    }
-    return InvalidArgumentError(where + ": unknown attribute \"" + key +
-                                "\"");
-  }
+  std::vector<std::string> allowed = {"kind", vocabulary.scope_attr, "start_s",
+                                      "dur_s", "p0", "p1", "d0_ms"};
+  allowed.insert(allowed.end(), extra_allowed.begin(), extra_allowed.end());
+  RETURN_IF_ERROR(CheckAttributes(element, allowed));
 
   FaultWindowSpec window;
   const std::string kind = element.Attr("kind");

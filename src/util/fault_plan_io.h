@@ -69,6 +69,18 @@ StatusOr<double> ParseManifestSeconds(const std::string& text,
 StatusOr<int> ParseManifestInt(const std::string& text,
                                const std::string& what, int min_value);
 
+// Strictness checks shared by the XML manifest loaders: an element may carry
+// only whitespace text, and only attributes named in |allowed|. Errors name
+// the element.
+Status CheckNoText(const XmlElement& element);
+Status CheckAttributes(const XmlElement& element,
+                       const std::vector<std::string>& allowed);
+
+// Canonical dumps omit defaults: sets |attr| to |value| in compact form
+// only when it differs from |fallback|.
+void EmitNumberUnlessDefault(XmlElement& element, const std::string& attr,
+                             double value, double fallback);
+
 }  // namespace androne
 
 #endif  // SRC_UTIL_FAULT_PLAN_IO_H_

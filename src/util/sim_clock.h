@@ -17,7 +17,6 @@
 #include <functional>
 #include <vector>
 
-#include "src/util/arena.h"
 #include "src/util/time.h"
 
 namespace androne {
@@ -31,14 +30,7 @@ class SimClock {
  public:
   using Callback = std::function<void()>;
 
-  // |arena| (optional, borrowed) backs the event heap, slot table, and
-  // free-slot stack, so a fleet worker's worlds never touch the global
-  // allocator for clock bookkeeping (DESIGN.md §14). Closure captures
-  // larger than std::function's inline buffer still heap-allocate.
-  explicit SimClock(Arena* arena = nullptr)
-      : heap_(ArenaAllocator<Event>(arena)),
-        slots_(ArenaAllocator<Slot>(arena)),
-        free_slots_(ArenaAllocator<uint32_t>(arena)) {}
+  SimClock() = default;
   SimClock(const SimClock&) = delete;
   SimClock& operator=(const SimClock&) = delete;
 
@@ -151,9 +143,9 @@ class SimClock {
   SimTime now_ = 0;
   uint64_t next_seq_ = 1;
   DispatchHook dispatch_hook_;
-  std::vector<Event, ArenaAllocator<Event>> heap_;
-  std::vector<Slot, ArenaAllocator<Slot>> slots_;
-  std::vector<uint32_t, ArenaAllocator<uint32_t>> free_slots_;
+  std::vector<Event> heap_;
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_slots_;
   size_t live_count_ = 0;
   size_t cancelled_pending_ = 0;
   uint64_t events_run_ = 0;

@@ -525,36 +525,5 @@ TEST_F(BinderFixture, LookupEpochAdvancesOnlyOnRebindingEvents) {
   EXPECT_GT(driver_.lookup_epoch(), epoch);
 }
 
-TEST(ParcelFreelistTest, RecyclesEntryStorage) {
-  size_t during = 0;
-  {
-    Parcel p;  // May adopt a parked vector; measure after construction.
-    p.WriteInt32(7);
-    p.WriteString("pooled");
-    during = Parcel::FreelistSize();
-  }
-  // The destroyed parcel's entry vector parks on the thread-local freelist…
-  EXPECT_EQ(Parcel::FreelistSize(), during + 1);
-  // …and the next parcel adopts it (cleared) instead of allocating.
-  Parcel reuse;
-  EXPECT_EQ(Parcel::FreelistSize(), during);
-  EXPECT_EQ(reuse.entry_count(), 0u);
-  reuse.WriteInt32(1);
-  EXPECT_EQ(reuse.ReadInt32().value(), 1);
-}
-
-TEST(ParcelFreelistTest, MovedFromParcelDoesNotDoublePool) {
-  size_t during = 0;
-  {
-    Parcel a;
-    a.WriteString("payload");
-    Parcel b = std::move(a);
-    EXPECT_EQ(b.ReadString().value(), "payload");
-    during = Parcel::FreelistSize();
-  }
-  // Only b's storage had capacity to park; the move emptied a.
-  EXPECT_EQ(Parcel::FreelistSize(), during + 1);
-}
-
 }  // namespace
 }  // namespace androne

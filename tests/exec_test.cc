@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <functional>
 #include <string>
@@ -9,7 +8,6 @@
 
 #include "src/exec/fleet_executor.h"
 #include "src/exec/fleet_world.h"
-#include "src/exec/thread_pool.h"
 #include "src/exec/world_template.h"
 #include "src/hw/sensor_faults.h"
 #include "src/net/fault_injector.h"
@@ -19,101 +17,6 @@
 
 namespace androne {
 namespace {
-
-// --- ThreadPool ---
-
-TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 1000; ++i) {
-    pool.Submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.Wait();
-  EXPECT_EQ(ran.load(), 1000);
-}
-
-TEST(ThreadPoolTest, WaitReturnsOnlyAfterTasksFinish) {
-  ThreadPool pool(2);
-  std::atomic<bool> done{false};
-  pool.Submit([&done] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    done.store(true);
-  });
-  pool.Wait();
-  EXPECT_TRUE(done.load());
-}
-
-TEST(ThreadPoolTest, TasksCanSubmitTasks) {
-  // A task fans out children; Wait() must cover the whole tree, not just the
-  // originally submitted roots.
-  ThreadPool pool(3);
-  std::atomic<int> leaves{0};
-  pool.Submit([&] {
-    for (int i = 0; i < 8; ++i) {
-      pool.Submit([&] {
-        for (int j = 0; j < 4; ++j) {
-          pool.Submit(
-              [&] { leaves.fetch_add(1, std::memory_order_relaxed); });
-        }
-      });
-    }
-  });
-  pool.Wait();
-  EXPECT_EQ(leaves.load(), 32);
-}
-
-TEST(ThreadPoolTest, PoolIsReusableAfterWait) {
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  pool.Submit([&ran] { ++ran; });
-  pool.Wait();
-  pool.Submit([&ran] { ++ran; });
-  pool.Wait();
-  EXPECT_EQ(ran.load(), 2);
-}
-
-TEST(ThreadPoolTest, IdleWorkersStealQueuedWork) {
-  if (ThreadPool::HardwareThreads() < 2) {
-    GTEST_SKIP() << "work stealing needs >1 hardware thread to be observable";
-  }
-  // Child tasks land on the spawning worker's own deque; with one worker
-  // busy fanning out slow tasks, the other workers can only get work by
-  // stealing.
-  ThreadPool pool(4);
-  std::atomic<int> ran{0};
-  pool.Submit([&] {
-    for (int i = 0; i < 64; ++i) {
-      pool.Submit([&ran] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        ran.fetch_add(1, std::memory_order_relaxed);
-      });
-    }
-  });
-  pool.Wait();
-  EXPECT_EQ(ran.load(), 64);
-  EXPECT_GT(pool.steals(), 0u);
-}
-
-TEST(ThreadPoolTest, DestructorDrainsQueuedWork) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 100; ++i) {
-      pool.Submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-    }
-    // No Wait(): the destructor must finish the queue before joining.
-  }
-  EXPECT_EQ(ran.load(), 100);
-}
-
-TEST(ThreadPoolTest, SizeClampsToAtLeastOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 1);
-  std::atomic<bool> ran{false};
-  pool.Submit([&ran] { ran = true; });
-  pool.Wait();
-  EXPECT_TRUE(ran.load());
-}
 
 // --- FleetExecutor ---
 
@@ -154,17 +57,21 @@ TEST(FleetExecutorTest, MergesCountersHistogramsAndEvents) {
 }
 
 TEST(FleetExecutorTest, FleetDigestIsThreadCountInvariant) {
-  uint64_t digests[3];
-  int thread_counts[] = {1, 2, 8};
-  for (int t = 0; t < 3; ++t) {
+  // 0 clamps to one worker; 16 leaves workers with no world to claim.
+  const int thread_counts[] = {1, 0, 2, 8, 16};
+  uint64_t digests[5];
+  for (int t = 0; t < 5; ++t) {
     FleetOptions options;
     options.threads = thread_counts[t];
     options.base_seed = 99;
     FleetExecutor executor(options);
-    digests[t] = executor.Run(8, CountingWorld).fleet_digest;
+    FleetReport report = executor.Run(8, CountingWorld);
+    EXPECT_EQ(report.completed, 8) << "threads=" << thread_counts[t];
+    digests[t] = report.fleet_digest;
   }
-  EXPECT_EQ(digests[0], digests[1]);
-  EXPECT_EQ(digests[0], digests[2]);
+  for (int t = 1; t < 5; ++t) {
+    EXPECT_EQ(digests[0], digests[t]) << "threads=" << thread_counts[t];
+  }
 }
 
 TEST(FleetExecutorTest, WallBudgetSkipsUnstartedWorlds) {

@@ -18,6 +18,7 @@
 #include "src/obs/trace.h"
 #include "src/replay/explore.h"
 #include "src/replay/replay_log.h"
+#include "src/snapshot/snapshot.h"
 #include "src/util/time_governor.h"
 
 namespace androne {
@@ -327,6 +328,34 @@ TEST(ReplayLogTest, RejectsTrailingGarbage) {
   auto parsed = ReplayLog::FromBytes(bytes, 7, 0x99);
   ASSERT_FALSE(parsed.ok());
   EXPECT_NE(parsed.status().message().find("trailing"), std::string::npos)
+      << parsed.status().ToString();
+}
+
+TEST(ReplayLogTest, RejectsAnOversizedPlanStopCount) {
+  // The PLAN section precedes the tick checksum, so a corrupt stop count
+  // must be caught by its own bound, not by an allocation failure.
+  ReplayLogWriter writer(/*seed=*/7, /*config_fingerprint=*/0x99);
+  PlannedRoute route;
+  route.total_time_s = 4321.125;
+  route.stops.push_back(PlannedStop{/*job_index=*/0,
+                                    /*arrival_energy_j=*/1.0,
+                                    /*arrival_time_s=*/2.0});
+  writer.SetPlan(route);
+  std::string bytes = writer.Finalize(ReplayFooter{});
+  ASSERT_TRUE(ReplayLog::FromBytes(bytes, 7, 0x99).ok());
+
+  // The u32 stop count directly follows total_time_s.
+  SnapshotWriter time_bytes;
+  time_bytes.F64(route.total_time_s);
+  const size_t at = bytes.find(time_bytes.bytes());
+  ASSERT_NE(at, std::string::npos);
+  for (size_t i = 0; i < 4; ++i) {
+    bytes[at + time_bytes.bytes().size() + i] = '\xff';
+  }
+  auto parsed = ReplayLog::FromBytes(bytes, 7, 0x99);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().message().find("stops"), std::string::npos)
       << parsed.status().ToString();
 }
 
