@@ -55,7 +55,7 @@ done
 echo "=== tier-1: plain build ==="
 cmake -S . -B build -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build -j "$JOBS"
-(cd build && ctest --output-on-failure)
+(cd build && ctest --output-on-failure -j "$JOBS")
 
 # Chaos campaign smoke: a seeded ~74-scenario sweep of every builtin fault
 # family. The binary exits nonzero if the report is nondeterministic or any
@@ -103,7 +103,7 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   cmake -S . -B build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DANDRONE_SANITIZE=address,undefined,float-cast-overflow >/dev/null
   cmake --build build-asan -j "$JOBS"
-  (cd build-asan && ctest --output-on-failure)
+  (cd build-asan && ctest --output-on-failure -j "$JOBS")
 
   # The fleet executor is the one genuinely multi-threaded subsystem: plain
   # worker threads claiming world indices from one atomic counter. Its
@@ -128,7 +128,8 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   ./build-tsan/tests/trace_golden_test
   ./build-tsan/tests/recovery_test
   # Replay under TSan: the shared ReplayLogStore (record fleet, replay at
-  # 1/2/8 threads) and the parsed-log cache are the cross-thread surfaces.
+  # 1/2/8 threads) and its cache of log views are the cross-thread
+  # surfaces.
   ./build-tsan/tests/replay_test
 
   # The same campaign smoke under ASan/UBSan: fault windows, triage

@@ -28,20 +28,20 @@ FleetReport FleetExecutor::Run(int num_worlds, const WorldFn& fn) {
   const Clock::time_point deadline =
       start + std::chrono::milliseconds(budgeted ? options_.wall_budget_ms : 0);
 
-  cancel_.store(false, std::memory_order_relaxed);
-
   FleetReport report;
   report.worlds.resize(static_cast<size_t>(num_worlds));
+  std::atomic<bool> cancel{false};
   std::atomic<int> retried{0};
 
-  auto run_world = [this, &fn, &report, &retried, budgeted, deadline](int i) {
+  auto run_world = [this, &fn, &report, &cancel, &retried, budgeted,
+                    deadline](int i) {
     WorldContext ctx;
     ctx.index = i;
     ctx.seed = WorldSeed(options_.base_seed, i);
-    ctx.cancelled = &cancel_;
+    ctx.cancelled = &cancel;
     WorldResult& out = report.worlds[static_cast<size_t>(i)];
     if (budgeted && std::chrono::steady_clock::now() >= deadline) {
-      cancel_.store(true, std::memory_order_relaxed);
+      cancel.store(true, std::memory_order_relaxed);
     }
     if (ctx.ShouldCancel()) {
       // Budget already spent: record the skip without running the world.

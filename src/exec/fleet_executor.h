@@ -90,8 +90,8 @@ struct WorldResult {
   // Record/replay bookkeeping (DESIGN.md §15). Same discipline as
   // |Recovery| and |Provision|: a replayed world must be bit-identical to
   // the run that recorded it everywhere that merges or digests, so replay
-  // telemetry (log sizes, tick counts, the digest-match verdict, governor
-  // pacing) rides in this side struct only.
+  // telemetry (log sizes, tick counts, the digest-match verdict) rides in
+  // this side struct only.
   struct Replay {
     bool recorded = false;   // This run produced a replay log.
     bool replayed = false;   // This run was driven from a replay log.
@@ -101,9 +101,6 @@ struct WorldResult {
     uint64_t log_bytes = 0;
     uint64_t ticks = 0;       // Ticks recorded (record) / installed (replay).
     uint64_t underruns = 0;   // Replay ticks the log ran dry (live fallback).
-    // --speed governor pacing (0 when unthrottled).
-    int64_t governor_slept_us = 0;
-    int64_t governor_sleeps = 0;
   };
   Replay replay;
   // Scenario identity and per-assertion failures, filled by campaign runs
@@ -179,16 +176,11 @@ class FleetExecutor {
   // Runs |num_worlds| invocations of |fn| on max(1, threads) worker
   // threads, each claiming the next unclaimed world index until none are
   // left, and merges the results. Blocking; reusable (each Run is
-  // independent).
+  // independent and owns its cancel flag, which the wall budget trips).
   FleetReport Run(int num_worlds, const WorldFn& fn);
-
-  // Trips the cancel flag of the Run in progress (callable from any thread,
-  // e.g. an operator abort). The flag is also tripped by the wall budget.
-  void RequestCancel() { cancel_.store(true, std::memory_order_relaxed); }
 
  private:
   FleetOptions options_;
-  std::atomic<bool> cancel_{false};
 };
 
 }  // namespace androne

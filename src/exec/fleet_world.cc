@@ -25,7 +25,6 @@
 #include "src/util/bytes.h"
 #include "src/util/fault_plan.h"
 #include "src/util/logging.h"
-#include "src/util/time_governor.h"
 
 namespace androne {
 
@@ -89,8 +88,7 @@ void VisitConfig(const FleetWorldConfig& config, V&& v) {
                trace_categories, trace_capacity, trace, downlink_profile,
                net_faults, sensor_faults, crash_loop, checkpoint, crash_at_s,
                restore, tolerate_deploy_rejection, templates, record_into,
-               replay_from, fork_blob, fork_reseed, checkpoint_sink,
-               speed] = config;
+               replay_from, fork_blob, fork_reseed, checkpoint_sink] = config;
   auto window = [&v](ConfigPhase phase, const FaultWindowSpec& w) {
     v(phase, w.kind, w.scope, w.start, w.end, w.p0, w.p1, w.d0);
   };
@@ -119,7 +117,7 @@ void VisitConfig(const FleetWorldConfig& config, V&& v) {
   }
   v(kWorld, tolerate_deploy_rejection);
   v(ConfigPhase::kRuntime, trace, checkpoint, restore, templates,
-    record_into, replay_from, fork_blob, fork_reseed, checkpoint_sink, speed);
+    record_into, replay_from, fork_blob, fork_reseed, checkpoint_sink);
 }
 
 // FNV-1a over the fields VisitConfig tags with the wanted phases, in tag
@@ -350,8 +348,9 @@ class WorldAttempt {
 
     // Record/replay attachment (DESIGN.md §15). Hooks draw no randomness,
     // so attaching after the reseed boundary keeps all three boot paths
-    // byte-equivalent. Replay parses and validates the log up front — a
-    // missing/mismatched/corrupt log fails the build, never mid-flight.
+    // byte-equivalent. Replay validates the log up front — a
+    // missing/mismatched/corrupt log fails the build, never mid-flight —
+    // and then decodes one tick at a time into a reused sample.
     if (config_.replay_from != nullptr) {
       auto parsed = config_.replay_from->Parsed(ctx_.seed, fingerprint_);
       if (!parsed.ok()) {
@@ -359,10 +358,11 @@ class WorldAttempt {
       }
       replay_log_ = std::move(*parsed);
       system_->flight().SetPlaneSource([this]() -> const FlightPlaneSample* {
-        if (replay_cursor_ >= replay_log_->ticks().size()) {
+        if (replay_cursor_ >= replay_log_->tick_count()) {
           return nullptr;
         }
-        return &replay_log_->ticks()[replay_cursor_++];
+        replay_log_->ReadTick(replay_cursor_++, replay_sample_);
+        return &replay_sample_;
       });
     }
     if (config_.record_into != nullptr) {
@@ -410,18 +410,9 @@ class WorldAttempt {
   }
 
   Status FlyImpl(bool resumed, CheckpointStore* store) {
-    if (config_.speed > 0) {
-      TimeGovernor::Options pace;
-      pace.speed = config_.speed;
-      governor_ = std::make_unique<TimeGovernor>(pace);
-      governor_->Start(clock_.now());
-    }
     system_->SetMissionPulse([this, store] {
       if (crashed_) {
         return false;  // The world process dies here.
-      }
-      if (governor_ != nullptr) {
-        governor_->Pace(clock_.now());
       }
       // A replaying world never checkpoints: the skipped continuous layer
       // (physics internals, estimator filter state, sensor RNG streams)
@@ -606,9 +597,9 @@ class WorldAttempt {
   }
 
   // Replay-engine epilogue, after Finish has scraped the result: seal and
-  // publish the recorded log, verify a replay against the recorded footer,
-  // and surface governor pacing — all into the Replay side struct (never
-  // counters/metrics/digests; see WorldResult::Replay).
+  // publish the recorded log and verify a replay against the recorded
+  // footer — both into the Replay side struct (never counters/metrics/
+  // digests; see WorldResult::Replay).
   void FinalizeReplay(WorldResult& result) {
     const uint64_t trace_hash =
         Fnv1a64(result.trace_text.data(), result.trace_text.size());
@@ -641,10 +632,6 @@ class WorldAttempt {
       result.replay.log_bytes = bytes.size();
       result.replay.ticks = recorder_->tick_count();
       config_.record_into->Put(ctx_.seed, std::move(bytes));
-    }
-    if (governor_ != nullptr) {
-      result.replay.governor_slept_us = governor_->slept_us();
-      result.replay.governor_sleeps = governor_->sleeps();
     }
   }
 
@@ -873,12 +860,13 @@ class WorldAttempt {
   FlightExecutionReport flight_report_;
   bool flight_ok_ = true;
 
-  // Record/replay engine (DESIGN.md §15). The parsed log is shared with
-  // the store's cache (and any sibling replays of the same seed).
+  // Record/replay engine (DESIGN.md §15). The log view is shared with the
+  // store's cache (and any sibling replays of the same seed); each tick
+  // decodes into |replay_sample_|.
   std::shared_ptr<const ReplayLog> replay_log_;
-  size_t replay_cursor_ = 0;
+  uint64_t replay_cursor_ = 0;
+  FlightPlaneSample replay_sample_;
   std::unique_ptr<ReplayLogWriter> recorder_;
-  std::unique_ptr<TimeGovernor> governor_;
 
   // Provisioning telemetry (side-struct data; never digested).
   bool cloned_ = false;

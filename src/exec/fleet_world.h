@@ -153,10 +153,6 @@ struct FleetWorldConfig {
   // fork-and-explore can harvest decision-point blobs after the run)
   // instead of a run-local store. Borrowed; must outlive the run.
   CheckpointStore* checkpoint_sink = nullptr;
-  // --speed governor: sim seconds per wall second, paced at the mission
-  // pulse. 0 (default) = unthrottled. Pacing only ever sleeps the worker;
-  // it never touches the SimClock, so digests are identical at any speed.
-  double speed = 0;
 };
 
 // Runs one world to completion (or early abort on fleet cancellation) and
@@ -179,8 +175,8 @@ Status VerifyFleetCheckpoint(const FleetWorldConfig& config,
 // world template cache; ConfigFingerprint folds boot and world fields and
 // binds checkpoints and replay logs to the world that wrote them.
 // Runtime-only fields — trace, templates, record_into, replay_from,
-// fork_blob, fork_reseed, checkpoint_sink, checkpoint, restore, speed —
-// feed neither.
+// fork_blob, fork_reseed, checkpoint_sink, checkpoint, restore — feed
+// neither.
 uint64_t TemplateFingerprint(const FleetWorldConfig& config);
 uint64_t ConfigFingerprint(const FleetWorldConfig& config);
 

@@ -27,7 +27,7 @@
 // cache, which is what lets a 1000-scenario campaign share a handful of
 // templates. Runtime-only fields (trace, templates, record_into,
 // replay_from, fork_blob, fork_reseed, checkpoint_sink, checkpoint,
-// restore, speed) feed neither fingerprint.
+// restore) feed neither fingerprint.
 #ifndef SRC_EXEC_WORLD_TEMPLATE_H_
 #define SRC_EXEC_WORLD_TEMPLATE_H_
 

@@ -34,6 +34,22 @@ struct PositionEstimate {
   bool valid = false;
 };
 
+// Field lists shared by the estimator checkpoint and the replay-log tick
+// (DESIGN.md §13, §15).
+template <class Ar>
+void VisitValue(Ar& ar, AttitudeEstimate& a) {
+  ar.F64(a.roll_rad);
+  ar.F64(a.pitch_rad);
+  ar.F64(a.yaw_rad);
+}
+
+template <class Ar>
+void VisitValue(Ar& ar, PositionEstimate& p) {
+  VisitValue(ar, p.position);
+  VisitValue(ar, p.velocity_ms);
+  ar.Bool(p.valid);
+}
+
 enum class EstimatorSensor { kImu = 0, kBaro = 1, kMag = 2, kGps = 3 };
 inline constexpr int kNumEstimatorSensors = 4;
 
@@ -119,12 +135,8 @@ class Estimator {
   template <class Ar>
   Status Visit(Ar& ar) {
     ar.Section("ESTM");
-    ar.F64(attitude_.roll_rad);
-    ar.F64(attitude_.pitch_rad);
-    ar.F64(attitude_.yaw_rad);
-    VisitValue(ar, position_.position);
-    VisitValue(ar, position_.velocity_ms);
-    ar.Bool(position_.valid);
+    VisitValue(ar, attitude_);
+    VisitValue(ar, position_);
     ar.F64(baro_alt_m_);
     ar.Bool(have_baro_);
     ar.I64(last_fix_time_);

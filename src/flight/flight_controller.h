@@ -81,6 +81,24 @@ struct FlightPlaneSample {
   DroneGroundTruth truth;
 };
 
+// The tick layout of the replay log: ReplayLogWriter and ReplayLog both
+// walk this one list, so the two cannot disagree on order or width.
+template <class Ar>
+void VisitValue(Ar& ar, FlightPlaneSample& s) {
+  ar.F64(s.wake_latency_us);
+  VisitValue(ar, s.est_attitude);
+  VisitValue(ar, s.est_position);
+  ar.I64(s.est_last_fix_time);
+  for (uint8_t& h : s.est_health) {
+    ar.U8(h);
+  }
+  for (double& g : s.est_gyro) {
+    ar.F64(g);
+  }
+  ar.Bool(s.est_dead_reckoning);
+  VisitValue(ar, s.truth);
+}
+
 class FlightController {
  public:
   using Sender = std::function<void(const MavlinkFrame&)>;

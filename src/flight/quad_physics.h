@@ -66,17 +66,7 @@ class QuadPhysics {
     ar.F64(p_);
     ar.F64(q_);
     ar.F64(r_);
-    VisitValue(ar, truth_.position);
-    VisitValue(ar, truth_.velocity_ms);
-    ar.F64(truth_.roll_rad);
-    ar.F64(truth_.pitch_rad);
-    ar.F64(truth_.yaw_rad);
-    ar.F64(truth_.roll_rate_rads);
-    ar.F64(truth_.pitch_rate_rads);
-    ar.F64(truth_.yaw_rate_rads);
-    ar.F64(truth_.accel_up_mss);
-    ar.F64(truth_.rotor_power_w);
-    ar.Bool(truth_.airborne);
+    VisitValue(ar, truth_);
     return ar.status();
   }
 

@@ -23,6 +23,23 @@ struct DroneGroundTruth {
   bool airborne = false;
 };
 
+// The one field list of the truth (DESIGN.md §13, §15): physics checkpoints
+// and every replay-log tick both walk it.
+template <class Ar>
+void VisitValue(Ar& ar, DroneGroundTruth& t) {
+  VisitValue(ar, t.position);
+  VisitValue(ar, t.velocity_ms);
+  ar.F64(t.roll_rad);
+  ar.F64(t.pitch_rad);
+  ar.F64(t.yaw_rad);
+  ar.F64(t.roll_rate_rads);
+  ar.F64(t.pitch_rate_rads);
+  ar.F64(t.yaw_rate_rads);
+  ar.F64(t.accel_up_mss);
+  ar.F64(t.rotor_power_w);
+  ar.Bool(t.airborne);
+}
+
 }  // namespace androne
 
 #endif  // SRC_HW_GROUND_TRUTH_H_

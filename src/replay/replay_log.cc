@@ -1,10 +1,10 @@
 #include "src/replay/replay_log.h"
 
+#include <bit>
 #include <cstring>
 #include <utility>
 
 #include "src/util/bytes.h"
-#include "src/util/geo.h"
 
 namespace androne {
 
@@ -17,128 +17,35 @@ std::string HexU64(uint64_t v) {
   return buffer;
 }
 
-// Writer twins of RawCursor::Geo/Ned below.
-void PutGeo(SnapshotWriter& w, const GeoPoint& g) {
-  w.F64(g.latitude_deg);
-  w.F64(g.longitude_deg);
-  w.F64(g.altitude_m);
-}
+// Reads ticks out of the region FromBytes bounds-checked, through the same
+// VisitValue list the writer used. Ticks are nearly all of a log and a
+// replaying world decodes every one, so this skips SnapshotReader's
+// per-field call and Status and loads each 8-byte field as one unaligned
+// word (GCC 12 does not merge a byte-shift loop into one load).
+struct TickReader {
+  static_assert(std::endian::native == std::endian::little,
+                "the log is little-endian; a word load must match it");
+  const char* p;
 
-void PutNed(SnapshotWriter& w, const NedPoint& n) {
-  w.F64(n.north_m);
-  w.F64(n.east_m);
-  w.F64(n.down_m);
-}
-
-void SaveTruth(SnapshotWriter& w, const DroneGroundTruth& t) {
-  PutGeo(w, t.position);
-  PutNed(w, t.velocity_ms);
-  w.F64(t.roll_rad);
-  w.F64(t.pitch_rad);
-  w.F64(t.yaw_rad);
-  w.F64(t.roll_rate_rads);
-  w.F64(t.pitch_rate_rads);
-  w.F64(t.yaw_rate_rads);
-  w.F64(t.accel_up_mss);
-  w.F64(t.rotor_power_w);
-  w.Bool(t.airborne);
-}
-
-void SaveSample(SnapshotWriter& w, const FlightPlaneSample& s) {
-  w.F64(s.wake_latency_us);
-  w.F64(s.est_attitude.roll_rad);
-  w.F64(s.est_attitude.pitch_rad);
-  w.F64(s.est_attitude.yaw_rad);
-  PutGeo(w, s.est_position.position);
-  PutNed(w, s.est_position.velocity_ms);
-  w.Bool(s.est_position.valid);
-  w.I64(s.est_last_fix_time);
-  for (uint8_t h : s.est_health) {
-    w.U8(h);
-  }
-  for (double g : s.est_gyro) {
-    w.F64(g);
-  }
-  w.Bool(s.est_dead_reckoning);
-  SaveTruth(w, s.truth);
-}
-
-// Fast-path cursor over the fixed-width tick region. Samples dominate the
-// log (~230 bytes × one per 2.5 ms of flight), and the generic
-// SnapshotReader pays a non-inlined call + Status round trip per field —
-// tens of milliseconds per parsed world, slower than replaying it. The
-// cursor reads the identical little-endian encoding with inlined loads
-// after ONE bounds check for the whole region (FromBytes verifies
-// |tick count × sample size| up front). Must mirror SaveSample exactly;
-// kSampleBytes is derived from SaveSample itself, so a field added to one
-// but not the other breaks the round-trip tests immediately.
-struct RawCursor {
-  const uint8_t* p;
-
-  uint64_t U64() {
-    uint64_t v = 0;
-    for (size_t i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(p[i]) << (8 * i);
-    }
+  template <class T>
+  void Word(T& v) {
+    static_assert(sizeof(T) == 8);
+    std::memcpy(&v, p, 8);
     p += 8;
-    return v;
   }
-  int64_t I64() { return static_cast<int64_t>(U64()); }
-  double F64() {
-    uint64_t bits = U64();
-    double out;
-    std::memcpy(&out, &bits, sizeof(out));
-    return out;
-  }
-  uint8_t U8() { return *p++; }
-  bool Bool() { return *p++ != 0; }
-  void Geo(GeoPoint& g) {
-    g.latitude_deg = F64();
-    g.longitude_deg = F64();
-    g.altitude_m = F64();
-  }
-  void Ned(NedPoint& n) {
-    n.north_m = F64();
-    n.east_m = F64();
-    n.down_m = F64();
-  }
+  void F64(double& v) { Word(v); }
+  void I64(int64_t& v) { Word(v); }
+  void U8(uint8_t& v) { v = static_cast<uint8_t>(*p++); }
+  void Bool(bool& v) { v = *p++ != 0; }
 };
 
-void RestoreSampleRaw(RawCursor& c, FlightPlaneSample& s) {
-  s.wake_latency_us = c.F64();
-  s.est_attitude.roll_rad = c.F64();
-  s.est_attitude.pitch_rad = c.F64();
-  s.est_attitude.yaw_rad = c.F64();
-  c.Geo(s.est_position.position);
-  c.Ned(s.est_position.velocity_ms);
-  s.est_position.valid = c.Bool();
-  s.est_last_fix_time = c.I64();
-  for (uint8_t& h : s.est_health) {
-    h = c.U8();
-  }
-  for (double& g : s.est_gyro) {
-    g = c.F64();
-  }
-  s.est_dead_reckoning = c.Bool();
-  c.Geo(s.truth.position);
-  c.Ned(s.truth.velocity_ms);
-  s.truth.roll_rad = c.F64();
-  s.truth.pitch_rad = c.F64();
-  s.truth.yaw_rad = c.F64();
-  s.truth.roll_rate_rads = c.F64();
-  s.truth.pitch_rate_rads = c.F64();
-  s.truth.yaw_rate_rads = c.F64();
-  s.truth.accel_up_mss = c.F64();
-  s.truth.rotor_power_w = c.F64();
-  s.truth.airborne = c.Bool();
-}
-
-// Serialized size of one sample, derived from the writer so the raw reader
-// can never disagree with it about the region's total length.
+// Serialized size of one sample, derived from the writer so the reader can
+// never disagree with it about the region's total length.
 size_t SampleBytes() {
   static const size_t bytes = [] {
     SnapshotWriter w;
-    SaveSample(w, FlightPlaneSample{});
+    FlightPlaneSample sample;
+    VisitValue(w, sample);
     return w.bytes().size();
   }();
   return bytes;
@@ -234,7 +141,8 @@ void ReplayLogWriter::SetPlan(const PlannedRoute& route) {
 
 void ReplayLogWriter::Append(const FlightPlaneSample& sample) {
   ++ticks_;
-  SaveSample(tick_, sample);
+  // SnapshotWriter takes every field by value: the visit only reads.
+  VisitValue(tick_, const_cast<FlightPlaneSample&>(sample));
 }
 
 std::string ReplayLogWriter::Finalize(const ReplayFooter& footer) {
@@ -255,10 +163,10 @@ std::string ReplayLogWriter::Finalize(const ReplayFooter& footer) {
   return out;
 }
 
-StatusOr<ReplayLog> ReplayLog::FromBytes(const std::string& bytes,
-                                         uint64_t expected_seed,
-                                         uint64_t expected_fingerprint) {
-  SnapshotReader r(bytes);
+StatusOr<ReplayLog> ReplayLog::FromBytes(
+    std::shared_ptr<const std::string> bytes, uint64_t expected_seed,
+    uint64_t expected_fingerprint) {
+  SnapshotReader r(*bytes);
   uint64_t magic = 0;
   if (!r.U64(&magic).ok() || magic != kReplayLogMagic) {
     return InvalidArgumentError(
@@ -292,28 +200,21 @@ StatusOr<ReplayLog> ReplayLog::FromBytes(const std::string& bytes,
       RETURN_IF_ERROR(RestorePlan(r, log.plan_));
     }
     RETURN_IF_ERROR(r.Section("TICK"));
-    uint64_t ticks = 0;
-    RETURN_IF_ERROR(r.U64(&ticks));
-    // One bounds check for the whole fixed-width region, then the raw
-    // cursor: per-field Status plumbing costs more than re-flying the
-    // world (see RawCursor).
+    RETURN_IF_ERROR(r.U64(&log.tick_count_));
+    // One bounds check for the whole fixed-width region; ReadTick then
+    // decodes inside it without per-field checks.
     const size_t sample_bytes = SampleBytes();
-    if (ticks > (r.remaining() / sample_bytes)) {
+    if (log.tick_count_ > (r.remaining() / sample_bytes)) {
       return InternalError(
-          "replay log: tick section truncated: " + std::to_string(ticks) +
-          " samples recorded, " + std::to_string(r.remaining()) +
-          " bytes remain");
+          "replay log: tick section truncated: " +
+          std::to_string(log.tick_count_) + " samples recorded, " +
+          std::to_string(r.remaining()) + " bytes remain");
     }
-    size_t tick_start = r.position();
-    RawCursor cursor{
-        reinterpret_cast<const uint8_t*>(bytes.data() + tick_start)};
-    log.ticks_.resize(static_cast<size_t>(ticks));
-    for (FlightPlaneSample& sample : log.ticks_) {
-      RestoreSampleRaw(cursor, sample);
-    }
-    RETURN_IF_ERROR(r.Skip(static_cast<size_t>(ticks) * sample_bytes));
-    uint64_t actual_checksum =
-        Fnv1a64(bytes.data() + tick_start, r.position() - tick_start);
+    log.tick_offset_ = r.position();
+    RETURN_IF_ERROR(
+        r.Skip(static_cast<size_t>(log.tick_count_) * sample_bytes));
+    uint64_t actual_checksum = Fnv1a64(bytes->data() + log.tick_offset_,
+                                       r.position() - log.tick_offset_);
     uint64_t expected_checksum = 0;
     RETURN_IF_ERROR(RestoreFooter(r, log.footer_, &expected_checksum));
     if (actual_checksum != expected_checksum) {
@@ -331,15 +232,28 @@ StatusOr<ReplayLog> ReplayLog::FromBytes(const std::string& bytes,
                                 std::to_string(r.remaining()) +
                                 " trailing bytes after footer (log corrupted)");
   }
-  log.byte_size_ = bytes.size();
+  log.bytes_ = std::move(bytes);
   return log;
+}
+
+StatusOr<ReplayLog> ReplayLog::FromBytes(const std::string& bytes,
+                                         uint64_t expected_seed,
+                                         uint64_t expected_fingerprint) {
+  return FromBytes(std::make_shared<const std::string>(bytes), expected_seed,
+                   expected_fingerprint);
+}
+
+void ReplayLog::ReadTick(uint64_t index, FlightPlaneSample& out) const {
+  TickReader reader{bytes_->data() + tick_offset_ +
+                    static_cast<size_t>(index) * SampleBytes()};
+  VisitValue(reader, out);
 }
 
 void ReplayLogStore::Put(uint64_t seed, std::string bytes) {
   auto log = std::make_shared<const std::string>(std::move(bytes));
   std::lock_guard<std::mutex> lock(mu_);
   logs_[seed] = std::move(log);
-  parsed_.erase(seed);  // A re-recorded seed invalidates its cached parse.
+  parsed_.erase(seed);  // A re-recorded seed invalidates its cached view.
 }
 
 std::shared_ptr<const std::string> ReplayLogStore::Get(uint64_t seed) const {
@@ -372,10 +286,11 @@ StatusOr<std::shared_ptr<const ReplayLog>> ReplayLogStore::Parsed(
     }
     bytes = it->second;
   }
-  // Parse outside the lock: worlds replaying different seeds decode their
-  // logs concurrently. A racing double-parse of one seed is wasted work,
-  // not a hazard — last insert wins and both results are identical.
-  auto parsed = ReplayLog::FromBytes(*bytes, seed, expected_fingerprint);
+  // Validate outside the lock: worlds replaying different seeds checksum
+  // their logs concurrently. A racing double validation of one seed is
+  // wasted work, not a hazard — last insert wins and both views are equal.
+  auto parsed =
+      ReplayLog::FromBytes(std::move(bytes), seed, expected_fingerprint);
   if (!parsed.ok()) {
     return parsed.status();
   }

@@ -16,9 +16,12 @@
 //   "FOOT" [tick checksum u64 (FNV-1a over the sample bytes)]
 //          [sensor-fault counters] [expected digests] [completed bool]
 //
-// Loading validates magic, version, seed, fingerprint, and the tick
-// checksum, and rejects truncated or trailing bytes — every rejection is a
-// descriptive Status, never garbage samples.
+// A tick's layout is VisitValue(Ar&, FlightPlaneSample&): the writer and
+// the reader both walk that one list. Loading validates magic, version,
+// seed, fingerprint, and the tick checksum, and rejects truncated or
+// trailing bytes — every rejection is a descriptive Status, never garbage
+// samples. The stored bytes are the only copy of the ticks; a loaded log
+// decodes one on demand.
 #ifndef SRC_REPLAY_REPLAY_LOG_H_
 #define SRC_REPLAY_REPLAY_LOG_H_
 
@@ -27,7 +30,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "src/cloud/flight_planner.h"
 #include "src/flight/flight_controller.h"
@@ -79,12 +81,17 @@ class ReplayLogWriter {
   PlannedRoute plan_;
 };
 
-// A parsed, validated replay log.
+// A validated view over one log's bytes. It shares ownership of the bytes
+// and decodes a tick only when asked, so a loaded log costs its bytes once.
 class ReplayLog {
  public:
-  // Parses and validates |bytes|. |expected_seed| / |expected_fingerprint|
-  // pin the log to the world about to replay it; pass the values from the
-  // log's own header only when re-reading a log you just recorded.
+  // Validates |bytes|. |expected_seed| / |expected_fingerprint| pin the log
+  // to the world about to replay it; pass the values from the log's own
+  // header only when re-reading a log you just recorded. No tick is decoded.
+  static StatusOr<ReplayLog> FromBytes(
+      std::shared_ptr<const std::string> bytes, uint64_t expected_seed,
+      uint64_t expected_fingerprint);
+  // Same, over a private copy of |bytes|.
   static StatusOr<ReplayLog> FromBytes(const std::string& bytes,
                                        uint64_t expected_seed,
                                        uint64_t expected_fingerprint);
@@ -93,20 +100,24 @@ class ReplayLog {
   uint64_t config_fingerprint() const { return fingerprint_; }
   bool have_plan() const { return have_plan_; }
   const PlannedRoute& plan() const { return plan_; }
-  const std::vector<FlightPlaneSample>& ticks() const { return ticks_; }
+  uint64_t tick_count() const { return tick_count_; }
+  // Decodes tick |index| (< tick_count()) into |out|, overwriting every
+  // field.
+  void ReadTick(uint64_t index, FlightPlaneSample& out) const;
   const ReplayFooter& footer() const { return footer_; }
-  size_t byte_size() const { return byte_size_; }
+  size_t byte_size() const { return bytes_->size(); }
 
  private:
   ReplayLog() = default;
 
+  std::shared_ptr<const std::string> bytes_;
+  size_t tick_offset_ = 0;  // Where the first tick starts in |bytes_|.
+  uint64_t tick_count_ = 0;
   uint64_t seed_ = 0;
   uint64_t fingerprint_ = 0;
   bool have_plan_ = false;
   PlannedRoute plan_;
-  std::vector<FlightPlaneSample> ticks_;
   ReplayFooter footer_;
-  size_t byte_size_ = 0;
 };
 
 // Thread-safe log store keyed by world seed, shared across a fleet: a
@@ -117,12 +128,12 @@ class ReplayLogStore {
   void Put(uint64_t seed, std::string bytes);
   // Null when no log was recorded for |seed|.
   std::shared_ptr<const std::string> Get(uint64_t seed) const;
-  // The parsed, validated log for |seed| — parsed once and cached, so a
-  // fleet replaying the same store many times (thread sweeps, reps) pays
-  // the multi-megabyte decode once per world, not once per run. The
-  // fingerprint is re-checked against the cached header on every call.
-  // NotFoundError when no log was recorded for |seed|; parse failures are
-  // returned verbatim (and never cached).
+  // The validated view of |seed|'s log. It shares the stored bytes and is
+  // cached, so a fleet replaying the same store many times (thread sweeps,
+  // reps) pays the multi-megabyte checksum once per world, not once per
+  // run. The fingerprint is re-checked against the cached header on every
+  // call. NotFoundError when no log was recorded for |seed|; validation
+  // failures are returned verbatim (and never cached).
   StatusOr<std::shared_ptr<const ReplayLog>> Parsed(
       uint64_t seed, uint64_t expected_fingerprint) const;
   size_t count() const;

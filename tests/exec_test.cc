@@ -106,32 +106,6 @@ TEST(FleetExecutorTest, WallBudgetSkipsUnstartedWorlds) {
                    static_cast<double>(report.skipped));
 }
 
-TEST(FleetExecutorTest, RequestCancelStopsRemainingWorlds) {
-  FleetOptions options;
-  options.threads = 2;
-  FleetExecutor executor(options);
-  FleetReport report = executor.Run(40, [&](const WorldContext& ctx) {
-    if (ctx.index == 0) {
-      executor.RequestCancel();
-    }
-    WorldResult r;
-    r.completed = true;
-    return r;
-  });
-  // World 0 cancels the rest; some already-started worlds may finish, but
-  // far from all 40 run.
-  EXPECT_GT(report.cancelled, 0);
-}
-
-TEST(FleetExecutorTest, CancelFlagResetsBetweenRuns) {
-  FleetOptions options;
-  options.threads = 2;
-  FleetExecutor executor(options);
-  executor.RequestCancel();
-  FleetReport report = executor.Run(4, CountingWorld);
-  EXPECT_EQ(report.completed, 4);  // A new Run starts uncancelled.
-}
-
 // --- Fleet world determinism (the satellite check): the same fleet config
 // must produce identical per-world flight-log/histogram digests at 1, 2,
 // and 8 threads. ---
@@ -437,7 +411,6 @@ TEST(ConfigFingerprintTest, EveryFieldMovesTheFingerprintsItsTagNames) {
       {"fork_reseed", kRuntime, none, [](auto& c) { c.fork_reseed = 5; }},
       {"checkpoint_sink", kRuntime, none,
        [&](auto& c) { c.checkpoint_sink = &sink; }},
-      {"speed", kRuntime, none, [](auto& c) { c.speed = 2; }},
   };
   for (const Case& test : cases) {
     FleetWorldConfig base;

@@ -3,9 +3,8 @@
 // digest, metrics, and trace — at any executor thread count; a replay run
 // that records must reproduce the log byte-for-byte (the fixed point); a
 // corrupted, truncated, or mismatched log must be rejected with a
-// descriptive Status; fork-and-explore's control branch must continue the
-// recorded timeline bit-identically; and the --speed governor must pace
-// without moving a single digest.
+// descriptive Status; and fork-and-explore's control branch must continue
+// the recorded timeline bit-identically.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,7 +18,6 @@
 #include "src/replay/explore.h"
 #include "src/replay/replay_log.h"
 #include "src/snapshot/snapshot.h"
-#include "src/util/time_governor.h"
 
 namespace androne {
 namespace {
@@ -123,33 +121,38 @@ TEST(ReplayTest, FleetReplayIsThreadCountInvariant) {
   }
 }
 
-TEST(ReplayTest, RecordReplayRecordIsAByteFixedPoint) {
-  // Property: across 32 seeds, a replaying world that also records must
-  // reproduce the original log byte-for-byte — what a replay tick installs
-  // is exactly what the recorder captures.
-  for (uint64_t seed = 1; seed <= 32; ++seed) {
-    ReplayLogStore first, second;
-    FleetWorldConfig record_config = SmallConfig();
-    record_config.record_into = &first;
-    WorldResult recorded = RunFleetWorld(record_config, MakeContext(seed));
-    ASSERT_FALSE(recorded.infra_failure) << "seed=" << seed;
+// Property: across 32 seeds, a replaying world that also records must
+// reproduce the original log byte-for-byte — what a replay tick installs
+// is exactly what the recorder captures. One test per seed, so the seeds
+// run in parallel under ctest.
+class ReplayFixedPointTest : public ::testing::TestWithParam<uint64_t> {};
 
-    FleetWorldConfig both_config = SmallConfig();
-    both_config.replay_from = &first;
-    both_config.record_into = &second;
-    WorldResult replayed = RunFleetWorld(both_config, MakeContext(seed));
-    ASSERT_FALSE(replayed.infra_failure) << "seed=" << seed;
-    EXPECT_TRUE(replayed.replay.digest_match) << "seed=" << seed;
+TEST_P(ReplayFixedPointTest, RecordReplayRecordIsAByteFixedPoint) {
+  const uint64_t seed = GetParam();
+  ReplayLogStore first, second;
+  FleetWorldConfig record_config = SmallConfig();
+  record_config.record_into = &first;
+  WorldResult recorded = RunFleetWorld(record_config, MakeContext(seed));
+  ASSERT_FALSE(recorded.infra_failure) << "seed=" << seed;
 
-    auto original = first.Get(seed);
-    auto reproduced = second.Get(seed);
-    ASSERT_NE(original, nullptr) << "seed=" << seed;
-    ASSERT_NE(reproduced, nullptr) << "seed=" << seed;
-    EXPECT_TRUE(*original == *reproduced)
-        << "seed=" << seed << ": replay did not reproduce its own log ("
-        << original->size() << " vs " << reproduced->size() << " bytes)";
-  }
+  FleetWorldConfig both_config = SmallConfig();
+  both_config.replay_from = &first;
+  both_config.record_into = &second;
+  WorldResult replayed = RunFleetWorld(both_config, MakeContext(seed));
+  ASSERT_FALSE(replayed.infra_failure) << "seed=" << seed;
+  EXPECT_TRUE(replayed.replay.digest_match) << "seed=" << seed;
+
+  auto original = first.Get(seed);
+  auto reproduced = second.Get(seed);
+  ASSERT_NE(original, nullptr) << "seed=" << seed;
+  ASSERT_NE(reproduced, nullptr) << "seed=" << seed;
+  EXPECT_TRUE(*original == *reproduced)
+      << "seed=" << seed << ": replay did not reproduce its own log ("
+      << original->size() << " vs " << reproduced->size() << " bytes)";
 }
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ReplayFixedPointTest,
+                         ::testing::Range<uint64_t>(1, 33));
 
 TEST(ReplayTest, ReplayAgainstMissingLogIsAnInfraFailure) {
   ReplayLogStore empty;
@@ -216,8 +219,79 @@ TEST(ReplayTest, RecordOrReplayRejectsCrashChaos) {
 
 // --- Log container validation -------------------------------------------
 
+// A sample whose every numeric field holds a value distinct from its
+// default and from every other field. Consecutive |k| differ in every
+// field: the bools are all true at k = 0 and flip with each k.
+FlightPlaneSample DistinctSample(int k) {
+  const double b = 100.0 * (k + 1);
+  const bool on = k % 2 == 0;
+  FlightPlaneSample s;
+  s.wake_latency_us = b + 0.5;
+  s.est_attitude.roll_rad = b + 1.25;
+  s.est_attitude.pitch_rad = -(b + 2.25);
+  s.est_attitude.yaw_rad = b + 3.25;
+  s.est_position.position = GeoPoint{b + 4.5, -(b + 5.5), b + 6.5};
+  s.est_position.velocity_ms = NedPoint{b + 7.75, -(b + 8.75), b + 9.75};
+  s.est_position.valid = on;
+  s.est_last_fix_time = -(1'000'003 + 17 * k);
+  for (size_t i = 0; i < s.est_health.size(); ++i) {
+    s.est_health[i] = static_cast<uint8_t>(1 + 4 * k + static_cast<int>(i));
+  }
+  s.est_gyro = {b + 10.125, -(b + 11.125), b + 12.125};
+  s.est_dead_reckoning = on;
+  s.truth.position = GeoPoint{b + 13.5, -(b + 14.5), b + 15.5};
+  s.truth.velocity_ms = NedPoint{b + 16.25, -(b + 17.25), b + 18.25};
+  s.truth.roll_rad = b + 19.0625;
+  s.truth.pitch_rad = -(b + 20.0625);
+  s.truth.yaw_rad = b + 21.0625;
+  s.truth.roll_rate_rads = b + 22.5;
+  s.truth.pitch_rate_rads = -(b + 23.5);
+  s.truth.yaw_rate_rads = b + 24.5;
+  s.truth.accel_up_mss = b + 25.75;
+  s.truth.rotor_power_w = b + 26.75;
+  s.truth.airborne = on;
+  return s;
+}
+
+void ExpectSameSample(const FlightPlaneSample& want,
+                      const FlightPlaneSample& got, int k) {
+  EXPECT_EQ(want.wake_latency_us, got.wake_latency_us) << k;
+  EXPECT_EQ(want.est_attitude.roll_rad, got.est_attitude.roll_rad) << k;
+  EXPECT_EQ(want.est_attitude.pitch_rad, got.est_attitude.pitch_rad) << k;
+  EXPECT_EQ(want.est_attitude.yaw_rad, got.est_attitude.yaw_rad) << k;
+  const PositionEstimate& wp = want.est_position;
+  const PositionEstimate& gp = got.est_position;
+  EXPECT_EQ(wp.position.latitude_deg, gp.position.latitude_deg) << k;
+  EXPECT_EQ(wp.position.longitude_deg, gp.position.longitude_deg) << k;
+  EXPECT_EQ(wp.position.altitude_m, gp.position.altitude_m) << k;
+  EXPECT_EQ(wp.velocity_ms.north_m, gp.velocity_ms.north_m) << k;
+  EXPECT_EQ(wp.velocity_ms.east_m, gp.velocity_ms.east_m) << k;
+  EXPECT_EQ(wp.velocity_ms.down_m, gp.velocity_ms.down_m) << k;
+  EXPECT_EQ(wp.valid, gp.valid) << k;
+  EXPECT_EQ(want.est_last_fix_time, got.est_last_fix_time) << k;
+  EXPECT_EQ(want.est_health, got.est_health) << k;
+  EXPECT_EQ(want.est_gyro, got.est_gyro) << k;
+  EXPECT_EQ(want.est_dead_reckoning, got.est_dead_reckoning) << k;
+  const DroneGroundTruth& wt = want.truth;
+  const DroneGroundTruth& gt = got.truth;
+  EXPECT_EQ(wt.position.latitude_deg, gt.position.latitude_deg) << k;
+  EXPECT_EQ(wt.position.longitude_deg, gt.position.longitude_deg) << k;
+  EXPECT_EQ(wt.position.altitude_m, gt.position.altitude_m) << k;
+  EXPECT_EQ(wt.velocity_ms.north_m, gt.velocity_ms.north_m) << k;
+  EXPECT_EQ(wt.velocity_ms.east_m, gt.velocity_ms.east_m) << k;
+  EXPECT_EQ(wt.velocity_ms.down_m, gt.velocity_ms.down_m) << k;
+  EXPECT_EQ(wt.roll_rad, gt.roll_rad) << k;
+  EXPECT_EQ(wt.pitch_rad, gt.pitch_rad) << k;
+  EXPECT_EQ(wt.yaw_rad, gt.yaw_rad) << k;
+  EXPECT_EQ(wt.roll_rate_rads, gt.roll_rate_rads) << k;
+  EXPECT_EQ(wt.pitch_rate_rads, gt.pitch_rate_rads) << k;
+  EXPECT_EQ(wt.yaw_rate_rads, gt.yaw_rate_rads) << k;
+  EXPECT_EQ(wt.accel_up_mss, gt.accel_up_mss) << k;
+  EXPECT_EQ(wt.rotor_power_w, gt.rotor_power_w) << k;
+  EXPECT_EQ(wt.airborne, gt.airborne) << k;
+}
+
 TEST(ReplayLogTest, WriterRoundTripsThroughFromBytes) {
-  ReplayLogWriter writer(/*seed=*/42, /*config_fingerprint=*/0xabcdef);
   PlannedRoute route;
   route.drone = 1;
   route.total_energy_j = 1234.5;
@@ -225,24 +299,20 @@ TEST(ReplayLogTest, WriterRoundTripsThroughFromBytes) {
   route.stops.push_back(PlannedStop{/*job_index=*/2,
                                     /*arrival_energy_j=*/100.0,
                                     /*arrival_time_s=*/9.5});
-  writer.SetPlan(route);
-
-  FlightPlaneSample sample;
-  sample.wake_latency_us = 57.5;
-  sample.est_dead_reckoning = true;
-  sample.est_gyro = {0.1, -0.2, 0.3};
-  sample.truth.rotor_power_w = 250.0;
-  sample.truth.airborne = true;
-  writer.Append(sample);
-  writer.Append(sample);
-  EXPECT_EQ(writer.tick_count(), 2u);
-
   ReplayFooter footer;
   footer.digest = 0x1111;
   footer.flight_digest = 0x2222;
   footer.metrics_digest = 0x3333;
   footer.trace_hash = 0x4444;
   footer.completed = true;
+
+  constexpr int kTicks = 3;
+  ReplayLogWriter writer(/*seed=*/42, /*config_fingerprint=*/0xabcdef);
+  writer.SetPlan(route);
+  for (int k = 0; k < kTicks; ++k) {
+    writer.Append(DistinctSample(k));
+  }
+  EXPECT_EQ(writer.tick_count(), static_cast<uint64_t>(kTicks));
   std::string bytes = writer.Finalize(footer);
   ASSERT_FALSE(bytes.empty());
 
@@ -254,15 +324,23 @@ TEST(ReplayLogTest, WriterRoundTripsThroughFromBytes) {
   EXPECT_EQ(parsed->plan().drone, 1);
   ASSERT_EQ(parsed->plan().stops.size(), 1u);
   EXPECT_EQ(parsed->plan().stops[0].job_index, 2u);
-  ASSERT_EQ(parsed->ticks().size(), 2u);
-  EXPECT_DOUBLE_EQ(parsed->ticks()[0].wake_latency_us, 57.5);
-  EXPECT_TRUE(parsed->ticks()[0].est_dead_reckoning);
-  EXPECT_DOUBLE_EQ(parsed->ticks()[1].truth.rotor_power_w, 250.0);
-  EXPECT_TRUE(parsed->ticks()[1].truth.airborne);
   EXPECT_EQ(parsed->footer().digest, 0x1111u);
   EXPECT_EQ(parsed->footer().trace_hash, 0x4444u);
   EXPECT_TRUE(parsed->footer().completed);
   EXPECT_EQ(parsed->byte_size(), bytes.size());
+  ASSERT_EQ(parsed->tick_count(), static_cast<uint64_t>(kTicks));
+
+  // Every decoded tick equals what was appended, field by field, and
+  // re-appending the decoded ticks reproduces the log byte for byte.
+  ReplayLogWriter rewriter(/*seed=*/42, /*config_fingerprint=*/0xabcdef);
+  rewriter.SetPlan(route);
+  for (int k = 0; k < kTicks; ++k) {
+    FlightPlaneSample tick;
+    parsed->ReadTick(static_cast<uint64_t>(k), tick);
+    ExpectSameSample(DistinctSample(k), tick, k);
+    rewriter.Append(tick);
+  }
+  EXPECT_TRUE(rewriter.Finalize(footer) == bytes);
 }
 
 std::string MakeLog(uint64_t seed, uint64_t fingerprint, int ticks = 4) {
@@ -403,115 +481,6 @@ TEST(ExploreTest, RejectsCrashChaosAndZeroBranches) {
   options.branches = 2;
   options.config.crash_at_s = {5};
   EXPECT_FALSE(ExploreFromDecisionPoint(options).ok());
-}
-
-// --- --speed governor ----------------------------------------------------
-
-TEST(TimeGovernorTest, DisabledGovernorNeverSleeps) {
-  int64_t wall = 0;
-  TimeGovernor::Options options;
-  options.speed = 0;
-  options.wall_now_us = [&wall] { return wall; };
-  options.sleep_us = [](int64_t) { FAIL() << "slept while disabled"; };
-  TimeGovernor governor(options);
-  EXPECT_FALSE(governor.enabled());
-  governor.Start(0);
-  governor.Pace(Seconds(100));
-  EXPECT_EQ(governor.sleeps(), 0);
-}
-
-TEST(TimeGovernorTest, PacesSimTimeAgainstTheWallClock) {
-  // speed=2: the sim earns 1 wall second per 2 sim seconds. With a frozen
-  // wall clock, pacing 4 sim seconds must sleep exactly 2 wall seconds.
-  int64_t wall = 1000;
-  int64_t slept = 0;
-  TimeGovernor::Options options;
-  options.speed = 2;
-  options.wall_now_us = [&wall] { return wall; };
-  options.sleep_us = [&wall, &slept](int64_t us) {
-    slept += us;
-    wall += us;  // The fake sleep advances the fake clock.
-  };
-  TimeGovernor governor(options);
-  governor.Start(0);
-  governor.Pace(Seconds(4));
-  EXPECT_EQ(slept, 2'000'000);
-  EXPECT_EQ(governor.sleeps(), 1);
-  EXPECT_EQ(governor.slept_us(), 2'000'000);
-
-  // The wall clock is now exactly on time; pacing the same instant again
-  // must not sleep.
-  governor.Pace(Seconds(4));
-  EXPECT_EQ(governor.sleeps(), 1);
-
-  // If the wall clock runs ahead (slow hardware), the governor runs free.
-  wall += 10'000'000;
-  governor.Pace(Seconds(6));
-  EXPECT_EQ(governor.sleeps(), 1);
-}
-
-TEST(TimeGovernorTest, RestartForgivesAccumulatedDebt) {
-  int64_t wall = 0;
-  int64_t slept = 0;
-  TimeGovernor::Options options;
-  options.speed = 1;
-  options.wall_now_us = [&wall] { return wall; };
-  options.sleep_us = [&wall, &slept](int64_t us) {
-    slept += us;
-    wall += us;
-  };
-  TimeGovernor governor(options);
-  governor.Start(0);
-  // Re-anchor at sim t=100s with the wall still at 0: the 100 sim seconds
-  // of debt are forgiven (a restored world must not be charged for the
-  // recovered timeline).
-  governor.Start(Seconds(100));
-  governor.Pace(Seconds(100));
-  EXPECT_EQ(slept, 0);
-  governor.Pace(Seconds(101));
-  EXPECT_EQ(slept, 1'000'000);
-}
-
-TEST(TimeGovernorTest, ParseSpeedValidates) {
-  double speed = -1;
-  std::string error;
-  EXPECT_TRUE(ParseSpeed("0", &speed, &error));
-  EXPECT_EQ(speed, 0);
-  EXPECT_TRUE(ParseSpeed("0.5", &speed, &error));
-  EXPECT_EQ(speed, 0.5);
-  EXPECT_TRUE(ParseSpeed("8", &speed, &error));
-  EXPECT_EQ(speed, 8);
-
-  EXPECT_FALSE(ParseSpeed("", &speed, &error));
-  EXPECT_FALSE(ParseSpeed("fast", &speed, &error));
-  EXPECT_NE(error.find("not a number"), std::string::npos);
-  EXPECT_FALSE(ParseSpeed("1.5x", &speed, &error));
-  EXPECT_FALSE(ParseSpeed("-1", &speed, &error));
-  EXPECT_NE(error.find(">= 0"), std::string::npos);
-  EXPECT_FALSE(ParseSpeed("nan", &speed, &error));
-  EXPECT_FALSE(ParseSpeed("inf", &speed, &error));
-}
-
-TEST(TimeGovernorTest, GovernedWorldKeepsItsDigest) {
-  // Pacing sleeps the worker but never touches the SimClock, so every
-  // digest is identical to the unthrottled run. The speed is a quarter of
-  // the sim-to-wall ratio this build measured flying the same world
-  // unthrottled, so on any build (sanitized ones are many times slower) at
-  // least one Pace() call must actually sleep.
-  WorldResult plain = RunFleetWorld(SmallConfig(), MakeContext(44));
-  ASSERT_TRUE(plain.completed);
-  EXPECT_EQ(plain.replay.governor_sleeps, 0);
-  ASSERT_GT(plain.provision.fly_ns, 0u);
-  const double unthrottled_speed =
-      plain.counters.at("flight_time_s") /
-      (static_cast<double>(plain.provision.fly_ns) * 1e-9);
-
-  FleetWorldConfig config = SmallConfig();
-  config.speed = unthrottled_speed / 4;
-  WorldResult governed = RunFleetWorld(config, MakeContext(44));
-  EXPECT_GT(governed.replay.governor_sleeps, 0);
-  EXPECT_GT(governed.replay.governor_slept_us, 0);
-  ExpectEquivalent(plain, governed, "governed vs unthrottled");
 }
 
 }  // namespace
