@@ -65,7 +65,7 @@ void RunAblation() {
   Container* dev =
       runtime.CreateContainer("device", ContainerKind::kDevice, image).value();
   (void)runtime.StartContainer(dev->id());
-  auto stack = BootDeviceContainer(runtime, dev->id(), bus, -1).value();
+  auto stack = BootDeviceContainer(runtime, dev->id(), bus, -1, &clock).value();
 
   // 1. Direct hardware access (stock single-tenant baseline).
   double direct_ns = MeasureNsPerOp([&] {

@@ -9,8 +9,8 @@
 //   --smoke            small campaign (~74 scenarios) instead of the full
 //                      1000+ sweep
 //   --threads N        reference thread count (default 1)
-//   --manifest PATH    load a campaign manifest (XML or JSON) instead of
-//                      the built-in campaign
+//   --manifest PATH    load an XML campaign manifest instead of the
+//                      built-in campaign
 //   --dump-manifest P  write the campaign's canonical XML manifest to P
 //                      ("-" = stdout) and exit
 //   --repro NAME       re-run one scenario by instance name with full

@@ -38,7 +38,7 @@ void RunTable1() {
   Container* dev =
       runtime.CreateContainer("device", ContainerKind::kDevice, image).value();
   (void)runtime.StartContainer(dev->id());
-  auto stack = BootDeviceContainer(runtime, dev->id(), bus, -1).value();
+  auto stack = BootDeviceContainer(runtime, dev->id(), bus, -1, &clock).value();
 
   struct RowSource {
     const char* android_name;

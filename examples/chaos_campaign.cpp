@@ -6,8 +6,7 @@
 //
 // Without an argument a small built-in campaign is used (the same families
 // as examples/campaign_smoke.xml, shrunk to run in a few seconds). With a
-// manifest path, that file is loaded instead — XML or JSON, the loader
-// sniffs the format.
+// manifest path, that XML file is loaded instead.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>

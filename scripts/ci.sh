@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 CI: build + test twice (plain, then sanitizers), then refresh the
-# robustness benchmark record.
+# Tier-1 CI: check that every src/ header has a production includer, build
+# + test twice (plain, then sanitizers), then refresh the robustness
+# benchmark record.
 #
 #   scripts/ci.sh                       # full run
 #   SKIP_ASAN=1 scripts/ci.sh          # plain tests + benches only
@@ -51,6 +52,22 @@ for arg in "$@"; do
     *) echo "unknown flag: $arg" >&2; exit 2 ;;
   esac
 done
+
+# A header that only tests include is test scaffolding, not product: every
+# tracked src/ header needs an includer in src/, bench/, perfbench/ or
+# examples/ other than its own .cc.
+echo "=== check: every src/ header has a production includer ==="
+orphans=""
+for header in $(git ls-files 'src/*.h'); do
+  if ! git grep -lF "#include \"$header\"" -- src bench perfbench examples \
+      | grep -vxF "${header%.h}.cc" >/dev/null; then
+    orphans+="  $header"$'\n'
+  fi
+done
+if [[ -n "$orphans" ]]; then
+  printf 'FAIL: src/ headers no production code includes:\n%s' "$orphans" >&2
+  exit 1
+fi
 
 echo "=== tier-1: plain build ==="
 cmake -S . -B build -DCMAKE_BUILD_TYPE=Release >/dev/null

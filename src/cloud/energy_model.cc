@@ -34,10 +34,6 @@ double EnergyModel::TravelEnergyJ(double distance_m, double speed_ms,
   return TravelPowerW(speed_ms, payload_kg) * (distance_m / speed_ms);
 }
 
-double EnergyModel::HoverEnergyJ(double seconds, double payload_kg) const {
-  return HoverPowerW(payload_kg) * seconds;
-}
-
 double EnergyModel::LegEnergyJ(const GeoPoint& from, const GeoPoint& to,
                                double speed_ms) const {
   return TravelEnergyJ(Distance3dMeters(from, to), speed_ms);

@@ -37,9 +37,6 @@ class EnergyModel {
   double TravelEnergyJ(double distance_m, double speed_ms,
                        double payload_kg = 0.0) const;
 
-  // Energy to hover for |seconds|, joules.
-  double HoverEnergyJ(double seconds, double payload_kg = 0.0) const;
-
   // Energy between two waypoints at cruise speed.
   double LegEnergyJ(const GeoPoint& from, const GeoPoint& to,
                     double speed_ms) const;

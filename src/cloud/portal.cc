@@ -22,27 +22,6 @@ Portal::Portal(AppStore* app_store, VirtualDroneRepository* vdr,
     : app_store_(app_store), vdr_(vdr), energy_model_(energy_model),
       billing_(billing), config_(config) {}
 
-void Portal::PostOverrideNotice(SimTime at, const std::string& vdrone_id,
-                                const std::string& reason) {
-  override_notices_.push_back(OverrideNotice{at, vdrone_id, reason});
-}
-
-std::vector<OverrideNotice> Portal::NoticesFor(
-    const std::string& vdrone_id) const {
-  std::vector<OverrideNotice> out;
-  for (const OverrideNotice& notice : override_notices_) {
-    if (notice.vdrone_id.empty() || notice.vdrone_id == vdrone_id) {
-      out.push_back(notice);
-    }
-  }
-  return out;
-}
-
-std::vector<std::string> Portal::AvailableDroneTypes() const {
-  return {"quad-video (camera, gimbal)", "quad-survey (camera, sensors)",
-          "quad-sensor (environmental sensor suite)"};
-}
-
 StatusOr<OrderConfirmation> Portal::OrderVirtualDrone(
     const OrderRequest& request) {
   if (request.waypoints.empty()) {

@@ -15,7 +15,6 @@
 #include "src/cloud/vdr.h"
 #include "src/core/definition.h"
 #include "src/core/manifest.h"
-#include "src/util/time.h"
 
 namespace androne {
 
@@ -45,15 +44,6 @@ struct OrderConfirmation {
   BillingEstimate estimate;
 };
 
-// Tenant-visible record of an onboard safety event: the paper's promise is
-// that the provider stays in control of the physical drone; this is how a
-// tenant learns *why* their virtual drone stopped obeying for a while.
-struct OverrideNotice {
-  SimTime at = 0;
-  std::string vdrone_id;  // Empty = all tenants on the physical drone.
-  std::string reason;     // e.g. "Safety override: level-hold (sensor)".
-};
-
 class Portal {
  public:
   Portal(AppStore* app_store, VirtualDroneRepository* vdr,
@@ -64,20 +54,6 @@ class Portal {
   // ready for the flight planner to schedule.
   StatusOr<OrderConfirmation> OrderVirtualDrone(const OrderRequest& request);
 
-  // Drone-type listing shown during ordering (static catalog).
-  std::vector<std::string> AvailableDroneTypes() const;
-
-  // Records a safety-override (or release) event reported up the telemetry
-  // path; |vdrone_id| may be empty when the event affects every tenant on
-  // the physical drone.
-  void PostOverrideNotice(SimTime at, const std::string& vdrone_id,
-                          const std::string& reason);
-  const std::vector<OverrideNotice>& override_notices() const {
-    return override_notices_;
-  }
-  // Notices addressed to |vdrone_id| (including drone-wide ones).
-  std::vector<OverrideNotice> NoticesFor(const std::string& vdrone_id) const;
-
  private:
   AppStore* app_store_;
   VirtualDroneRepository* vdr_;
@@ -85,7 +61,6 @@ class Portal {
   Billing billing_;
   PortalConfig config_;
   int next_order_ = 1;
-  std::vector<OverrideNotice> override_notices_;
 };
 
 }  // namespace androne

@@ -14,20 +14,6 @@ const char* ContainerKindName(ContainerKind kind) {
   return "unknown";
 }
 
-const char* ContainerStateName(ContainerState state) {
-  switch (state) {
-    case ContainerState::kCreated:
-      return "created";
-    case ContainerState::kRunning:
-      return "running";
-    case ContainerState::kStopped:
-      return "stopped";
-    case ContainerState::kCrashed:
-      return "crashed";
-  }
-  return "unknown";
-}
-
 void Container::WriteFile(const std::string& path, std::string content) {
   writable_layer_[path] = LayerFile{std::move(content), false};
 }
@@ -50,26 +36,6 @@ StatusOr<std::string> Container::ReadFile(const std::string& path) const {
     return NotFoundError("no file '" + path + "' in container " + name_);
   }
   return base->second;
-}
-
-std::vector<std::string> Container::ListFiles() const {
-  auto view_or = store_->Flatten(image_);
-  std::map<std::string, std::string> view =
-      view_or.ok() ? std::move(view_or).value()
-                   : std::map<std::string, std::string>{};
-  for (const auto& [path, file] : writable_layer_) {
-    if (file.tombstone) {
-      view.erase(path);
-    } else {
-      view[path] = file.content;
-    }
-  }
-  std::vector<std::string> paths;
-  paths.reserve(view.size());
-  for (const auto& [path, content] : view) {
-    paths.push_back(path);
-  }
-  return paths;
 }
 
 StatusOr<const ContainerProcess*> Container::FindProcess(

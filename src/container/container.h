@@ -30,8 +30,6 @@ enum class ContainerState {
   kCrashed,  // Processes died abnormally; restartable by a supervisor.
 };
 
-const char* ContainerStateName(ContainerState state);
-
 // Memory model (calibrated to paper §6.3 / Figure 12): ~100 MB for host OS
 // + VDC, ~150 MB for device + flight containers combined, ~185 MB per
 // virtual drone, out of 880 MB usable RAM (1 GB minus GPU/peripheral
@@ -74,7 +72,6 @@ class Container {
   void DeleteFile(const std::string& path);
   // Reads through the writable layer into the image.
   StatusOr<std::string> ReadFile(const std::string& path) const;
-  std::vector<std::string> ListFiles() const;
   const LayerFiles& writable_layer() const { return writable_layer_; }
 
   // --- Processes ---

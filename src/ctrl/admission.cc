@@ -28,18 +28,6 @@ double VdroneFootprintMb(int processes) {
   return kVirtualDroneBaseMemoryMb + processes * kPerProcessMemoryMb;
 }
 
-const char* AdmitOutcomeName(AdmitOutcome outcome) {
-  switch (outcome) {
-    case AdmitOutcome::kAdmitted:
-      return "admitted";
-    case AdmitOutcome::kQueued:
-      return "queued";
-    case AdmitOutcome::kRejected:
-      return "rejected";
-  }
-  return "?";
-}
-
 AdmissionController::AdmissionController(const AdmissionConfig& config) {
   board_budget_mb_ =
       config.board_budget_mb > 0 ? config.board_budget_mb : kUsableMemoryMb;
@@ -182,11 +170,6 @@ double AdmissionController::BoardFreeMb(int board) const {
 
 bool AdmissionController::BoardAccepting(int board) const {
   return boards_[board].accepting;
-}
-
-const std::vector<uint64_t>& AdmissionController::BoardOrders(
-    int board) const {
-  return boards_[board].orders;
 }
 
 void AdmissionController::AuditBudgets() {

@@ -44,8 +44,6 @@ struct AdmissionConfig {
 
 enum class AdmitOutcome : uint8_t { kAdmitted = 0, kQueued = 1, kRejected = 2 };
 
-const char* AdmitOutcomeName(AdmitOutcome outcome);
-
 struct AdmitResult {
   AdmitOutcome outcome = AdmitOutcome::kRejected;
   int board = -1;  // Valid only when admitted.
@@ -88,7 +86,6 @@ class AdmissionController {
   double BoardUsedMb(int board) const;
   double BoardFreeMb(int board) const;
   bool BoardAccepting(int board) const;
-  const std::vector<uint64_t>& BoardOrders(int board) const;
   double board_budget_mb() const { return board_budget_mb_; }
   double usable_mb() const { return usable_mb_; }
   int boards() const { return static_cast<int>(boards_.size()); }

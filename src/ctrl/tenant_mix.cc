@@ -128,86 +128,13 @@ StatusOr<TenantMixSpec> ParseMixElement(const XmlElement& root) {
   return mix;
 }
 
-// JSON transliteration, mirroring the campaign manifest convention: scalar
-// keys become attributes, the "classes" array becomes <class> children, and
-// the "slos" string array becomes <slo expr="..."/> children.
-StatusOr<std::unique_ptr<XmlElement>> JsonToMixElement(
-    const JsonValue& value) {
-  if (!value.is_object()) {
-    return InvalidArgumentError("JSON tenant mix: root must be an object");
-  }
-  auto root = std::make_unique<XmlElement>();
-  root->name = "tenant_mix";
-  for (const auto& [key, field] : value.AsObject()) {
-    if (key == "classes") {
-      if (!field.is_array()) {
-        return InvalidArgumentError("JSON tenant mix: classes must be an "
-                                    "array");
-      }
-      for (size_t i = 0; i < field.AsArray().size(); ++i) {
-        const JsonValue& entry = field.AsArray()[i];
-        const std::string what = "classes[" + std::to_string(i) + "]";
-        if (!entry.is_object()) {
-          return InvalidArgumentError(what + ": expected an object");
-        }
-        auto child = std::make_unique<XmlElement>();
-        child->name = "class";
-        for (const auto& [ckey, cfield] : entry.AsObject()) {
-          switch (cfield.type()) {
-            case JsonType::kString:
-              child->attributes[ckey] = cfield.AsString();
-              break;
-            case JsonType::kNumber:
-              child->attributes[ckey] = FormatNumberCompact(cfield.AsDouble());
-              break;
-            default:
-              return InvalidArgumentError(what + "." + ckey +
-                                          ": expected a scalar value");
-          }
-        }
-        root->children.push_back(std::move(child));
-      }
-    } else if (key == "slos") {
-      if (!field.is_array()) {
-        return InvalidArgumentError("JSON tenant mix: slos must be an array");
-      }
-      for (size_t i = 0; i < field.AsArray().size(); ++i) {
-        const JsonValue& expr = field.AsArray()[i];
-        if (!expr.is_string()) {
-          return InvalidArgumentError("slos[" + std::to_string(i) +
-                                      "]: expected a string expression");
-        }
-        auto child = std::make_unique<XmlElement>();
-        child->name = "slo";
-        child->attributes["expr"] = expr.AsString();
-        root->children.push_back(std::move(child));
-      }
-    } else if (key == "name") {
-      if (!field.is_string()) {
-        return InvalidArgumentError("JSON tenant mix: name must be a string");
-      }
-      root->attributes["name"] = field.AsString();
-    } else {
-      return InvalidArgumentError("JSON tenant mix: unknown key \"" + key +
-                                  "\"");
-    }
-  }
-  return root;
-}
-
 }  // namespace
 
 StatusOr<TenantMixSpec> ParseTenantMix(const std::string& text) {
-  size_t first = text.find_first_not_of(" \t\n\r");
-  if (first == std::string::npos) {
+  if (text.find_first_not_of(" \t\n\r") == std::string::npos) {
     return InvalidArgumentError("tenant mix: empty document");
   }
-  if (text[first] == '<') {
-    ASSIGN_OR_RETURN(auto root, ParseXml(text));
-    return ParseMixElement(*root);
-  }
-  ASSIGN_OR_RETURN(JsonValue document, ParseJson(text));
-  ASSIGN_OR_RETURN(auto root, JsonToMixElement(document));
+  ASSIGN_OR_RETURN(auto root, ParseXml(text));
   return ParseMixElement(*root);
 }
 

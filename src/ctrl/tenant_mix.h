@@ -2,10 +2,10 @@
 // §16). A mix declares weighted session classes — each one shape of tenant
 // order (waypoints, dwell, spend cap, process count, cancel/crash rates) —
 // plus optional serving-path SLO assertions ("latency.plan.p99 <= 50")
-// evaluated against the sweep's merged stage histograms. Manifests ride the
-// repo's two document formats (the XML subset and JSON, sniffed by first
-// byte) through one strictly-validating parse, and DumpTenantMix emits the
-// canonical XML form: dump(parse(dump(parse(text)))) == dump(parse(text)).
+// evaluated against the sweep's merged stage histograms. Manifests are
+// written in the repo's XML subset and go through one strictly-validating
+// parse, and DumpTenantMix emits the canonical form:
+// dump(parse(dump(parse(text)))) == dump(parse(text)).
 #ifndef SRC_CTRL_TENANT_MIX_H_
 #define SRC_CTRL_TENANT_MIX_H_
 
@@ -39,11 +39,10 @@ struct TenantMixSpec {
   std::vector<AssertionSpec> slos;
 };
 
-// Parses a tenant-mix manifest (first non-whitespace byte '<' = XML, else
-// JSON). Strictly validating: unknown elements/attributes/keys, non-numeric
-// fields, non-positive weights, rates outside [0, 1], and malformed SLO
-// expressions come back as descriptive errors. A mix must declare at least
-// one class.
+// Parses an XML tenant-mix manifest. Strictly validating: unknown
+// elements/attributes, non-numeric fields, non-positive weights, rates
+// outside [0, 1], and malformed SLO expressions come back as descriptive
+// errors. A mix must declare at least one class.
 StatusOr<TenantMixSpec> ParseTenantMix(const std::string& text);
 
 // Canonical XML serialization (defaults omitted, FormatNumberCompact

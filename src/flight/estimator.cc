@@ -59,32 +59,6 @@ bool SameReading(const ImuSample& a, const ImuSample& b) {
 }
 }  // namespace
 
-const char* EstimatorSensorName(EstimatorSensor sensor) {
-  switch (sensor) {
-    case EstimatorSensor::kImu:
-      return "imu";
-    case EstimatorSensor::kBaro:
-      return "baro";
-    case EstimatorSensor::kMag:
-      return "mag";
-    case EstimatorSensor::kGps:
-      return "gps";
-  }
-  return "unknown";
-}
-
-const char* SensorHealthName(SensorHealth health) {
-  switch (health) {
-    case SensorHealth::kHealthy:
-      return "healthy";
-    case SensorHealth::kSuspect:
-      return "suspect";
-    case SensorHealth::kExcluded:
-      return "excluded";
-  }
-  return "unknown";
-}
-
 void Estimator::Accept(EstimatorSensor sensor, SimTime at) {
   SensorHealthState& s = state(sensor);
   ++s.accepted;

@@ -53,15 +53,11 @@ void VisitValue(Ar& ar, PositionEstimate& p) {
 enum class EstimatorSensor { kImu = 0, kBaro = 1, kMag = 2, kGps = 3 };
 inline constexpr int kNumEstimatorSensors = 4;
 
-const char* EstimatorSensorName(EstimatorSensor sensor);
-
 enum class SensorHealth {
   kHealthy = 0,
   kSuspect = 1,   // Recent rejects; corrections withheld, watching.
   kExcluded = 2,  // Persistent rejects; sensor out of the blend.
 };
-
-const char* SensorHealthName(SensorHealth health);
 
 struct SensorHealthState {
   SensorHealth health = SensorHealth::kHealthy;

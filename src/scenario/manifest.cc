@@ -1,6 +1,6 @@
 #include "src/scenario/manifest.h"
 
-#include <cmath>
+#include <charconv>
 #include <memory>
 #include <utility>
 
@@ -312,15 +312,16 @@ StatusOr<CampaignSpec> ParseCampaignElement(const XmlElement& root) {
 
   CampaignSpec campaign;
   campaign.name = root.Attr("name");
-  ASSIGN_OR_RETURN(double seed,
-                   ParseManifestNumber(root.Attr("seed", "1"),
-                                       "<campaign> seed"));
-  // 2^64 bounds what the uint64_t conversion below can hold.
-  if (seed < 0 || std::floor(seed) != seed || seed >= 0x1p64) {
+  // Every scenario seed derives from this one, so it is read as an exact
+  // integer: a double would silently round seeds above 2^53.
+  const std::string seed = root.Attr("seed", "1");
+  const char* seed_end = seed.data() + seed.size();
+  auto [seed_ptr, seed_error] =
+      std::from_chars(seed.data(), seed_end, campaign.seed);
+  if (seed_error != std::errc() || seed_ptr != seed_end) {
     return InvalidArgumentError("<campaign> seed: must be a non-negative "
                                 "integer below 2^64");
   }
-  campaign.seed = static_cast<uint64_t>(seed);
 
   for (const auto& child : root.children) {
     if (child->name != "scenario") {
@@ -331,124 +332,6 @@ StatusOr<CampaignSpec> ParseCampaignElement(const XmlElement& root) {
     campaign.templates.push_back(std::move(tmpl));
   }
   return campaign;
-}
-
-// --- JSON transliteration -------------------------------------------------
-// A JSON manifest mirrors the XML shape: scalar keys become attributes,
-// "scenarios"/"net_faults"/"sensor_faults"/"asserts" arrays and the
-// "crash_loop" object become child elements. The resulting element tree
-// then flows through the same validating parse as native XML.
-
-StatusOr<std::string> ScalarToAttr(const JsonValue& value,
-                                   const std::string& what) {
-  switch (value.type()) {
-    case JsonType::kString:
-      return value.AsString();
-    case JsonType::kNumber:
-      return FormatNumberCompact(value.AsDouble());
-    case JsonType::kBool:
-      return std::string(value.AsBool() ? "true" : "false");
-    default:
-      return InvalidArgumentError(what + ": expected a scalar value");
-  }
-}
-
-StatusOr<std::unique_ptr<XmlElement>> ObjectToElement(
-    const JsonValue& value, const std::string& element_name,
-    const std::string& what) {
-  if (!value.is_object()) {
-    return InvalidArgumentError(what + ": expected an object");
-  }
-  auto element = std::make_unique<XmlElement>();
-  element->name = element_name;
-  for (const auto& [key, field] : value.AsObject()) {
-    ASSIGN_OR_RETURN(element->attributes[key],
-                     ScalarToAttr(field, what + "." + key));
-  }
-  return element;
-}
-
-StatusOr<std::unique_ptr<XmlElement>> JsonScenarioToElement(
-    const JsonValue& value, const std::string& what) {
-  if (!value.is_object()) {
-    return InvalidArgumentError(what + ": expected an object");
-  }
-  auto element = std::make_unique<XmlElement>();
-  element->name = "scenario";
-  for (const auto& [key, field] : value.AsObject()) {
-    if (key == "net_faults" || key == "sensor_faults") {
-      if (!field.is_array()) {
-        return InvalidArgumentError(what + "." + key + ": expected an array");
-      }
-      const std::string child_name =
-          key == "net_faults" ? NetFaultVocabulary().element
-                              : SensorFaultVocabulary().element;
-      for (size_t i = 0; i < field.AsArray().size(); ++i) {
-        ASSIGN_OR_RETURN(
-            auto child,
-            ObjectToElement(field.AsArray()[i], child_name,
-                            what + "." + key + "[" + std::to_string(i) +
-                                "]"));
-        element->children.push_back(std::move(child));
-      }
-    } else if (key == "crash_loop") {
-      ASSIGN_OR_RETURN(auto child, ObjectToElement(field, "crash_loop",
-                                                   what + ".crash_loop"));
-      element->children.push_back(std::move(child));
-    } else if (key == "crash") {
-      ASSIGN_OR_RETURN(auto child,
-                       ObjectToElement(field, "crash", what + ".crash"));
-      element->children.push_back(std::move(child));
-    } else if (key == "asserts") {
-      if (!field.is_array()) {
-        return InvalidArgumentError(what + ".asserts: expected an array");
-      }
-      for (size_t i = 0; i < field.AsArray().size(); ++i) {
-        const JsonValue& expr = field.AsArray()[i];
-        if (!expr.is_string()) {
-          return InvalidArgumentError(what + ".asserts[" +
-                                      std::to_string(i) +
-                                      "]: expected a string expression");
-        }
-        auto child = std::make_unique<XmlElement>();
-        child->name = "assert";
-        child->attributes["expr"] = expr.AsString();
-        element->children.push_back(std::move(child));
-      }
-    } else {
-      ASSIGN_OR_RETURN(element->attributes[key],
-                       ScalarToAttr(field, what + "." + key));
-    }
-  }
-  return element;
-}
-
-StatusOr<std::unique_ptr<XmlElement>> JsonToCampaignElement(
-    const JsonValue& value) {
-  if (!value.is_object()) {
-    return InvalidArgumentError("JSON manifest: root must be an object");
-  }
-  auto root = std::make_unique<XmlElement>();
-  root->name = "campaign";
-  for (const auto& [key, field] : value.AsObject()) {
-    if (key == "scenarios") {
-      if (!field.is_array()) {
-        return InvalidArgumentError("JSON manifest: scenarios must be an "
-                                    "array");
-      }
-      for (size_t i = 0; i < field.AsArray().size(); ++i) {
-        ASSIGN_OR_RETURN(auto child,
-                         JsonScenarioToElement(
-                             field.AsArray()[i],
-                             "scenarios[" + std::to_string(i) + "]"));
-        root->children.push_back(std::move(child));
-      }
-    } else {
-      ASSIGN_OR_RETURN(root->attributes[key],
-                       ScalarToAttr(field, "campaign." + key));
-    }
-  }
-  return root;
 }
 
 // --- Canonical dump --------------------------------------------------------
@@ -586,16 +469,10 @@ const FaultVocabulary& SensorFaultVocabulary() {
 }
 
 StatusOr<CampaignSpec> ParseCampaignManifest(const std::string& text) {
-  size_t first = text.find_first_not_of(" \t\r\n");
-  if (first == std::string::npos) {
+  if (text.find_first_not_of(" \t\r\n") == std::string::npos) {
     return InvalidArgumentError("empty campaign manifest");
   }
-  if (text[first] == '<') {
-    ASSIGN_OR_RETURN(auto root, ParseXml(text));
-    return ParseCampaignElement(*root);
-  }
-  ASSIGN_OR_RETURN(JsonValue document, ParseJson(text));
-  ASSIGN_OR_RETURN(auto root, JsonToCampaignElement(document));
+  ASSIGN_OR_RETURN(auto root, ParseXml(text));
   return ParseCampaignElement(*root);
 }
 
@@ -606,8 +483,7 @@ std::string DumpCampaignManifest(const CampaignSpec& campaign) {
     root.attributes["name"] = campaign.name;
   }
   if (campaign.seed != 1) {
-    root.attributes["seed"] =
-        FormatNumberCompact(static_cast<double>(campaign.seed));
+    root.attributes["seed"] = std::to_string(campaign.seed);
   }
   for (const ScenarioTemplate& tmpl : campaign.templates) {
     root.children.push_back(DumpScenario(tmpl));

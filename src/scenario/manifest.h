@@ -2,14 +2,11 @@
 // document composes the whole campaign: mission shape, tenant mix sweep,
 // network/sensor fault plans with jitter, link profile, memory budget,
 // crash-loop chaos, crash/recovery schedules (the <crash> fault family,
-// DESIGN.md §13), and expected-outcome assertions. Manifests are accepted
-// in the repo's two existing document formats — the XML subset (app
-// manifests, §5) and JSON (virtual drone definitions, Figure 2); a JSON
-// manifest is transliterated to the XML element tree internally so a single
-// validation path serves both.
+// DESIGN.md §13), and expected-outcome assertions. Manifests are written in
+// the repo's XML subset, the format of app manifests (§5).
 //
 // Loading is strictly validating and never aborts: unknown elements,
-// unknown attributes/keys, misspelled kind/scope names, non-numeric
+// unknown attributes, misspelled kind/scope names, non-numeric
 // fields, inverted/negative windows, pinned-channel conflicts, and
 // malformed assertion expressions all come back as descriptive Status
 // errors naming the offending construct.
@@ -34,8 +31,7 @@ namespace androne {
 const FaultVocabulary& NetFaultVocabulary();
 const FaultVocabulary& SensorFaultVocabulary();
 
-// Parses a campaign manifest. The format is sniffed from the first
-// non-whitespace byte: '<' = XML, anything else = JSON.
+// Parses an XML campaign manifest.
 StatusOr<CampaignSpec> ParseCampaignManifest(const std::string& text);
 
 // Canonical XML serialization (see the round-trip contract above).

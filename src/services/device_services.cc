@@ -96,12 +96,7 @@ Status LocationManagerService::OnTransact(uint32_t code, const Parcel& data,
                                  std::to_string(ctx.calling_container));
   }
   TrackClient(ctx);
-  GpsFix fix;
-  if (hub_ != nullptr) {
-    fix = hub_->Sample().gps;
-  } else {
-    ASSIGN_OR_RETURN(fix, gps_->ReadFix(gps_->opener()));
-  }
+  const GpsFix& fix = hub_->Sample().gps;
   reply->WriteDouble(fix.position.latitude_deg);
   reply->WriteDouble(fix.position.longitude_deg);
   reply->WriteDouble(fix.position.altitude_m);
@@ -127,12 +122,7 @@ Status SensorService::OnTransact(uint32_t code, const Parcel& data,
   TrackClient(ctx);
   switch (code) {
     case kSensorReadImu: {
-      ImuSample s;
-      if (hub_ != nullptr) {
-        s = hub_->Sample().imu;
-      } else {
-        ASSIGN_OR_RETURN(s, imu_->ReadSample(imu_->opener()));
-      }
+      const ImuSample& s = hub_->Sample().imu;
       for (double g : s.gyro_rads) {
         reply->WriteDouble(g);
       }
@@ -142,26 +132,12 @@ Status SensorService::OnTransact(uint32_t code, const Parcel& data,
       reply->WriteInt64(s.timestamp);
       return OkStatus();
     }
-    case kSensorReadBaro: {
-      double alt = 0;
-      if (hub_ != nullptr) {
-        alt = hub_->Sample().baro_altitude_m;
-      } else {
-        ASSIGN_OR_RETURN(alt, baro_->ReadAltitudeM(baro_->opener()));
-      }
-      reply->WriteDouble(alt);
+    case kSensorReadBaro:
+      reply->WriteDouble(hub_->Sample().baro_altitude_m);
       return OkStatus();
-    }
-    case kSensorReadMag: {
-      double heading = 0;
-      if (hub_ != nullptr) {
-        heading = hub_->Sample().mag_heading_rad;
-      } else {
-        ASSIGN_OR_RETURN(heading, mag_->ReadHeadingRad(mag_->opener()));
-      }
-      reply->WriteDouble(heading);
+    case kSensorReadMag:
+      reply->WriteDouble(hub_->Sample().mag_heading_rad);
       return OkStatus();
-    }
     default:
       return UnimplementedError("unknown SensorService code");
   }

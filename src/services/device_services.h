@@ -81,11 +81,13 @@ class CameraService : public DeviceService {
 // ---- LocationManagerService ("location") ----
 inline constexpr uint32_t kLocGetLast = 1;
 
+// Fixes come from the shared SensorHub snapshot, not per-request device
+// reads: N tenants share one sample per GPS epoch.
 class LocationManagerService : public DeviceService {
  public:
-  LocationManagerService(GpsReceiver* gps,
+  LocationManagerService(SensorHub* hub,
                          CrossContainerPermissionChecker checker)
-      : DeviceService(std::move(checker)), gps_(gps) {}
+      : DeviceService(std::move(checker)), hub_(hub) {}
 
   Status OnTransact(uint32_t code, const Parcel& data, Parcel* reply,
                     const BinderCallContext& ctx) override;
@@ -93,13 +95,8 @@ class LocationManagerService : public DeviceService {
     return "LocationManagerService";
   }
 
-  // Serve fixes from the shared SensorHub snapshot instead of per-request
-  // device reads (N tenants share one sample per GPS epoch).
-  void ServeFromHub(SensorHub* hub) { hub_ = hub; }
-
  private:
-  GpsReceiver* gps_;
-  SensorHub* hub_ = nullptr;
+  SensorHub* hub_;
 };
 
 // ---- SensorService ("sensorservice") ----
@@ -107,26 +104,19 @@ inline constexpr uint32_t kSensorReadImu = 1;
 inline constexpr uint32_t kSensorReadBaro = 2;
 inline constexpr uint32_t kSensorReadMag = 3;
 
+// Samples come from the shared SensorHub snapshot: each sensor is drawn
+// once per cadence period, no matter how many containers poll it.
 class SensorService : public DeviceService {
  public:
-  SensorService(Imu* imu, Barometer* baro, Magnetometer* mag,
-                CrossContainerPermissionChecker checker)
-      : DeviceService(std::move(checker)), imu_(imu), baro_(baro), mag_(mag) {}
+  SensorService(SensorHub* hub, CrossContainerPermissionChecker checker)
+      : DeviceService(std::move(checker)), hub_(hub) {}
 
   Status OnTransact(uint32_t code, const Parcel& data, Parcel* reply,
                     const BinderCallContext& ctx) override;
   std::string descriptor() const override { return "SensorService"; }
 
-  // Serve samples from the shared SensorHub snapshot instead of per-request
-  // device reads (each sensor is drawn once per cadence period, no matter
-  // how many containers poll it).
-  void ServeFromHub(SensorHub* hub) { hub_ = hub; }
-
  private:
-  Imu* imu_;
-  Barometer* baro_;
-  Magnetometer* mag_;
-  SensorHub* hub_ = nullptr;
+  SensorHub* hub_;
 };
 
 // ---- AudioFlinger ("media.audio_flinger") ----

@@ -80,22 +80,17 @@ StatusOr<DeviceContainerStack> BootDeviceContainer(
   CrossContainerPermissionChecker checker(stack.system_server_proc,
                                           trusted_container);
 
+  // Sensors are sampled through the snapshot bus: one draw per sensor per
+  // cadence period, shared by every consumer.
+  stack.sensor_hub = std::make_shared<SensorHub>(clock, gps, imu, baro, mag,
+                                                 device_container);
   stack.camera_service = std::make_shared<CameraService>(camera, checker);
-  stack.location_service =
-      std::make_shared<LocationManagerService>(gps, checker);
+  stack.location_service = std::make_shared<LocationManagerService>(
+      stack.sensor_hub.get(), checker);
   stack.sensor_service =
-      std::make_shared<SensorService>(imu, baro, mag, checker);
+      std::make_shared<SensorService>(stack.sensor_hub.get(), checker);
   stack.audio_service =
       std::make_shared<AudioFlingerService>(mic, speaker, checker);
-
-  // With a clock the stack samples through the snapshot bus: one draw per
-  // sensor per cadence period, shared by every consumer.
-  if (clock != nullptr) {
-    stack.sensor_hub = std::make_shared<SensorHub>(clock, gps, imu, baro, mag,
-                                                   device_container);
-    stack.location_service->ServeFromHub(stack.sensor_hub.get());
-    stack.sensor_service->ServeFromHub(stack.sensor_hub.get());
-  }
 
   // Register each with the device container's ServiceManager; the shared
   // list triggers PUBLISH_TO_ALL_NS for each (paper Figure 6).

@@ -27,8 +27,7 @@ struct DeviceContainerStack {
   std::shared_ptr<SensorService> sensor_service;
   std::shared_ptr<AudioFlingerService> audio_service;
   // Single-writer snapshot sampler the sensor/location services serve from
-  // (and the flight stack reads directly); present when BootDeviceContainer
-  // was given a clock.
+  // (and the flight stack reads directly).
   std::shared_ptr<SensorHub> sensor_hub;
 };
 
@@ -37,14 +36,13 @@ struct DeviceContainerStack {
 // the Table-1 services as shared (auto-published to all namespaces).
 // |trusted_container| is the flight container's id (its native processes
 // bypass per-app permission checks); pass -1 if it does not exist yet and
-// set it later via the checker. With a non-null |clock| the stack also runs
-// a SensorHub: sensors are drawn once per cadence period into a versioned
-// snapshot that SensorService/LocationManagerService serve from, instead of
-// hitting the devices once per client request.
+// set it later via the checker. The stack also runs a SensorHub on |clock|:
+// sensors are drawn once per cadence period into a versioned snapshot that
+// SensorService/LocationManagerService serve from, instead of hitting the
+// devices once per client request.
 StatusOr<DeviceContainerStack> BootDeviceContainer(
     ContainerRuntime& runtime, ContainerId device_container,
-    HardwareBus& bus, ContainerId trusted_container,
-    SimClock* clock = nullptr);
+    HardwareBus& bus, ContainerId trusted_container, SimClock* clock);
 
 // Handles to a virtual drone container's Android Things system stack.
 struct VirtualDroneStack {

@@ -128,8 +128,6 @@ bool ByteReader::GetDouble(double& v) {
   return true;
 }
 
-bool ByteReader::GetBytes(uint8_t* out, size_t n) { return Take(out, n); }
-
 bool ByteReader::GetBlob(std::string& out, size_t n) {
   std::vector<uint8_t> buf(n);
   if (!Take(buf.data(), n)) {

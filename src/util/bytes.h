@@ -64,7 +64,6 @@ class ByteReader {
   bool GetI64(int64_t& v);
   bool GetFloat(float& v);
   bool GetDouble(double& v);
-  bool GetBytes(uint8_t* out, size_t n);
   // Reads |n| bytes and strips trailing NULs.
   bool GetFixedString(std::string& out, size_t n);
   // Reads exactly |n| bytes, preserving embedded/trailing NULs.

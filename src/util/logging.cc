@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdio>
 #include <mutex>
-#include <utility>
 
 namespace androne {
 
@@ -11,11 +10,10 @@ namespace {
 
 std::mutex g_log_mutex;
 // Read on every ALOG statement (including the ~hundreds of thousands per
-// world that the level filter suppresses), so it must not take the sink
+// world that the level filter suppresses), so it must not take the output
 // mutex: a relaxed atomic load keeps the disabled-log fast path to a few
 // instructions.
 std::atomic<LogLevel> g_min_level{LogLevel::kInfo};
-LogSink g_sink;  // Empty -> default stderr sink.
 
 }  // namespace
 
@@ -41,11 +39,6 @@ LogLevel GetMinLogLevel() {
   return g_min_level.load(std::memory_order_relaxed);
 }
 
-void SetLogSink(LogSink sink) {
-  std::lock_guard<std::mutex> lock(g_log_mutex);
-  g_sink = std::move(sink);
-}
-
 namespace internal {
 
 LogMessage::LogMessage(LogLevel level, const char* tag)
@@ -53,10 +46,6 @@ LogMessage::LogMessage(LogLevel level, const char* tag)
 
 LogMessage::~LogMessage() {
   std::lock_guard<std::mutex> lock(g_log_mutex);
-  if (g_sink) {
-    g_sink(level_, tag_, stream_.str());
-    return;
-  }
   std::fprintf(stderr, "%s/%s: %s\n", LogLevelName(level_), tag_,
                stream_.str().c_str());
 }

@@ -1,9 +1,8 @@
 // Minimal leveled stream logger. Subsystems tag messages so flight logs can
-// be separated from, e.g., Binder traffic. Tests can install a capture sink.
+// be separated from, e.g., Binder traffic. Lines go to stderr.
 #ifndef SRC_UTIL_LOGGING_H_
 #define SRC_UTIL_LOGGING_H_
 
-#include <functional>
 #include <sstream>
 #include <string>
 
@@ -16,11 +15,6 @@ const char* LogLevelName(LogLevel level);
 // Global minimum level; messages below it are dropped. Defaults to kInfo.
 void SetMinLogLevel(LogLevel level);
 LogLevel GetMinLogLevel();
-
-// Redirects log output. Passing nullptr restores the default stderr sink.
-using LogSink = std::function<void(LogLevel, const std::string& tag,
-                                   const std::string& message)>;
-void SetLogSink(LogSink sink);
 
 namespace internal {
 

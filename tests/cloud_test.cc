@@ -1,10 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "src/cloud/billing.h"
-#include "src/cloud/conflicts.h"
 #include "src/cloud/energy_model.h"
 #include "src/cloud/flight_planner.h"
-#include "src/cloud/ground_control.h"
 #include "src/cloud/portal.h"
 #include "src/cloud/vdr.h"
 #include "src/core/definition.h"
@@ -448,78 +446,6 @@ TEST_F(PortalTest, OrderIdsAreUnique) {
   ASSERT_TRUE(b.ok());
   EXPECT_NE(a->vdrone_id, b->vdrone_id);
   EXPECT_EQ(vdr_.List().size(), 2u);
-}
-
-TEST_F(PortalTest, OverrideNoticesReachTheRightTenants) {
-  // A drone-wide safety override (empty vdrone id) is visible to every
-  // tenant; a tenant-scoped notice only to its addressee.
-  portal_.PostOverrideNotice(Seconds(10), "",
-                             "Safety override: level-hold (sensor)");
-  portal_.PostOverrideNotice(Seconds(12), "vd-1", "Geofence breached");
-  portal_.PostOverrideNotice(Seconds(20), "",
-                             "Safety release: control returned (sensor)");
-
-  std::vector<OverrideNotice> for_vd1 = portal_.NoticesFor("vd-1");
-  ASSERT_EQ(for_vd1.size(), 3u);
-  std::vector<OverrideNotice> for_vd2 = portal_.NoticesFor("vd-2");
-  ASSERT_EQ(for_vd2.size(), 2u);
-  EXPECT_EQ(for_vd2[0].reason, "Safety override: level-hold (sensor)");
-  EXPECT_EQ(for_vd2[1].reason, "Safety release: control returned (sensor)");
-  EXPECT_EQ(portal_.override_notices().size(), 3u);
-}
-
-// The telemetry path into the portal: GroundControl surfaces downlink
-// STATUSTEXTs through its callback, which the provider wires to
-// PostOverrideNotice so tenants learn why their virtual drone went quiet.
-TEST_F(PortalTest, StatusTextCallbackFeedsOverrideNotices) {
-  SimClock clock;
-  GroundControl gcs(&clock, GroundControlConfig{}, 7);
-  gcs.SetStatusTextCallback([&](uint8_t severity, const std::string& text) {
-    if (text.find("Safety override") != std::string::npos ||
-        text.find("Safety release") != std::string::npos) {
-      portal_.PostOverrideNotice(clock.now(), "", text);
-    }
-    (void)severity;
-  });
-
-  StatusText st;
-  st.severity = static_cast<uint8_t>(MavSeverity::kWarning);
-  st.text = "Safety override: level-hold (deadline)";
-  gcs.HandleDownlinkFrame(PackMessage(MavMessage{st}));
-  st.text = "Mode LOITER";  // Ordinary chatter: recorded, not a notice.
-  gcs.HandleDownlinkFrame(PackMessage(MavMessage{st}));
-
-  EXPECT_EQ(gcs.status_texts().size(), 2u);
-  ASSERT_EQ(portal_.override_notices().size(), 1u);
-  EXPECT_EQ(portal_.override_notices()[0].reason,
-            "Safety override: level-hold (deadline)");
-}
-
-
-// ------------------------------------------------ Device conflicts (§5).
-
-TEST(ConflictTest, ContinuousDeviceOverlapsDetected) {
-  VirtualDroneDefinition a;
-  a.id = "vd-a";
-  a.waypoints = {WaypointSpec{kDepot, 30}};
-  a.continuous_devices = {"camera", "gps"};
-  VirtualDroneDefinition b = a;
-  b.id = "vd-b";
-  b.continuous_devices = {"camera"};
-  VirtualDroneDefinition c = a;
-  c.id = "vd-c";
-  c.continuous_devices = {};
-  c.waypoint_devices = {"camera"};  // Waypoint-only: no conflict.
-
-  auto conflicts = FindContinuousDeviceConflicts({a, b, c});
-  ASSERT_EQ(conflicts.size(), 1u);
-  EXPECT_EQ(conflicts[0].vdrone_a, "vd-a");
-  EXPECT_EQ(conflicts[0].vdrone_b, "vd-b");
-  EXPECT_EQ(conflicts[0].device, "camera");
-  EXPECT_NE(conflicts[0].ToString().find("camera"), std::string::npos);
-  EXPECT_FALSE(ConflictFree({a, b}));
-  EXPECT_TRUE(ConflictFree({a, c}));
-  EXPECT_TRUE(ConflictFree({}));
 }
 
 }  // namespace

@@ -1,17 +1,23 @@
 // Chaos tests: scripted network faults against the full control chain
-// (GroundControl -> faulty duplex LTE channel -> MAVProxy -> flight
+// (a ground station -> faulty duplex LTE channel -> MAVProxy -> flight
 // controller) plus crash-injection and supervised restart of containers.
+// The ground station is a fixture here: production planner traffic goes
+// through AnDroneSystem's own reliable sender, not through a GCS model.
 // Every scenario runs on the simulated clock with fixed seeds, so the
 // whole chaos schedule replays deterministically.
 #include <gtest/gtest.h>
 
-#include "src/cloud/ground_control.h"
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "src/container/container.h"
 #include "src/container/image_store.h"
 #include "src/container/runtime.h"
 #include "src/container/supervisor.h"
 #include "src/flight/sitl.h"
 #include "src/mavlink/frame.h"
+#include "src/mavlink/reliable.h"
 #include "src/mavproxy/mavproxy.h"
 #include "src/net/channel.h"
 #include "src/net/fault_injector.h"
@@ -111,7 +117,88 @@ TEST(FaultyLinkModelTest, ChannelOverFaultyLinkLosesOnlyInWindow) {
 
 // ------------------------------------------------ Chaos mission harness.
 
-// Full control chain: GroundControl <-> faulty duplex LTE <-> MAVProxy
+// The ground end of the chain: beacons 1 Hz GCS heartbeats (the drone's
+// link watchdog listens for them), delivers COMMAND_LONGs through an
+// ack-tracked ReliableCommandSender, and records the SYS_STATUS sensor bits
+// and STATUSTEXTs that come down the telemetry path.
+class GroundStation {
+ public:
+  using FrameSink = std::function<void(const MavlinkFrame&)>;
+
+  static constexpr uint8_t kSysid = 255;  // GCS convention.
+
+  GroundStation(SimClock* clock, uint64_t seed)
+      : clock_(clock), sender_(clock, RetryConfig{}, seed) {}
+
+  void SetUplink(FrameSink sink) {
+    uplink_ = std::move(sink);
+    // Passed through unchanged: CommandDeduper recognises a retransmission
+    // by the original frame's seq, so restamping would make every retry
+    // look like a fresh command.
+    sender_.SetSendSink(uplink_);
+  }
+
+  void StartHeartbeat() {
+    Heartbeat hb;
+    hb.type = 6;       // MAV_TYPE_GCS.
+    hb.autopilot = 8;  // MAV_AUTOPILOT_INVALID, as GCSs send.
+    hb.system_status = static_cast<uint8_t>(MavState::kActive);
+    Send(PackMessage(MavMessage{hb}));
+    clock_->ScheduleAfter(Seconds(1), [this] { StartHeartbeat(); });
+  }
+
+  // SET_MODE and position targets have no MAVLink ack; callers re-send.
+  void SendMode(CopterMode mode) {
+    SetMode sm;
+    sm.custom_mode = static_cast<uint32_t>(mode);
+    Send(PackMessage(MavMessage{sm}));
+  }
+  void SendPositionTarget(double lat_deg, double lon_deg, double alt_m) {
+    SetPositionTargetGlobalInt sp;
+    sp.lat_int = static_cast<int32_t>(lat_deg * 1e7);
+    sp.lon_int = static_cast<int32_t>(lon_deg * 1e7);
+    sp.alt = static_cast<float>(alt_m);
+    Send(PackMessage(MavMessage{sp}));
+  }
+
+  void HandleDownlinkFrame(const MavlinkFrame& frame) {
+    sender_.HandleFrame(frame);
+    auto message = UnpackMessage(frame);
+    if (!message.ok()) {
+      return;
+    }
+    if (const auto* ss = std::get_if<SysStatus>(&*message)) {
+      sensors_present_ = ss->sensors_present;
+      sensors_health_ = ss->sensors_health;
+    } else if (const auto* st = std::get_if<StatusText>(&*message)) {
+      status_texts_.push_back(st->text);
+    }
+  }
+
+  ReliableCommandSender& sender() { return sender_; }
+  uint32_t sensors_present() const { return sensors_present_; }
+  uint32_t sensors_health() const { return sensors_health_; }
+  const std::vector<std::string>& status_texts() const {
+    return status_texts_;
+  }
+
+ private:
+  void Send(MavlinkFrame frame) {
+    frame.seq = tx_seq_++;
+    frame.sysid = kSysid;
+    uplink_(frame);
+  }
+
+  SimClock* clock_;
+  FrameSink uplink_;
+  ReliableCommandSender sender_;
+  uint8_t tx_seq_ = 0;
+  uint32_t sensors_present_ = 0;
+  uint32_t sensors_health_ = 0;
+  std::vector<std::string> status_texts_;
+};
+
+// Full control chain: GroundStation <-> faulty duplex LTE <-> MAVProxy
 // <-> SITL flight stack, with the proxy's link failsafe armed.
 class ChaosHarness {
  public:
@@ -121,7 +208,7 @@ class ChaosHarness {
         forward_(&lte_, &plan_, &clock_, LinkDirection::kForward),
         reverse_(&lte_, &plan_, &clock_, LinkDirection::kReverse),
         channel_(&clock_, &forward_, &reverse_, seed + 1),
-        gcs_(&clock_, GroundControlConfig{}, seed + 2) {
+        gcs_(&clock_, seed + 2) {
     // Drone side: proxy fronts the flight controller.
     proxy_.SetMasterSink([this](const MavlinkFrame& frame) {
       drone_.controller().HandleFrame(frame);
@@ -150,7 +237,7 @@ class ChaosHarness {
       }
     });
     clock_.RunFor(Seconds(2));  // Sensor warmup.
-    gcs_.Start();
+    gcs_.StartHeartbeat();
   }
 
   bool RunUntil(const std::function<bool()>& predicate, SimDuration timeout) {
@@ -170,13 +257,13 @@ class ChaosHarness {
     CommandLong arm;
     arm.command = static_cast<uint16_t>(MavCmd::kComponentArmDisarm);
     arm.param1 = 1;
-    gcs_.SendCommand(arm);
+    gcs_.sender().SendCommand(arm);
     ASSERT_TRUE(RunUntil([this] { return drone_.controller().armed(); },
                          Seconds(10)));
     CommandLong takeoff;
     takeoff.command = static_cast<uint16_t>(MavCmd::kNavTakeoff);
     takeoff.param7 = static_cast<float>(altitude_m);
-    gcs_.SendCommand(takeoff);
+    gcs_.sender().SendCommand(takeoff);
     ASSERT_TRUE(RunUntil(
         [this, altitude_m] {
           return drone_.physics().truth().position.altitude_m >
@@ -193,7 +280,7 @@ class ChaosHarness {
   FaultyLinkModel forward_;
   FaultyLinkModel reverse_;
   DuplexChannel channel_;
-  GroundControl gcs_;
+  GroundStation gcs_;
   MavlinkParser up_parser_;
   MavlinkParser down_parser_;
 };
@@ -285,7 +372,7 @@ TEST(ChaosMissionTest, AckBlackoutRetriesExecuteExactlyOnce) {
   CommandLong shoot;
   shoot.command = static_cast<uint16_t>(MavCmd::kDoDigicamControl);
   shoot.param5 = 1;
-  h.gcs_.SendCommand(shoot);
+  h.gcs_.sender().SendCommand(shoot);
 
   ASSERT_TRUE(h.RunUntil([&] { return h.gcs_.sender().acked() == 1; },
                          Seconds(30)));
@@ -305,12 +392,12 @@ TEST(ReliableDeliveryTest, SenderGivesUpAfterMaxAttempts) {
   h.plan_.AddOutage(h.clock_.now(), Seconds(3600));
   bool resolved = false;
   bool delivered = true;
-  h.gcs_.SetCompletionCallback(
+  h.gcs_.sender().SetCompletionCallback(
       [&](const CommandLong&, bool ok) { resolved = true; delivered = ok; });
   CommandLong arm;
   arm.command = static_cast<uint16_t>(MavCmd::kComponentArmDisarm);
   arm.param1 = 1;
-  h.gcs_.SendCommand(arm);
+  h.gcs_.sender().SendCommand(arm);
   ASSERT_TRUE(h.RunUntil([&] { return resolved; }, Seconds(120)));
   EXPECT_FALSE(delivered);
   EXPECT_EQ(h.gcs_.sender().gave_up(), 1u);
@@ -371,11 +458,11 @@ TEST(ChaosMissionTest, CombinedLinkAndSensorChaosSurfacesToGroundControl) {
 
   // The override narrated itself down the telemetry path.
   bool saw_override = false, saw_release = false;
-  for (const ReceivedStatusText& st : h.gcs_.status_texts()) {
-    if (st.text.find("Safety override: level-hold") != std::string::npos) {
+  for (const std::string& text : h.gcs_.status_texts()) {
+    if (text.find("Safety override: level-hold") != std::string::npos) {
       saw_override = true;
     }
-    if (st.text.find("Safety release") != std::string::npos) {
+    if (text.find("Safety release") != std::string::npos) {
       saw_release = true;
     }
   }

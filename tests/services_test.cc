@@ -37,7 +37,8 @@ class ServicesFixture : public ::testing::Test {
                                        image_).value();
     EXPECT_TRUE(runtime_.StartContainer(device_->id()).ok());
     device_stack_ = BootDeviceContainer(runtime_, device_->id(), bus_,
-                                        /*trusted_container=*/-1).value();
+                                        /*trusted_container=*/-1, &clock_)
+                        .value();
   }
 
   // Boots a virtual drone container and returns its stack.
