@@ -3,21 +3,13 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/util/geo.h"
+
 namespace androne {
 
 namespace {
 
 double Clamp(double v, double limit) { return std::clamp(v, -limit, limit); }
-
-double WrapAngle(double a) {
-  while (a > M_PI) {
-    a -= 2 * M_PI;
-  }
-  while (a < -M_PI) {
-    a += 2 * M_PI;
-  }
-  return a;
-}
 
 // Attitude angle error -> rate setpoint gain.
 constexpr double kAngleP = 5.0;
@@ -56,9 +48,9 @@ std::array<double, kNumMotors> AttitudeController::Update(
     const AttitudeTarget& target, double roll, double pitch, double yaw,
     double p, double q, double r, SimDuration dt) {
   // Angle error -> rate setpoints.
-  double p_sp = Clamp(kAngleP * WrapAngle(target.roll_rad - roll), kMaxRate);
-  double q_sp = Clamp(kAngleP * WrapAngle(target.pitch_rad - pitch), kMaxRate);
-  double r_sp = Clamp(kAngleP * WrapAngle(target.yaw_rad - yaw), kMaxRate);
+  double p_sp = Clamp(kAngleP * WrapPi(target.roll_rad - roll), kMaxRate);
+  double q_sp = Clamp(kAngleP * WrapPi(target.pitch_rad - pitch), kMaxRate);
+  double r_sp = Clamp(kAngleP * WrapPi(target.yaw_rad - yaw), kMaxRate);
 
   // Rate errors -> mixer inputs.
   double roll_mix = Clamp(roll_rate_pid_.Update(p_sp - p, dt), 0.4);

@@ -41,16 +41,6 @@ constexpr SimDuration kDeadReckonAfter = Millis(400);
 // corrections, trusting stale velocity forever walks the estimate away.
 constexpr double kDeadReckonDecayPerS = 0.5;
 
-double WrapAngle(double a) {
-  while (a > M_PI) {
-    a -= 2 * M_PI;
-  }
-  while (a < -M_PI) {
-    a += 2 * M_PI;
-  }
-  return a;
-}
-
 // A latched sensor repeats the whole sample, timestamp included; a live
 // sensor's timestamp always advances even if the values coincide.
 bool SameReading(const ImuSample& a, const ImuSample& b) {
@@ -134,9 +124,9 @@ void Estimator::UpdateImu(const ImuSample& sample, SimDuration dt) {
     double roll_acc = std::asin(std::clamp(-ay / kGravity, -1.0, 1.0));
     double pitch_acc = std::asin(std::clamp(ax / kGravity, -1.0, 1.0));
     attitude_.roll_rad +=
-        accel_blend * WrapAngle(roll_acc - attitude_.roll_rad);
+        accel_blend * WrapPi(roll_acc - attitude_.roll_rad);
     attitude_.pitch_rad +=
-        accel_blend * WrapAngle(pitch_acc - attitude_.pitch_rad);
+        accel_blend * WrapPi(pitch_acc - attitude_.pitch_rad);
   }
 
   // Dead-reckon position on the last accepted velocity while GPS is stale
@@ -159,7 +149,7 @@ void Estimator::UpdateImu(const ImuSample& sample, SimDuration dt) {
 }
 
 void Estimator::UpdateMag(double heading_rad) {
-  double innovation = WrapAngle(heading_rad - attitude_.yaw_rad);
+  double innovation = WrapPi(heading_rad - attitude_.yaw_rad);
   SensorHealthState& s = state(EstimatorSensor::kMag);
   double gate = kMagGateBaseRad + kMagGateGrowthRad * s.consecutive_rejects;
   if (s.accepted > 0 && std::abs(innovation) > std::min(gate, M_PI)) {

@@ -10,6 +10,15 @@ namespace androne {
 
 namespace {
 
+// Loop periods: the 400 Hz fast loop (ArduPilot Copter's), 1 Hz heartbeat,
+// 10 Hz attitude and 5 Hz position telemetry; the flight log records every
+// 16th fast-loop tick (25 Hz).
+constexpr SimDuration kFastLoopPeriod = SecondsF(1.0 / 400.0);
+constexpr SimDuration kHeartbeatPeriod = SecondsF(1.0 / 1.0);
+constexpr SimDuration kAttitudeTelemetryPeriod = SecondsF(1.0 / 10.0);
+constexpr SimDuration kPositionTelemetryPeriod = SecondsF(1.0 / 5.0);
+constexpr uint64_t kLogEveryTicks = 16;
+
 constexpr double kWaypointReachedM = 2.0;
 constexpr double kRtlAltitudeM = 15.0;
 constexpr double kLandDescentMs = 0.75;
@@ -30,7 +39,8 @@ FlightController::FlightController(SimClock* clock, QuadPhysics* physics,
                                    Battery* battery,
                                    FlightControllerConfig config)
     : clock_(clock), physics_(physics), motors_(motors), sensors_(sensors),
-      battery_(battery), config_(config), estimator_(config.home),
+      battery_(battery), config_(config), home_frame_(config.home),
+      estimator_(config.home),
       // The window must outlast a sender's largest retransmission gap.
       deduper_(clock, /*window=*/Seconds(5)),
       position_ctrl_(physics->hover_throttle(), PositionControllerLimits{}),
@@ -50,22 +60,20 @@ void FlightController::Start() {
     return;
   }
   running_ = true;
-  fast_loop_event_ = clock_->ScheduleAfter(SecondsF(1.0 / config_.fast_loop_hz),
-                                           [this] { FastLoop(); });
+  fast_loop_event_ =
+      clock_->ScheduleAfter(kFastLoopPeriod, [this] { FastLoop(); });
   StartTelemetry();
 }
 
 void FlightController::Stop() { running_ = false; }
 
 void FlightController::StartTelemetry() {
-  heartbeat_event_ = clock_->ScheduleAfter(SecondsF(1.0 / config_.heartbeat_hz),
-                                           [this] { HeartbeatTick(); });
-  attitude_event_ =
-      clock_->ScheduleAfter(SecondsF(1.0 / config_.attitude_telemetry_hz),
-                            [this] { AttitudeTick(); });
-  position_event_ =
-      clock_->ScheduleAfter(SecondsF(1.0 / config_.position_telemetry_hz),
-                            [this] { PositionTick(); });
+  heartbeat_event_ =
+      clock_->ScheduleAfter(kHeartbeatPeriod, [this] { HeartbeatTick(); });
+  attitude_event_ = clock_->ScheduleAfter(kAttitudeTelemetryPeriod,
+                                          [this] { AttitudeTick(); });
+  position_event_ = clock_->ScheduleAfter(kPositionTelemetryPeriod,
+                                          [this] { PositionTick(); });
 }
 
 void FlightController::HeartbeatTick() {
@@ -79,8 +87,8 @@ void FlightController::HeartbeatTick() {
   hb.system_status = static_cast<uint8_t>(armed_ ? MavState::kActive
                                                  : MavState::kStandby);
   Send(MavMessage{hb});
-  heartbeat_event_ = clock_->ScheduleAfter(SecondsF(1.0 / config_.heartbeat_hz),
-                                           [this] { HeartbeatTick(); });
+  heartbeat_event_ =
+      clock_->ScheduleAfter(kHeartbeatPeriod, [this] { HeartbeatTick(); });
 }
 
 void FlightController::AttitudeTick() {
@@ -93,9 +101,8 @@ void FlightController::AttitudeTick() {
   att.pitch = static_cast<float>(estimator_.attitude().pitch_rad);
   att.yaw = static_cast<float>(estimator_.attitude().yaw_rad);
   Send(MavMessage{att});
-  attitude_event_ =
-      clock_->ScheduleAfter(SecondsF(1.0 / config_.attitude_telemetry_hz),
-                            [this] { AttitudeTick(); });
+  attitude_event_ = clock_->ScheduleAfter(kAttitudeTelemetryPeriod,
+                                          [this] { AttitudeTick(); });
 }
 
 void FlightController::PositionTick() {
@@ -145,13 +152,12 @@ void FlightController::PositionTick() {
       (10.5 + 2.1 * std::max(0.0, sensed)) * 1000);
   ss.battery_remaining = static_cast<int8_t>(sensed * 100);
   Send(MavMessage{ss});
-  position_event_ =
-      clock_->ScheduleAfter(SecondsF(1.0 / config_.position_telemetry_hz),
-                            [this] { PositionTick(); });
+  position_event_ = clock_->ScheduleAfter(kPositionTelemetryPeriod,
+                                          [this] { PositionTick(); });
 }
 
 NedPoint FlightController::EstimatedNed() const {
-  return ToNed(config_.home, estimator_.position().position);
+  return home_frame_.ToNed(estimator_.position().position);
 }
 
 void FlightController::SetLatencySampler(WakeLatencySampler* sampler) {
@@ -245,7 +251,6 @@ void FlightController::FastLoop() {
   if (!running_) {
     return;
   }
-  SimDuration period = SecondsF(1.0 / config_.fast_loop_hz);
   ++fast_loops_;
 
   // Replay fast path (DESIGN.md §15): drive this tick from the recorded
@@ -298,17 +303,17 @@ void FlightController::FastLoop() {
   }
 
   if (!missed) {
-    RunControl(period, /*replaying=*/replay != nullptr);
+    RunControl(kFastLoopPeriod, /*replaying=*/replay != nullptr);
   } else if (armed_) {
     // Simplex split: the complex stack lost this cycle, but the safety
     // supervisor is exempt — it still observes, and if it is overriding it
     // still flies instead of letting the motors coast on stale outputs.
-    SafetyVerdict verdict = SafetyTick(period);
+    SafetyVerdict verdict = SafetyTick(kFastLoopPeriod);
     if (replay == nullptr) {
       if (verdict.overriding) {
         std::array<double, kNumMotors> out{0, 0, 0, 0};
         if (!verdict.cut_motors) {
-          out = OverrideOutput(verdict, period);
+          out = OverrideOutput(verdict, kFastLoopPeriod);
         }
         last_output_ = out;
         (void)motors_->SetThrottles(motors_->opener(), out);
@@ -325,15 +330,12 @@ void FlightController::FastLoop() {
   if (replay != nullptr) {
     *physics_->mutable_truth() = replay->truth;
   } else {
-    physics_->Step(period, *motors_);
+    physics_->Step(kFastLoopPeriod, *motors_);
   }
-  battery_->Drain(physics_->total_rotor_power_w(), period);
+  battery_->Drain(physics_->total_rotor_power_w(), kFastLoopPeriod);
 
-  // Flight log at log_hz.
-  if (fast_loops_ %
-          std::max<uint64_t>(1, static_cast<uint64_t>(config_.fast_loop_hz /
-                                                      config_.log_hz)) ==
-      0) {
+  // Flight log at 25 Hz.
+  if (fast_loops_ % kLogEveryTicks == 0) {
     const DroneGroundTruth& truth = physics_->truth();
     FlightLogEntry entry;
     entry.time = clock_->now();
@@ -368,7 +370,8 @@ void FlightController::FastLoop() {
     plane_recorder_(sample);
   }
 
-  fast_loop_event_ = clock_->ScheduleAfter(period, [this] { FastLoop(); });
+  fast_loop_event_ =
+      clock_->ScheduleAfter(kFastLoopPeriod, [this] { FastLoop(); });
 }
 
 void FlightController::RunControl(SimDuration dt, bool replaying) {
@@ -557,7 +560,7 @@ AttitudeTarget FlightController::ComputeModeTarget(SimDuration dt) {
                                    hold_target_.down_m, yaw, target_yaw_, dt);
     case CopterMode::kAuto: {
       if (mission_index_ < mission_.size()) {
-        NedPoint wp = ToNed(config_.home, mission_[mission_index_]);
+        NedPoint wp = home_frame_.ToNed(mission_[mission_index_]);
         double dist = std::hypot(wp.north_m - ned.north_m,
                                  wp.east_m - ned.east_m,
                                  wp.down_m - ned.down_m);
@@ -620,7 +623,7 @@ void FlightController::CheckFence() {
     fence_recovering_ = true;
     SendStatusText(MavSeverity::kWarning, "Geofence breached");
     NedPoint ned = EstimatedNed();
-    NedPoint center = ToNed(config_.home, fence_.center);
+    NedPoint center = home_frame_.ToNed(fence_.center);
     double dn = center.north_m - ned.north_m;
     double de = center.east_m - ned.east_m;
     double dist = std::max(1e-6, std::hypot(dn, de));
@@ -881,7 +884,7 @@ void FlightController::HandleSetPositionTarget(
   if ((sp.type_mask & kIgnorePosition) == 0) {
     GeoPoint target{sp.lat_int / 1e7, sp.lon_int / 1e7,
                     static_cast<double>(sp.alt)};
-    guided_target_ = ToNed(config_.home, target);
+    guided_target_ = home_frame_.ToNed(target);
     guided_velocity_.reset();
   } else if ((sp.type_mask & kIgnoreVelocity) == 0) {
     guided_velocity_ = NedPoint{sp.vx, sp.vy, sp.vz};

@@ -45,11 +45,6 @@ struct GeofenceConfig {
 struct FlightControllerConfig {
   GeoPoint home;
   uint8_t sysid = 1;
-  double fast_loop_hz = 400.0;
-  double heartbeat_hz = 1.0;
-  double attitude_telemetry_hz = 10.0;
-  double position_telemetry_hz = 5.0;
-  double log_hz = 25.0;
   // Battery failsafe: below this remaining fraction the controller forces
   // RTL so the flight always ends at base (0 disables).
   double battery_failsafe_fraction = 0.15;
@@ -247,6 +242,7 @@ class FlightController {
   SensorSource* sensors_;
   Battery* battery_;
   FlightControllerConfig config_;
+  NedFrame home_frame_;  // NED around config_.home.
   std::function<double()> latency_source_;
   std::function<double()> battery_gauge_;
   PlaneRecorder plane_recorder_;

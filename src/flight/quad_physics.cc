@@ -10,7 +10,7 @@ constexpr double kGravity = 9.80665;
 }  // namespace
 
 QuadPhysics::QuadPhysics(const GeoPoint& home, const QuadParams& params)
-    : params_(params), home_(home) {
+    : params_(params), frame_(home) {
   UpdateGroundTruth();
 }
 
@@ -102,7 +102,7 @@ void QuadPhysics::Step(SimDuration dt, const MotorSet& motors) {
 }
 
 void QuadPhysics::UpdateGroundTruth() {
-  truth_.position = FromNed(home_, ned_);
+  truth_.position = frame_.FromNed(ned_);
   truth_.velocity_ms = vel_;
   truth_.roll_rad = roll_;
   truth_.pitch_rad = pitch_;

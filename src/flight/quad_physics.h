@@ -45,7 +45,7 @@ class QuadPhysics {
   const DroneGroundTruth& truth() const { return truth_; }
   DroneGroundTruth* mutable_truth() { return &truth_; }
 
-  const GeoPoint& home() const { return home_; }
+  const GeoPoint& home() const { return frame_.origin(); }
   // Position in the local NED frame around home.
   NedPoint ned_position() const { return ned_; }
   double total_rotor_power_w() const { return truth_.rotor_power_w; }
@@ -74,7 +74,7 @@ class QuadPhysics {
   void UpdateGroundTruth();
 
   QuadParams params_;
-  GeoPoint home_;
+  NedFrame frame_;                    // Local tangent plane around home.
   NedPoint ned_;                      // Position, m (down negative = up).
   NedPoint vel_;                      // Velocity, m/s.
   double roll_ = 0, pitch_ = 0, yaw_ = 0;

@@ -43,26 +43,35 @@ double BearingDeg(const GeoPoint& from, const GeoPoint& to) {
   return bearing;
 }
 
-NedPoint ToNed(const GeoPoint& origin, const GeoPoint& p) {
-  double dlat = (p.latitude_deg - origin.latitude_deg) * kDegToRad;
-  double dlon = (p.longitude_deg - origin.longitude_deg) * kDegToRad;
-  double coslat = std::cos(origin.latitude_deg * kDegToRad);
+NedFrame::NedFrame(const GeoPoint& origin)
+    : origin_(origin), coslat_(std::cos(origin.latitude_deg * kDegToRad)) {}
+
+NedPoint NedFrame::ToNed(const GeoPoint& p) const {
+  double dlat = (p.latitude_deg - origin_.latitude_deg) * kDegToRad;
+  double dlon = (p.longitude_deg - origin_.longitude_deg) * kDegToRad;
   return NedPoint{
       .north_m = dlat * kEarthRadiusM,
-      .east_m = dlon * kEarthRadiusM * coslat,
-      .down_m = -(p.altitude_m - origin.altitude_m),
+      .east_m = dlon * kEarthRadiusM * coslat_,
+      .down_m = -(p.altitude_m - origin_.altitude_m),
   };
 }
 
-GeoPoint FromNed(const GeoPoint& origin, const NedPoint& ned) {
-  double coslat = std::cos(origin.latitude_deg * kDegToRad);
+GeoPoint NedFrame::FromNed(const NedPoint& ned) const {
   return GeoPoint{
       .latitude_deg =
-          origin.latitude_deg + (ned.north_m / kEarthRadiusM) * kRadToDeg,
-      .longitude_deg = origin.longitude_deg +
-                       (ned.east_m / (kEarthRadiusM * coslat)) * kRadToDeg,
-      .altitude_m = origin.altitude_m - ned.down_m,
+          origin_.latitude_deg + (ned.north_m / kEarthRadiusM) * kRadToDeg,
+      .longitude_deg = origin_.longitude_deg +
+                       (ned.east_m / (kEarthRadiusM * coslat_)) * kRadToDeg,
+      .altitude_m = origin_.altitude_m - ned.down_m,
   };
+}
+
+NedPoint ToNed(const GeoPoint& origin, const GeoPoint& p) {
+  return NedFrame(origin).ToNed(p);
+}
+
+GeoPoint FromNed(const GeoPoint& origin, const NedPoint& ned) {
+  return NedFrame(origin).FromNed(ned);
 }
 
 GeoPoint MoveToward(const GeoPoint& from, const GeoPoint& to,

@@ -4,6 +4,7 @@
 #ifndef SRC_UTIL_GEO_H_
 #define SRC_UTIL_GEO_H_
 
+#include <cmath>
 #include <string>
 
 namespace androne {
@@ -13,6 +14,24 @@ namespace androne {
 inline constexpr double kEarthRadiusM = 6371000.0;
 inline constexpr double kDegToRad = 0.017453292519943295;
 inline constexpr double kRadToDeg = 57.29577951308232;
+
+// Wraps |a| radians into [-pi, pi]. Up to |a| = 1e3 it is the plain
+// subtract-2*pi loop, whose exact rounding the digested control and
+// estimation paths depend on. Beyond that std::remainder reduces |a| first:
+// the loop costs O(|a|) and never ends once a - 2*pi == a, and a
+// sensor-fault bias can push a heading that far.
+inline double WrapPi(double a) {
+  if (std::fabs(a) > 1e3) {
+    a = std::remainder(a, 2 * M_PI);
+  }
+  while (a > M_PI) {
+    a -= 2 * M_PI;
+  }
+  while (a < -M_PI) {
+    a += 2 * M_PI;
+  }
+  return a;
+}
 
 // A geodetic position. Altitude is meters above the home/takeoff plane.
 struct GeoPoint {
@@ -43,11 +62,29 @@ double Distance3dMeters(const GeoPoint& a, const GeoPoint& b);
 // Initial great-circle bearing from |from| to |to|, degrees in [0, 360).
 double BearingDeg(const GeoPoint& from, const GeoPoint& to);
 
-// Converts |p| to NED coordinates relative to |origin| (small-angle local
-// tangent plane approximation; fine for <10 km extents).
-NedPoint ToNed(const GeoPoint& origin, const GeoPoint& p);
+// The local tangent plane around a fixed |origin| (small-angle
+// approximation; fine for <10 km extents). cos(origin latitude) is computed
+// once, so callers that convert against one origin every tick (home, for
+// the flight stack) pay it once per flight.
+class NedFrame {
+ public:
+  explicit NedFrame(const GeoPoint& origin);
 
-// Inverse of ToNed.
+  const GeoPoint& origin() const { return origin_; }
+
+  // Converts |p| to NED coordinates relative to origin().
+  NedPoint ToNed(const GeoPoint& p) const;
+  // Inverse of ToNed.
+  GeoPoint FromNed(const NedPoint& ned) const;
+
+ private:
+  GeoPoint origin_;
+  double coslat_;
+};
+
+// One-off conversions around an origin that moves (dead reckoning, sensor
+// synthesis); same results as NedFrame(origin).
+NedPoint ToNed(const GeoPoint& origin, const GeoPoint& p);
 GeoPoint FromNed(const GeoPoint& origin, const NedPoint& ned);
 
 // Moves from |from| toward |to| by |distance_m| along the ground track,

@@ -4,6 +4,11 @@
 #ifndef SRC_UTIL_RNG_H_
 #define SRC_UTIL_RNG_H_
 
+// Refused for the reason given in src/util/time.h.
+#ifdef __FAST_MATH__
+#error "AnDrone must not be built with -ffast-math: it moves digests"
+#endif
+
 #include <cstdint>
 
 namespace androne {

@@ -25,24 +25,27 @@ EventId SimClock::ScheduleAt(SimTime when, Callback cb) {
     slot = static_cast<uint32_t>(slots_.size());
     slots_.push_back(Slot{});
   }
-  uint32_t generation = slots_[slot].generation;
-  heap_.push_back(Event{when, next_seq_++, slot, generation, std::move(cb)});
+  Slot& parked = slots_[slot];
+  parked.cb = std::move(cb);
+  heap_.push_back(Event{when, next_seq_++, slot, parked.generation});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   ++live_count_;
-  return PackId(slot, generation);
+  return PackId(slot, parked.generation);
 }
 
 EventId SimClock::ScheduleAfter(SimDuration delay, Callback cb) {
   return ScheduleAt(now_ + (delay < 0 ? 0 : delay), std::move(cb));
 }
 
-void SimClock::RetireSlot(uint32_t slot) {
+SimClock::Callback SimClock::RetireSlot(uint32_t slot) {
+  Slot& retired = slots_[slot];
   // Generation 0 is skipped on wrap so no EventId is ever 0 and a stale
   // 32-bit id cannot collide with a freshly reset stamp.
-  if (++slots_[slot].generation == 0) {
-    slots_[slot].generation = 1;
+  if (++retired.generation == 0) {
+    retired.generation = 1;
   }
   free_slots_.push_back(slot);
+  return std::exchange(retired.cb, nullptr);
 }
 
 bool SimClock::Cancel(EventId id) {
@@ -51,16 +54,16 @@ bool SimClock::Cancel(EventId id) {
   if (slot >= slots_.size() || slots_[slot].generation != generation) {
     return false;  // Already ran, already cancelled, or never existed.
   }
-  RetireSlot(slot);
+  Callback cancelled = RetireSlot(slot);
   --live_count_;
   ++cancelled_pending_;
   MaybeCompact();
-  return true;
+  return true;  // |cancelled| dies here, against a consistent clock.
 }
 
 SimClock::Event SimClock::PopTop() {
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Event ev = std::move(heap_.back());
+  Event ev = heap_.back();
   heap_.pop_back();
   return ev;
 }
@@ -91,14 +94,16 @@ bool SimClock::PopAndRunLive() {
       --cancelled_pending_;
       continue;  // Tombstone of a cancelled event.
     }
-    RetireSlot(ev.slot);
+    // Moved out before it runs: the callback may take this slot back or
+    // grow slots_, relocating every parked closure.
+    Callback cb = RetireSlot(ev.slot);
     --live_count_;
     now_ = ev.when;
     ++events_run_;
     if (dispatch_hook_) {
       dispatch_hook_(now_);
     }
-    ev.cb();
+    cb();
     return true;
   }
   return false;
@@ -123,9 +128,11 @@ bool SimClock::PendingInfo(EventId id, SimTime* when, uint64_t* seq) const {
 }
 
 void SimClock::ResetForRestore(SimTime now, uint64_t events_run) {
+  std::vector<Callback> dropped;
+  dropped.reserve(live_count_);
   for (const Event& ev : heap_) {
     if (IsLive(ev)) {
-      RetireSlot(ev.slot);
+      dropped.push_back(RetireSlot(ev.slot));
     }
   }
   heap_.clear();
@@ -133,7 +140,7 @@ void SimClock::ResetForRestore(SimTime now, uint64_t events_run) {
   cancelled_pending_ = 0;
   now_ = now;
   events_run_ = events_run;
-}
+}  // |dropped| dies here, against the restored clock.
 
 void SimClock::RunUntil(SimTime until) {
   for (;;) {

@@ -4,17 +4,22 @@
 // SimClock so an entire multi-virtual-drone flight is reproducible and runs
 // orders of magnitude faster than wall-clock time.
 //
-// Hot-path design: cancellation is O(1) against a slot table of generation
-// stamps instead of a per-event hash set. An EventId packs (slot, generation);
-// a heap entry whose generation no longer matches its slot is a tombstone and
-// is skipped when popped. When tombstones outnumber live events the heap is
-// compacted in place, so a workload that schedules-and-cancels (retry timers,
-// watchdogs) costs no hash allocations and no unbounded heap growth.
+// Hot-path design: the heap holds only 24-byte, trivially copyable
+// (when, seq, slot, generation) keys; each pending closure is parked in its
+// slot of a slot table, so no push, sift or pop moves a std::function.
+// Cancellation is O(1) against the slots' generation stamps instead of a
+// per-event hash set: an EventId packs (slot, generation), Cancel bumps the
+// generation and frees the parked closure at once, and a heap key whose
+// generation no longer matches its slot is a tombstone skipped when popped.
+// When tombstones outnumber live events the heap is compacted in place, so a
+// workload that schedules-and-cancels (retry timers, watchdogs) costs no hash
+// allocations and no unbounded heap growth.
 #ifndef SRC_UTIL_SIM_CLOCK_H_
 #define SRC_UTIL_SIM_CLOCK_H_
 
 #include <cstdint>
 #include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "src/util/time.h"
@@ -102,14 +107,16 @@ class SimClock {
  private:
   struct Slot {
     uint32_t generation = 1;  // Bumped on run/cancel; stale entries mismatch.
+    Callback cb;              // The pending event's closure; empty when free.
   };
+  // A heap key: the closure stays parked in slots_[slot].
   struct Event {
     SimTime when;
     uint64_t seq;  // Tie-break on insertion order for FIFO among equal times.
     uint32_t slot;
     uint32_t generation;
-    Callback cb;
   };
+  static_assert(sizeof(Event) == 24 && std::is_trivially_copyable_v<Event>);
   // std::push_heap/pop_heap comparator: max-heap on "later", so the earliest
   // (or FIFO-first among equals) event surfaces at front.
   struct Later {
@@ -130,8 +137,10 @@ class SimClock {
   }
   // Retires |slot| (run or cancelled): bumps the generation so heap entries
   // stamped with the old one read as tombstones, and recycles the slot.
-  void RetireSlot(uint32_t slot);
-  // Pops the front heap entry, returning it by move.
+  // Returns the parked closure, which the caller lets die (or runs) only
+  // after the clock's counters are consistent again.
+  Callback RetireSlot(uint32_t slot);
+  // Pops the front heap key.
   Event PopTop();
   // Drops tombstoned entries and re-heapifies. Called when cancelled
   // tombstones exceed half the heap.

@@ -3,6 +3,13 @@
 #ifndef SRC_UTIL_TIME_H_
 #define SRC_UTIL_TIME_H_
 
+// Same seed, same bytes (DESIGN.md §11) needs IEEE arithmetic: fast-math
+// lets the compiler reassociate and drop NaN/inf handling, which moves
+// digests silently.
+#ifdef __FAST_MATH__
+#error "AnDrone must not be built with -ffast-math: it moves digests"
+#endif
+
 #include <cstdint>
 
 namespace androne {

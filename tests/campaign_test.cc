@@ -11,6 +11,7 @@
 #include "src/net/fault_injector.h"
 #include "src/scenario/campaign.h"
 #include "src/scenario/generator.h"
+#include "src/scenario/manifest.h"
 #include "src/scenario/scenario.h"
 #include "src/util/logging.h"
 
@@ -85,6 +86,31 @@ TEST_F(CampaignTest, CountsPassFailAndUnexpectedVerdicts) {
   EXPECT_EQ(report.buckets[1].count, 1);
   // Triage was off: no divergence analysis ran.
   EXPECT_TRUE(report.buckets[0].first_divergence.empty());
+}
+
+// Fault parameters are only checked to be finite, so this manifest parses
+// and ramps the mag heading toward 3e13 rad. The world must still finish:
+// the estimator wraps that heading in O(1).
+TEST_F(CampaignTest, HugeMagBiasManifestCompletes) {
+  auto campaign = ParseCampaignManifest(R"(
+<campaign name="mag-bias" seed="2026">
+  <scenario annealing="120" dwell_s="5" name="mag_bias" repeat="1">
+    <sensor_fault channel="mag" dur_s="30" kind="bias_drift"
+                  p0="1e12" start_s="20"/>
+    <assert expr="completed == 1"/>
+  </scenario>
+</campaign>)");
+  ASSERT_TRUE(campaign.ok()) << campaign.status().message();
+  std::vector<ScenarioSpec> scenarios = Expand(*campaign);
+  ASSERT_EQ(scenarios.size(), 1u);
+
+  CampaignOptions options;
+  options.name = campaign->name;
+  options.triage = false;
+  CampaignReport report = CampaignRunner(options).Run(scenarios);
+  EXPECT_EQ(report.scenarios, 1);
+  EXPECT_EQ(report.passed, 1);
+  EXPECT_EQ(report.unexpected, 0);
 }
 
 TEST_F(CampaignTest, TriagePinsFirstDivergentEventForChaosFailures) {

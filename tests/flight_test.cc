@@ -126,6 +126,18 @@ TEST(EstimatorTest, NoFixIgnored) {
   EXPECT_FALSE(est.position().valid);
 }
 
+// A sensor-fault bias can push a heading far beyond any angle: wrapping
+// the innovation must cost O(1), not a loop over |heading| / 2*pi that
+// never ends once heading - 2*pi == heading.
+TEST(EstimatorTest, HugeMagHeadingReturns) {
+  Estimator est(kHome);
+  for (double heading : {1e9, 1e20, -1e300}) {
+    est.UpdateMag(heading);
+    EXPECT_TRUE(std::isfinite(est.attitude().yaw_rad)) << heading;
+    EXPECT_LE(std::abs(est.attitude().yaw_rad), M_PI) << heading;
+  }
+}
+
 // ------------------------------------------------------------- AED.
 
 TEST(FlightLogTest, AedFlagsSustainedDivergence) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "src/util/rng.h"
 
@@ -64,6 +67,40 @@ TEST(GeoTest, NedMatchesHaversineLocally) {
   NedPoint ned = ToNed(kWaypointA, kWaypointB);
   double ned_ground = std::hypot(ned.north_m, ned.east_m);
   EXPECT_NEAR(ned_ground, HaversineMeters(kWaypointA, kWaypointB), 0.5);
+}
+
+// The subtract-2*pi loop WrapPi replaced in the estimator and the
+// attitude controller.
+double LoopWrap(double a) {
+  while (a > M_PI) {
+    a -= 2 * M_PI;
+  }
+  while (a < -M_PI) {
+    a += 2 * M_PI;
+  }
+  return a;
+}
+
+TEST(GeoTest, WrapPiMatchesTheLoopBelowTheLimitAndIsBoundedAbove) {
+  Rng rng(2026);
+  for (int i = 0; i < 100000; ++i) {
+    // Mostly near the range the controllers see, some out to the limit.
+    double a = i % 4 == 0 ? rng.Uniform(-1e3, 1e3) : rng.Uniform(-20, 20);
+    ASSERT_EQ(std::bit_cast<uint64_t>(WrapPi(a)),
+              std::bit_cast<uint64_t>(LoopWrap(a)))
+        << "a=" << a;
+  }
+  for (double a : {1e3, -1e3, M_PI, -M_PI, 0.0, -0.0}) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(WrapPi(a)),
+              std::bit_cast<uint64_t>(LoopWrap(a)))
+        << "a=" << a;
+  }
+  for (double a : {1e20, -1e300, std::numeric_limits<double>::max(),
+                   -std::numeric_limits<double>::max(), 1e3 + 1e-9}) {
+    double wrapped = WrapPi(a);
+    EXPECT_GE(wrapped, -M_PI) << "a=" << a;
+    EXPECT_LE(wrapped, M_PI) << "a=" << a;
+  }
 }
 
 TEST(GeoTest, MoveTowardReachesTarget) {

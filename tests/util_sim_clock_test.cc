@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <map>
+#include <memory>
+#include <utility>
 #include <vector>
 
+#include "src/util/rng.h"
 #include "src/util/time.h"
 
 namespace androne {
@@ -217,6 +223,272 @@ TEST(SimClockTest, RunUntilDoesNotOverrunPastCancelledFront) {
   EXPECT_EQ(clock.now(), Millis(15));
   clock.RunUntil(Millis(25));
   EXPECT_EQ(ran, 1);
+}
+
+TEST(SimClockTest, CancelAndResetReleaseClosures) {
+  SimClock clock;
+  auto token = std::make_shared<int>(0);
+  EventId first = clock.ScheduleAt(Millis(1), [token] {});
+  long seen_while_running = 0;
+  clock.ScheduleAt(Millis(2),
+                   [token, &seen_while_running] {
+                     seen_while_running = token.use_count();
+                   });
+  clock.ScheduleAt(Millis(3), [token] {});
+  ASSERT_EQ(token.use_count(), 4);
+
+  // A cancelled closure is released at once, not when its tombstone pops.
+  EXPECT_TRUE(clock.Cancel(first));
+  EXPECT_EQ(token.use_count(), 3);
+
+  // The closure that ran is alive while it runs and released after.
+  EXPECT_TRUE(clock.RunNext());
+  EXPECT_EQ(seen_while_running, 3);
+  EXPECT_EQ(token.use_count(), 2);
+
+  // A restore drops every pending closure.
+  clock.ResetForRestore(Millis(10), clock.events_run());
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_TRUE(clock.empty());
+}
+
+// Calls |on_destroy| from its destructor: stands in for a captured object
+// whose teardown touches the clock.
+struct DestroyHook {
+  std::function<void()> on_destroy;
+  ~DestroyHook() { on_destroy(); }
+};
+
+TEST(SimClockTest, ClosureDestructorSeesAConsistentClock) {
+  SimClock clock;
+  size_t pending_at_destroy = 99;
+  EventId rescheduled = 0;
+  auto hook = std::make_shared<DestroyHook>();
+  hook->on_destroy = [&] {
+    pending_at_destroy = clock.pending_events();
+    rescheduled = clock.ScheduleAt(Millis(5), [] {});
+  };
+  EventId id = clock.ScheduleAt(Millis(1), [hook] {});
+  hook.reset();  // The parked closure now holds the only reference.
+  EXPECT_TRUE(clock.Cancel(id));
+  EXPECT_EQ(pending_at_destroy, 0u);
+  ASSERT_NE(rescheduled, 0u);
+  EXPECT_EQ(clock.pending_events(), 1u);
+  clock.RunAll();
+  EXPECT_EQ(clock.events_run(), 1u);
+  EXPECT_EQ(clock.now(), Millis(5));
+}
+
+// Drives a SimClock and a plain ordered set of (when, seq) keys through the
+// same random operations and checks that they agree on everything the
+// clock exposes: dispatch order, Cancel results, now(), pending_events(),
+// events_run(), and each pending event's PendingInfo deadline and order.
+class ReferenceQueueHarness {
+ public:
+  explicit ReferenceQueueHarness(uint64_t seed) : rng_(seed) {}
+
+  void Run(int ops) {
+    for (int op = 0; op < ops && !::testing::Test::HasFailure(); ++op) {
+      Step();
+      CheckCounters();
+      if (op % 500 == 0) {
+        CheckPendingInfo();
+      }
+    }
+    CheckPendingInfo();
+  }
+
+  const SimClock& clock() const { return clock_; }
+  uint64_t dispatched() const { return dispatched_; }
+
+ private:
+  // (deadline, schedule order): the reference queue's key.
+  using Key = std::pair<SimTime, uint64_t>;
+  static constexpr SimDuration kGrid = Millis(1);
+
+  void Step() {
+    uint64_t roll = rng_.NextU64Below(100);
+    if (++since_reset_ >= 2000 && roll < 2) {
+      Reset();
+    } else if (roll < 30) {
+      // A coarse grid makes equal deadlines common; a few land in the past
+      // and clamp to now, and one in five is a far-off timeout, so the heap
+      // grows past the compaction floor and cancels leave it tombstones.
+      int64_t step = rng_.Bernoulli(0.2)
+                         ? 40 + static_cast<int64_t>(rng_.NextU64Below(400))
+                         : static_cast<int64_t>(rng_.NextU64Below(44)) - 3;
+      ScheduleAt((now_ / kGrid + step) * kGrid);
+    } else if (roll < 45) {
+      int64_t steps = static_cast<int64_t>(rng_.NextU64Below(22)) - 1;
+      ScheduleAfter(steps * kGrid);
+    } else if (roll < 65) {
+      CancelChecked(PickId());
+    } else if (roll < 88) {
+      RunNextChecked();
+    } else {
+      SimTime until = now_ + static_cast<int64_t>(rng_.NextU64Below(4)) *
+                                 kGrid +
+                      (rng_.Bernoulli(0.5) ? 0 : kGrid / 2);
+      limit_ = until;
+      clock_.RunUntil(until);
+      limit_ = kNoLimit;
+      now_ = std::max(now_, until);
+      ExpectFrontAfter(until);
+    }
+  }
+
+  // Any id ever handed out, most of them stale; half the time a live one
+  // so tombstones pile up to compaction; now and then one never handed out.
+  EventId PickId() {
+    uint64_t roll = rng_.NextU64Below(100);
+    if (roll < 50 && !live_.empty()) {
+      auto it = live_.begin();
+      std::advance(it, rng_.NextU64Below(live_.size()));
+      return it->first;
+    }
+    if (roll < 95 && !every_id_.empty()) {
+      return every_id_[rng_.NextU64Below(every_id_.size())];
+    }
+    return roll % 2 == 0 ? 0 : rng_.NextU64();
+  }
+
+  SimClock::Callback MakeCallback(uint64_t seq) {
+    return [this, seq] { OnRun(seq); };
+  }
+
+  void Track(EventId id, SimTime when) {
+    Key key{std::max(when, now_), next_seq_++};
+    EXPECT_TRUE(live_.emplace(id, key).second)
+        << "id handed out twice while live";
+    id_of_[key] = id;
+    every_id_.push_back(id);
+  }
+
+  void ScheduleAt(SimTime when) {
+    Track(clock_.ScheduleAt(when, MakeCallback(next_seq_)), when);
+  }
+
+  void ScheduleAfter(SimDuration delay) {
+    Track(clock_.ScheduleAfter(delay, MakeCallback(next_seq_)),
+          now_ + std::max<SimDuration>(delay, 0));
+  }
+
+  void CancelChecked(EventId id) {
+    auto it = live_.find(id);
+    bool expected = it != live_.end();
+    if (expected) {
+      id_of_.erase(it->second);
+      live_.erase(it);
+    }
+    EXPECT_EQ(clock_.Cancel(id), expected) << "id " << id;
+  }
+
+  void RunNextChecked() {
+    bool expect_run = !id_of_.empty();
+    uint64_t before = dispatched_;
+    EXPECT_EQ(clock_.RunNext(), expect_run);
+    EXPECT_EQ(dispatched_, before + (expect_run ? 1 : 0));
+  }
+
+  // Every dispatch must be the reference queue's front.
+  void OnRun(uint64_t seq) {
+    ASSERT_FALSE(id_of_.empty()) << "dispatched seq " << seq;
+    auto front = id_of_.begin();
+    Key key = front->first;
+    EXPECT_EQ(key.second, seq) << "dispatch order diverged";
+    EXPECT_LE(key.first, limit_) << "RunUntil ran past its deadline";
+    live_.erase(front->second);
+    id_of_.erase(front);
+    now_ = key.first;
+    ++events_run_;
+    ++dispatched_;
+    EXPECT_EQ(clock_.now(), now_);
+    EXPECT_EQ(clock_.events_run(), events_run_);
+    // Follow-ups (one may take back the slot just retired) and a cancel.
+    int follow_ups = static_cast<int>(rng_.NextU64Below(3));
+    for (int i = 0; i < follow_ups; ++i) {
+      if (rng_.Bernoulli(0.5)) {
+        ScheduleAfter(static_cast<int64_t>(rng_.NextU64Below(6)) * kGrid);
+      } else {
+        ScheduleAt(now_ + static_cast<int64_t>(rng_.NextU64Below(6)) * kGrid);
+      }
+    }
+    CancelChecked(PickId());
+  }
+
+  void ExpectFrontAfter(SimTime until) {
+    if (!id_of_.empty()) {
+      EXPECT_GT(id_of_.begin()->first.first, until);
+    }
+  }
+
+  void Reset() {
+    since_reset_ = 0;
+    SimTime now = std::max<SimTime>(
+        0, now_ + static_cast<int64_t>(rng_.NextU64Below(8)) * kGrid - kGrid);
+    uint64_t events_run = events_run_ + rng_.NextU64Below(5);
+    clock_.ResetForRestore(now, events_run);
+    live_.clear();
+    id_of_.clear();
+    now_ = now;
+    events_run_ = events_run;
+  }
+
+  void CheckCounters() {
+    EXPECT_EQ(clock_.now(), now_);
+    EXPECT_EQ(clock_.pending_events(), live_.size());
+    EXPECT_EQ(clock_.empty(), live_.empty());
+    EXPECT_EQ(clock_.events_run(), events_run_);
+  }
+
+  // PendingInfo must report the reference deadline of every pending id,
+  // order them as the reference does, and know nothing of the rest.
+  void CheckPendingInfo() {
+    std::vector<std::pair<Key, EventId>> reported;
+    for (EventId id : every_id_) {
+      SimTime when = -1;
+      uint64_t seq = 0;
+      bool pending = clock_.PendingInfo(id, &when, &seq);
+      auto it = live_.find(id);
+      ASSERT_EQ(pending, it != live_.end()) << "id " << id;
+      if (pending) {
+        EXPECT_EQ(when, it->second.first) << "id " << id;
+        reported.push_back({{when, seq}, id});
+      }
+    }
+    std::sort(reported.begin(), reported.end());
+    ASSERT_EQ(reported.size(), id_of_.size());
+    auto expected = id_of_.begin();
+    for (const auto& [key, id] : reported) {
+      EXPECT_EQ(id, expected->second) << "pending order diverged";
+      ++expected;
+    }
+  }
+
+  static constexpr SimTime kNoLimit = std::numeric_limits<SimTime>::max();
+
+  SimClock clock_;
+  Rng rng_;
+  SimTime now_ = 0;
+  uint64_t events_run_ = 0;
+  uint64_t next_seq_ = 1;
+  uint64_t dispatched_ = 0;
+  int since_reset_ = 0;
+  SimTime limit_ = kNoLimit;
+  std::map<EventId, Key> live_;
+  std::map<Key, EventId> id_of_;
+  std::vector<EventId> every_id_;
+};
+
+TEST(SimClockTest, MatchesReferenceQueueUnderRandomOps) {
+  for (uint64_t seed = 1; seed <= 16 && !::testing::Test::HasFailure();
+       ++seed) {
+    SCOPED_TRACE(seed);
+    ReferenceQueueHarness harness(seed);
+    harness.Run(20000);
+    EXPECT_GT(harness.dispatched(), 0u);
+    EXPECT_GT(harness.clock().compactions(), 0u);
+  }
 }
 
 TEST(TimeTest, ConversionHelpers) {
