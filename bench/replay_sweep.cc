@@ -9,14 +9,17 @@
 //
 // Timing uses process CPU time, not wall time: replay and resim are both
 // CPU-bound single-world runs, and CPU time is stable where wall time
-// jitters with scheduler noise. Each cell is best-of --reps.
+// jitters with scheduler noise. Each family times --reps interleaved
+// resim/replay pairs (alternating which side runs first, so a host that
+// speeds up or slows down mid-run hits both sides alike); the speedup is
+// the median of the per-pair ratios, with their min and max recorded.
 //
 // The sweep also exercises fork-and-explore: a what-if fan-out from the
 // baseline world's last decision-point checkpoint, whose control branch
 // must continue the recorded timeline bit-identically.
 //
 // Flags:
-//   --reps N       repetitions per timed cell, best-of (default 3)
+//   --reps N       interleaved resim/replay pairs per family (default 15)
 //   --seed N       world seed (default 2026)
 //   --branches N   fork-and-explore branch count (default 4)
 //   --json PATH    machine-readable results; the CI gate greps for
@@ -42,7 +45,7 @@ namespace androne {
 namespace {
 
 constexpr uint64_t kDefaultSeed = 2026;
-constexpr int kDefaultReps = 3;
+constexpr int kDefaultReps = 15;
 constexpr int kDefaultBranches = 4;
 
 // The reference mission (same as the recovery sweep): two tenants with
@@ -64,25 +67,49 @@ double CpuNowS() {
          static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
-struct Timed {
-  WorldResult result;
-  double cpu_s = 0;  // Best of the repetitions.
+// CPU seconds of one world run; the result lands in |out|.
+double TimeWorld(const FleetWorldConfig& config, uint64_t seed,
+                 WorldResult* out) {
+  WorldContext ctx;
+  ctx.seed = seed;
+  const double start = CpuNowS();
+  *out = RunFleetWorld(config, ctx);
+  return CpuNowS() - start;
+}
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+}
+
+struct TimedPairs {
+  WorldResult resim;
+  WorldResult replay;
+  std::vector<double> resim_s;
+  std::vector<double> replay_s;
+  std::vector<double> ratio;  // resim / replay, per pair.
 };
 
-Timed RunTimed(const FleetWorldConfig& config, uint64_t seed, int reps) {
-  Timed timed;
-  for (int rep = 0; rep < reps; ++rep) {
-    WorldContext ctx;
-    ctx.seed = seed;
-    const double start = CpuNowS();
-    WorldResult result = RunFleetWorld(config, ctx);
-    const double cpu_s = CpuNowS() - start;
-    if (rep == 0 || cpu_s < timed.cpu_s) {
-      timed.cpu_s = cpu_s;
+TimedPairs RunPairs(const FleetWorldConfig& resim,
+                    const FleetWorldConfig& replay, uint64_t seed,
+                    int pairs) {
+  TimedPairs t;
+  for (int i = 0; i < pairs; ++i) {
+    double resim_s;
+    double replay_s;
+    if (i % 2 == 0) {
+      resim_s = TimeWorld(resim, seed, &t.resim);
+      replay_s = TimeWorld(replay, seed, &t.replay);
+    } else {
+      replay_s = TimeWorld(replay, seed, &t.replay);
+      resim_s = TimeWorld(resim, seed, &t.resim);
     }
-    timed.result = std::move(result);
+    t.resim_s.push_back(resim_s);
+    t.replay_s.push_back(replay_s);
+    t.ratio.push_back(replay_s > 0 ? resim_s / replay_s : 0);
   }
-  return timed;
+  return t;
 }
 
 bool Matches(const WorldResult& replayed, const WorldResult& baseline) {
@@ -102,9 +129,11 @@ struct Family {
 
 struct Row {
   std::string family;
-  double resim_ms = 0;
-  double replay_ms = 0;
-  double speedup = 0;
+  double resim_ms = 0;   // Median over the pairs.
+  double replay_ms = 0;  // Median over the pairs.
+  double speedup = 0;    // Median pair ratio.
+  double speedup_min = 0;
+  double speedup_max = 0;
   bool digest_match = false;
   uint64_t ticks = 0;
   uint64_t log_bytes = 0;
@@ -145,10 +174,12 @@ int Run(int argc, char** argv) {
       {"sensor_chaos", nullptr, &sensor_chaos},
   };
 
-  std::printf("  seed %llx, best of %d reps, CPU time\n\n",
+  std::printf("  seed %llx, %d interleaved pairs per family, CPU time,"
+              " medians\n\n",
               static_cast<unsigned long long>(seed), reps);
-  std::printf("  %-14s %10s %10s %9s %10s %10s  %s\n", "family", "resim ms",
-              "replay ms", "speedup", "ticks", "log KB", "digest");
+  std::printf("  %-14s %10s %10s %9s %15s %10s %10s  %s\n", "family",
+              "resim ms", "replay ms", "speedup", "pair min-max", "ticks",
+              "log KB", "digest");
 
   std::vector<Row> rows;
   bool all_match = true;
@@ -171,28 +202,37 @@ int Run(int argc, char** argv) {
       continue;
     }
 
-    Timed resim = RunTimed(mission, seed, reps);
     FleetWorldConfig replay = mission;
     replay.replay_from = &store;
-    Timed replayed = RunTimed(replay, seed, reps);
+    // One untimed replay first: it validates and caches the log view that
+    // every later replay of this seed shares (the recording run already
+    // warmed the resim side).
+    WorldResult warmup;
+    (void)TimeWorld(replay, seed, &warmup);
+    TimedPairs timed = RunPairs(mission, replay, seed, reps);
+    const WorldResult& replayed = timed.replay;
 
     Row row;
     row.family = family.name;
-    row.resim_ms = resim.cpu_s * 1e3;
-    row.replay_ms = replayed.cpu_s * 1e3;
-    row.speedup = replayed.cpu_s > 0 ? resim.cpu_s / replayed.cpu_s : 0;
-    row.digest_match = replayed.result.replay.digest_match &&
-                       replayed.result.replay.underruns == 0 &&
-                       Matches(replayed.result, recorded) &&
-                       Matches(resim.result, recorded);
-    row.ticks = replayed.result.replay.ticks;
-    row.log_bytes = replayed.result.replay.log_bytes;
-    row.underruns = replayed.result.replay.underruns;
+    row.resim_ms = Median(timed.resim_s) * 1e3;
+    row.replay_ms = Median(timed.replay_s) * 1e3;
+    row.speedup = Median(timed.ratio);
+    row.speedup_min = *std::min_element(timed.ratio.begin(), timed.ratio.end());
+    row.speedup_max = *std::max_element(timed.ratio.begin(), timed.ratio.end());
+    row.digest_match = replayed.replay.digest_match &&
+                       replayed.replay.underruns == 0 &&
+                       Matches(replayed, recorded) &&
+                       Matches(timed.resim, recorded);
+    row.ticks = replayed.replay.ticks;
+    row.log_bytes = replayed.replay.log_bytes;
+    row.underruns = replayed.replay.underruns;
     all_match = all_match && row.digest_match;
     min_speedup = rows.empty() ? row.speedup
                                : std::min(min_speedup, row.speedup);
-    std::printf("  %-14s %10.2f %10.2f %8.2fx %10llu %10.1f  %s\n",
+    std::printf("  %-14s %10.2f %10.2f %8.2fx %7.2fx-%5.2fx %10llu %10.1f"
+                "  %s\n",
                 family.name, row.resim_ms, row.replay_ms, row.speedup,
+                row.speedup_min, row.speedup_max,
                 static_cast<unsigned long long>(row.ticks),
                 static_cast<double>(row.log_bytes) / 1024.0,
                 row.digest_match ? "identical" : "DIVERGED");
@@ -220,7 +260,8 @@ int Run(int argc, char** argv) {
   const bool speedup_ge_2 = min_speedup >= 2.0;
   std::printf("\n  replayed worlds %s the recording runs\n",
               all_match ? "MATCH" : "DIVERGE FROM");
-  std::printf("  replay is %.2fx resim at worst — %s the 2x gate\n\n",
+  std::printf("  replay is %.2fx resim (median pair ratio) in the slowest"
+              " family — %s the 2x gate\n\n",
               min_speedup, speedup_ge_2 ? "clears" : "MISSES");
   BenchNote("a replayed world re-executes the discrete layer against the "
             "recorded flight plane and lands on the recording's exact bytes");
@@ -229,7 +270,7 @@ int Run(int argc, char** argv) {
     JsonObject doc;
     doc["bench"] = "replay_sweep";
     doc["seed"] = HexDigest(seed);
-    doc["reps"] = static_cast<double>(reps);
+    doc["pairs"] = static_cast<double>(reps);
     doc["digest_match"] = all_match;
     doc["replay_speedup_ge_2"] = speedup_ge_2;
     doc["min_speedup"] = min_speedup;
@@ -245,6 +286,8 @@ int Run(int argc, char** argv) {
       r["resim_ms"] = row.resim_ms;
       r["replay_ms"] = row.replay_ms;
       r["speedup"] = row.speedup;
+      r["speedup_min"] = row.speedup_min;
+      r["speedup_max"] = row.speedup_max;
       r["digest_match"] = row.digest_match;
       r["ticks"] = static_cast<double>(row.ticks);
       r["log_bytes"] = static_cast<double>(row.log_bytes);

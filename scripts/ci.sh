@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 CI: check that every src/ header has a production includer, build
+# Tier-1 CI: check that every src/ header has a production includer and
+# that no src/ code calls a libm transcendental outside util/detmath, build
 # + test twice (plain, then sanitizers), then refresh the robustness
 # benchmark record.
 #
@@ -28,7 +29,8 @@
 # uninterrupted run (the grep gate is "digest_match": true); and
 # BENCH_replay.json (bench/replay_sweep): record-once replay — a world
 # replayed from its log must land on the recording's exact bytes
-# ("digest_match": true) at better than twice resim speed
+# ("digest_match": true) at better than twice resim speed in the median of
+# 15 interleaved resim/replay pairs, for the slowest family
 # ("replay_speedup_ge_2": true); and BENCH_control_plane.json
 # (bench/control_plane_sweep): the multi-tenant serving path at 1/2/8
 # router threads with report-byte determinism ("deterministic": true) and
@@ -66,6 +68,18 @@ for header in $(git ls-files 'src/*.h'); do
 done
 if [[ -n "$orphans" ]]; then
   printf 'FAIL: src/ headers no production code includes:\n%s' "$orphans" >&2
+  exit 1
+fi
+
+# Digested numerics must not depend on the libm version or target: every
+# transcendental in src/ goes through src/util/detmath (DESIGN.md §11).
+echo "=== check: no libm transcendental calls in src/ outside util/detmath ==="
+libm_calls="$(git grep -nE \
+    'std::(sin|cos|tan|asin|acos|atan|atan2|exp|exp2|expm1|log|log10|log2|log1p|pow|hypot|cbrt|sinh|cosh|tanh)[[:space:]]*\(' \
+    -- src ':!src/util/detmath.*' || true)"
+if [[ -n "$libm_calls" ]]; then
+  printf 'FAIL: libm calls in src/ (route them through util/detmath):\n%s\n' \
+    "$libm_calls" >&2
   exit 1
 fi
 

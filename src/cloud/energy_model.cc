@@ -15,7 +15,7 @@ double EnergyModel::HoverPowerW(double payload_kg) const {
   double mass = params_.frame_mass_kg + payload_kg;
   double thrust = mass * kGravity;
   double disc_area = kPi * params_.rotor_radius_m * params_.rotor_radius_m;
-  double ideal = std::pow(thrust, 1.5) /
+  double ideal = thrust * std::sqrt(thrust) /
                  std::sqrt(2.0 * params_.air_density * disc_area *
                            params_.rotor_count);
   return ideal / params_.drivetrain_efficiency;

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <map>
 
+#include "src/util/detmath.h"
+
 namespace androne {
 
 std::string FlightPlan::ToString() const {
@@ -233,8 +235,8 @@ StatusOr<FlightPlan> FlightPlanner::Plan(
 
   double temperature = std::max(60.0, best.makespan_s * 0.3);
   const double cooling =
-      std::pow(0.001 / temperature,
-               1.0 / std::max(1, config_.annealing_iterations));
+      detmath::Pow(0.001 / temperature,
+                   1.0 / std::max(1, config_.annealing_iterations));
 
   for (int iter = 0; iter < config_.annealing_iterations; ++iter) {
     auto candidate = current;
@@ -275,7 +277,7 @@ StatusOr<FlightPlan> FlightPlanner::Plan(
     FlightPlan plan = Materialize(jobs, candidate);
     double cost = Cost(plan);
     double delta = cost - current_cost;
-    if (delta < 0 || rng.NextDouble() < std::exp(-delta / temperature)) {
+    if (delta < 0 || rng.NextDouble() < detmath::Exp(-delta / temperature)) {
       current = std::move(candidate);
       current_cost = cost;
       if (cost < best_cost) {

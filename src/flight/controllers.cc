@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/util/detmath.h"
 #include "src/util/geo.h"
 
 namespace androne {
@@ -93,7 +94,7 @@ AttitudeTarget PositionController::Update(double n, double e, double d,
   // Position error -> velocity setpoint (speed-limited).
   double vn_sp = kPosP * (tn - n);
   double ve_sp = kPosP * (te - e);
-  double speed = std::hypot(vn_sp, ve_sp);
+  double speed = detmath::Hypot(vn_sp, ve_sp);
   if (speed > limits_.max_speed_ms) {
     vn_sp *= limits_.max_speed_ms / speed;
     ve_sp *= limits_.max_speed_ms / speed;
@@ -108,7 +109,7 @@ AttitudeTarget PositionController::UpdateVelocity(
     double vn, double ve, double vd, double target_vn, double target_ve,
     double target_vd, double yaw, double target_yaw, SimDuration dt) {
   // Clamp requested velocities to the configured envelope.
-  double speed = std::hypot(target_vn, target_ve);
+  double speed = detmath::Hypot(target_vn, target_ve);
   if (speed > limits_.max_speed_ms) {
     target_vn *= limits_.max_speed_ms / speed;
     target_ve *= limits_.max_speed_ms / speed;
@@ -124,7 +125,8 @@ AttitudeTarget PositionController::UpdateVelocity(
   // Rotate the horizontal demand into the body frame. The physics tilts
   // thrust opposite pitch: pitch down (negative) moves forward (north at
   // yaw 0), roll right (positive) moves east.
-  double cy = std::cos(yaw), sy = std::sin(yaw);
+  double cy, sy;
+  detmath::SinCos(yaw, &sy, &cy);
   double a_fwd = an * cy + ae * sy;
   double a_rgt = -an * sy + ae * cy;
 

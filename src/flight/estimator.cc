@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/util/detmath.h"
+
 namespace androne {
 
 namespace {
@@ -119,10 +121,10 @@ void Estimator::UpdateImu(const ImuSample& sample, SimDuration dt) {
   double ax = sample.accel_mss[0];
   double ay = sample.accel_mss[1];
   double az = sample.accel_mss[2];
-  double g_meas = std::sqrt(ax * ax + ay * ay + az * az);
+  double g_meas = detmath::Hypot(ax, ay, az);
   if (g_meas > 0.8 * kGravity && g_meas < 1.2 * kGravity) {
-    double roll_acc = std::asin(std::clamp(-ay / kGravity, -1.0, 1.0));
-    double pitch_acc = std::asin(std::clamp(ax / kGravity, -1.0, 1.0));
+    double roll_acc = detmath::Asin(std::clamp(-ay / kGravity, -1.0, 1.0));
+    double pitch_acc = detmath::Asin(std::clamp(ax / kGravity, -1.0, 1.0));
     attitude_.roll_rad +=
         accel_blend * WrapPi(roll_acc - attitude_.roll_rad);
     attitude_.pitch_rad +=

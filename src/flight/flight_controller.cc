@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "src/snapshot/archive.h"
+#include "src/util/detmath.h"
 #include "src/util/logging.h"
 
 namespace androne {
@@ -183,7 +184,7 @@ SafetyVerdict FlightController::SafetyTick(SimDuration dt) {
   in.pitch_rate_rads = estimator_.last_gyro()[1];
   in.yaw_rate_rads = estimator_.last_gyro()[2];
   in.altitude_m = estimator_.position().position.altitude_m;
-  in.horizontal_from_home_m = std::hypot(ned.north_m, ned.east_m);
+  in.horizontal_from_home_m = detmath::Hypot(ned.north_m, ned.east_m);
   in.sensors_degraded = estimator_.any_excluded();
   in.imu_degraded =
       estimator_.health(EstimatorSensor::kImu).health != SensorHealth::kHealthy;
@@ -561,7 +562,7 @@ AttitudeTarget FlightController::ComputeModeTarget(SimDuration dt) {
     case CopterMode::kAuto: {
       if (mission_index_ < mission_.size()) {
         NedPoint wp = home_frame_.ToNed(mission_[mission_index_]);
-        double dist = std::hypot(wp.north_m - ned.north_m,
+        double dist = detmath::Hypot(wp.north_m - ned.north_m,
                                  wp.east_m - ned.east_m,
                                  wp.down_m - ned.down_m);
         if (dist < kWaypointReachedM) {
@@ -586,7 +587,7 @@ AttitudeTarget FlightController::ComputeModeTarget(SimDuration dt) {
       // Return at the greater of the current altitude and the RTL floor,
       // then hand off to LAND above home.
       double return_alt = std::max(-ned.down_m, kRtlAltitudeM);
-      double horiz = std::hypot(ned.north_m, ned.east_m);
+      double horiz = detmath::Hypot(ned.north_m, ned.east_m);
       if (horiz < kWaypointReachedM) {
         hold_target_ = NedPoint{0, 0, ned.down_m};
         (void)SwitchMode(CopterMode::kLand);
@@ -626,7 +627,7 @@ void FlightController::CheckFence() {
     NedPoint center = home_frame_.ToNed(fence_.center);
     double dn = center.north_m - ned.north_m;
     double de = center.east_m - ned.east_m;
-    double dist = std::max(1e-6, std::hypot(dn, de));
+    double dist = std::max(1e-6, detmath::Hypot(dn, de));
     double pull_back = std::max(0.0, horiz - fence_.radius_m * 0.7);
     fence_recovery_target_ = NedPoint{
         ned.north_m + dn / dist * pull_back,

@@ -8,7 +8,13 @@
 namespace androne {
 
 namespace {
+// Wraps into [-180, 180] with WrapPi's shape: the plain loop up to
+// |deg| = 1e5 (bit-identical there), std::remainder first above it, where
+// the loop would cost O(|deg|) and never end once deg - 360 == deg.
 double WrapDeg(double deg) {
+  if (std::fabs(deg) > 1e5) {
+    deg = std::remainder(deg, 360.0);
+  }
   while (deg > 180) {
     deg -= 360;
   }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/util/detmath.h"
+
 namespace androne {
 
 namespace {
@@ -35,9 +37,10 @@ void QuadPhysics::Step(SimDuration dt, const MotorSet& motors) {
     thrust[static_cast<size_t>(i)] = t * params_.max_thrust_per_motor_n;
     total_thrust += thrust[static_cast<size_t>(i)];
     if (motors.armed()) {
+      // Induced power grows as thrust^1.5.
+      double t_n = thrust[static_cast<size_t>(i)];
       rotor_power += params_.motor_idle_power_w +
-                     params_.rotor_power_coeff *
-                         std::pow(thrust[static_cast<size_t>(i)], 1.5);
+                     params_.rotor_power_coeff * (t_n * std::sqrt(t_n));
     }
   }
 
@@ -67,9 +70,10 @@ void QuadPhysics::Step(SimDuration dt, const MotorSet& motors) {
   }
 
   // Translational dynamics: thrust along body -z rotated into NED.
-  double cphi = std::cos(roll_), sphi = std::sin(roll_);
-  double cth = std::cos(pitch_), sth = std::sin(pitch_);
-  double cpsi = std::cos(yaw_), spsi = std::sin(yaw_);
+  double cphi, sphi, cth, sth, cpsi, spsi;
+  detmath::SinCos(roll_, &sphi, &cphi);
+  detmath::SinCos(pitch_, &sth, &cth);
+  detmath::SinCos(yaw_, &spsi, &cpsi);
   double a_specific = total_thrust / params_.mass_kg;
   double an = -a_specific * (cphi * sth * cpsi + sphi * spsi);
   double ae = -a_specific * (cphi * sth * spsi - sphi * cpsi);

@@ -2,38 +2,6 @@
 
 namespace androne {
 
-SensorSnapshot* SensorBus::BeginPublish() {
-  // Relaxed is enough for the odd store on the single writer thread; the
-  // release on EndPublish orders the slot writes for readers.
-  uint64_t seq = sequence_.load(std::memory_order_relaxed);
-  sequence_.store(seq + 1, std::memory_order_release);
-  return &slot_;
-}
-
-void SensorBus::EndPublish() {
-  uint64_t seq = sequence_.load(std::memory_order_relaxed);
-  sequence_.store(seq + 1, std::memory_order_release);
-  ++publishes_;
-}
-
-uint64_t SensorBus::Read(SensorSnapshot* out) const {
-  while (true) {
-    uint64_t before = sequence_.load(std::memory_order_acquire);
-    if (before & 1) {
-      // Writer mid-publish; retry.
-      reader_retries_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    *out = slot_;
-    std::atomic_thread_fence(std::memory_order_acquire);
-    uint64_t after = sequence_.load(std::memory_order_acquire);
-    if (before == after) {
-      return after;
-    }
-    reader_retries_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
 SensorHub::SensorHub(SimClock* clock, GpsReceiver* gps, Imu* imu,
                      Barometer* baro, Magnetometer* mag, ContainerId opener,
                      SensorHubConfig config)
@@ -62,7 +30,7 @@ Status SensorHub::Refresh() {
     }
   };
 
-  SensorSnapshot* slot = bus_.BeginPublish();
+  SensorSnapshot* slot = &bus_.slot_;
   if (imu_due) {
     last_imu_time_ = now;
     auto sample = imu_->ReadSample(opener_);
@@ -100,7 +68,7 @@ Status SensorHub::Refresh() {
     }
   }
   slot->publish_time = now;
-  bus_.EndPublish();
+  ++bus_.publishes_;
   return first_error;
 }
 

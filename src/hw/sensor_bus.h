@@ -1,22 +1,14 @@
 // Single-writer sensor snapshot bus. The device container samples each
-// sensor at its native cadence and publishes one versioned snapshot; the
-// flight stack, the estimator, and every virtual-drone tenant read the
-// snapshot by reference instead of drawing their own copies through
-// per-read device I/O (paper Figure 3's device container fanning sensor
-// data out to N consumers).
-//
-// Concurrency model: a seqlock. The writer bumps the sequence to odd,
-// mutates the slot, and bumps it to even; readers copy the slot and retry
-// if the sequence was odd or moved underneath them. Within one simulated
-// world everything runs on that world's SimClock thread, so the retry loop
-// never spins in practice — the seqlock is there so the protocol stays
-// correct (and TSan-explainable) if a snapshot consumer is ever moved off
-// the world thread, and so the version counter doubles as a freshness
-// token readers can use to skip work when nothing changed.
+// sensor at its native cadence and publishes one snapshot; the flight
+// stack, the estimator, and every virtual-drone tenant read the snapshot by
+// reference instead of drawing their own copies through per-read device
+// I/O (paper Figure 3's device container fanning sensor data out to N
+// consumers). Everything in one simulated world runs on that world's
+// SimClock thread, so the slot is a plain struct: its one writer is the
+// SensorHub below, and readers borrow latest().
 #ifndef SRC_HW_SENSOR_BUS_H_
 #define SRC_HW_SENSOR_BUS_H_
 
-#include <atomic>
 #include <cstdint>
 
 #include "src/hw/sensor_io.h"
@@ -44,46 +36,15 @@ class SensorBus {
   SensorBus(const SensorBus&) = delete;
   SensorBus& operator=(const SensorBus&) = delete;
 
-  // --- Writer side (single writer: the device container's sampler) ---
-
-  // Opens a write section: returns the mutable slot after bumping the
-  // sequence to odd. Must be paired with EndPublish on the same thread.
-  SensorSnapshot* BeginPublish();
-  // Closes the write section (sequence becomes even = stable).
-  void EndPublish();
-
-  // --- Reader side ---
-
-  // Copies the latest stable snapshot into |out| and returns the (even)
-  // version it carried. Retries while the writer is mid-publish.
-  uint64_t Read(SensorSnapshot* out) const;
-
-  // Borrow the slot without copying — valid only on the writer's thread
-  // (the single-threaded per-world hot path; this is the "read by
-  // reference" fast path).
+  // The latest published snapshot, by reference.
   const SensorSnapshot& latest() const { return slot_; }
 
-  // Version of the latest stable snapshot (even; 0 = never published).
-  uint64_t version() const {
-    return sequence_.load(std::memory_order_acquire);
-  }
-
   uint64_t publishes() const { return publishes_; }
-  uint64_t reader_retries() const {
-    return reader_retries_.load(std::memory_order_relaxed);
-  }
 
-  // Checkpoint/restore (DESIGN.md §13). Saved between publishes, so the
-  // sequence is always even at capture time; an odd one would leave every
-  // reader spinning, so restore rejects it.
+  // Checkpoint/restore (DESIGN.md §13).
   template <class Ar>
   Status Visit(Ar& ar) {
     ar.Section("SBUS");
-    uint64_t sequence = sequence_.load(std::memory_order_acquire);
-    ar.U64(sequence);
-    if (sequence & 1) {
-      ar.Fail(InvalidArgumentError("sensor bus checkpoint caught mid-publish"));
-    }
     VisitValue(ar, slot_.imu);
     VisitValue(ar, slot_.gps);
     ar.F64(slot_.baro_altitude_m);
@@ -91,22 +52,14 @@ class SensorBus {
     ar.I64(slot_.baro_mag_time);
     ar.I64(slot_.publish_time);
     ar.U64(publishes_);
-    uint64_t retries = reader_retries_.load(std::memory_order_relaxed);
-    ar.U64(retries);
-    if constexpr (Ar::kLoading) {
-      if (ar.ok()) {
-        reader_retries_.store(retries, std::memory_order_relaxed);
-        sequence_.store(sequence, std::memory_order_release);
-      }
-    }
     return ar.status();
   }
 
  private:
-  std::atomic<uint64_t> sequence_{0};  // Odd while a publish is in flight.
+  friend class SensorHub;  // The one writer.
+
   SensorSnapshot slot_;
   uint64_t publishes_ = 0;
-  mutable std::atomic<uint64_t> reader_retries_{0};
 };
 
 // Cadence for the hub below; defaults mirror the flight controller's sensor

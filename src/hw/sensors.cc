@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "src/util/detmath.h"
+
 namespace androne {
 
 namespace {
@@ -47,9 +49,9 @@ StatusOr<ImuSample> Imu::ReadSample(ContainerId caller) {
   // the tilt components on x/y (small-angle approximation).
   double fz = -(kGravityMss + truth_->accel_up_mss);
   s.accel_mss = {
-      kGravityMss * std::sin(truth_->pitch_rad) +
+      kGravityMss * detmath::Sin(truth_->pitch_rad) +
           rng_.Gaussian(0, kAccelNoiseMss),
-      -kGravityMss * std::sin(truth_->roll_rad) +
+      -kGravityMss * detmath::Sin(truth_->roll_rad) +
           rng_.Gaussian(0, kAccelNoiseMss),
       fz + rng_.Gaussian(0, kAccelNoiseMss),
   };
@@ -101,8 +103,8 @@ StatusOr<std::vector<int16_t>> Microphone::Record(ContainerId caller,
   for (size_t i = 0; i < samples; ++i) {
     // Synthetic rotor hum: 200 Hz tone at 44.1 kHz sample rate.
     pcm[i] = static_cast<int16_t>(
-        8000.0 * std::sin(2 * 3.14159265 * 200.0 *
-                          static_cast<double>(phase_++) / 44100.0));
+        8000.0 * detmath::Sin(2 * 3.14159265 * 200.0 *
+                              static_cast<double>(phase_++) / 44100.0));
   }
   return pcm;
 }

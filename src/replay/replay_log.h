@@ -40,7 +40,9 @@
 namespace androne {
 
 inline constexpr uint64_t kReplayLogMagic = 0x31474f4c52444e41ULL;  // "ANDRLOG1"
-inline constexpr uint32_t kReplayLogVersion = 1;
+// Version 2: ticks recorded under util/detmath numerics and the ziggurat
+// normal sampler; a version-1 log would replay into different numerics.
+inline constexpr uint32_t kReplayLogVersion = 2;
 
 // Expected outcomes of the recording run, written after the flight ends.
 // The sensor-fault tallies are installed into the replaying world (its

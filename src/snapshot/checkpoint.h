@@ -14,8 +14,11 @@ namespace androne {
 
 // Bump on any incompatible change to the snapshot byte layout. Readers
 // reject mismatches with a descriptive error — a checkpoint is only valid
-// against the exact serialization code that produced it.
-inline constexpr uint32_t kSnapshotFormatVersion = 1;
+// against the exact serialization code that produced it. Version 2: the
+// Rng saves only its xoshiro words (no spare normal), the SBUS section
+// lost the seqlock's sequence and retry words, and every component state
+// follows util/detmath numerics.
+inline constexpr uint32_t kSnapshotFormatVersion = 2;
 inline constexpr uint64_t kSnapshotMagic = 0x414e44524f4e4531ULL;  // "ANDRONE1"
 
 // When FleetWorld captures checkpoints. Checkpoints are taken between

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "src/util/detmath.h"
+
 namespace androne {
 
 std::string GeoPoint::ToString() const {
@@ -17,26 +19,31 @@ double HaversineMeters(const GeoPoint& a, const GeoPoint& b) {
   double lat2 = b.latitude_deg * kDegToRad;
   double dlat = (b.latitude_deg - a.latitude_deg) * kDegToRad;
   double dlon = (b.longitude_deg - a.longitude_deg) * kDegToRad;
-  double h = std::sin(dlat / 2) * std::sin(dlat / 2) +
-             std::cos(lat1) * std::cos(lat2) * std::sin(dlon / 2) *
-                 std::sin(dlon / 2);
-  return 2.0 * kEarthRadiusM * std::asin(std::min(1.0, std::sqrt(h)));
+  double sin_half_dlat = detmath::Sin(dlat / 2);
+  double sin_half_dlon = detmath::Sin(dlon / 2);
+  double h = sin_half_dlat * sin_half_dlat +
+             detmath::Cos(lat1) * detmath::Cos(lat2) * sin_half_dlon *
+                 sin_half_dlon;
+  return 2.0 * kEarthRadiusM * detmath::Asin(std::min(1.0, std::sqrt(h)));
 }
 
 double Distance3dMeters(const GeoPoint& a, const GeoPoint& b) {
   double ground = HaversineMeters(a, b);
   double dalt = b.altitude_m - a.altitude_m;
-  return std::sqrt(ground * ground + dalt * dalt);
+  return detmath::Hypot(ground, dalt);
 }
 
 double BearingDeg(const GeoPoint& from, const GeoPoint& to) {
   double lat1 = from.latitude_deg * kDegToRad;
   double lat2 = to.latitude_deg * kDegToRad;
   double dlon = (to.longitude_deg - from.longitude_deg) * kDegToRad;
-  double y = std::sin(dlon) * std::cos(lat2);
-  double x = std::cos(lat1) * std::sin(lat2) -
-             std::sin(lat1) * std::cos(lat2) * std::cos(dlon);
-  double bearing = std::atan2(y, x) * kRadToDeg;
+  double sin_lat1, cos_lat1, sin_lat2, cos_lat2, sin_dlon, cos_dlon;
+  detmath::SinCos(lat1, &sin_lat1, &cos_lat1);
+  detmath::SinCos(lat2, &sin_lat2, &cos_lat2);
+  detmath::SinCos(dlon, &sin_dlon, &cos_dlon);
+  double y = sin_dlon * cos_lat2;
+  double x = cos_lat1 * sin_lat2 - sin_lat1 * cos_lat2 * cos_dlon;
+  double bearing = detmath::Atan2(y, x) * kRadToDeg;
   if (bearing < 0) {
     bearing += 360.0;
   }
@@ -44,7 +51,7 @@ double BearingDeg(const GeoPoint& from, const GeoPoint& to) {
 }
 
 NedFrame::NedFrame(const GeoPoint& origin)
-    : origin_(origin), coslat_(std::cos(origin.latitude_deg * kDegToRad)) {}
+    : origin_(origin), coslat_(detmath::Cos(origin.latitude_deg * kDegToRad)) {}
 
 NedPoint NedFrame::ToNed(const GeoPoint& p) const {
   double dlat = (p.latitude_deg - origin_.latitude_deg) * kDegToRad;

@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "src/util/bytes.h"
+#include "src/util/detmath.h"
 
 namespace androne {
 
@@ -16,7 +17,7 @@ size_t Histogram::BucketFor(int64_t value) const {
   if (value < 1) {
     return 0;
   }
-  double idx = std::log10(static_cast<double>(value)) * buckets_per_decade_;
+  double idx = detmath::Log10(static_cast<double>(value)) * buckets_per_decade_;
   size_t bucket = static_cast<size_t>(idx) + 1;
   return std::min(bucket, buckets_.size() - 1);
 }
@@ -26,8 +27,8 @@ int64_t Histogram::BucketUpperBound(size_t index) const {
     return 1;
   }
   return static_cast<int64_t>(
-      std::ceil(std::pow(10.0, static_cast<double>(index) /
-                                   buckets_per_decade_)));
+      std::ceil(detmath::Pow(10.0, static_cast<double>(index) /
+                                       buckets_per_decade_)));
 }
 
 void Histogram::Record(int64_t value) { Record(value, 1); }

@@ -1,14 +1,11 @@
 #include "src/util/rng.h"
 
+#include <bit>
 #include <cmath>
 
+#include "src/util/detmath.h"
+
 namespace androne {
-
-namespace {
-
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
-}  // namespace
 
 uint64_t SplitMix64(uint64_t x) {
   uint64_t z = x + 0x9e3779b97f4a7c15ULL;
@@ -22,18 +19,6 @@ Rng::Rng(uint64_t seed) {
     s = SplitMix64(seed);
     seed += 0x9e3779b97f4a7c15ULL;
   }
-}
-
-uint64_t Rng::NextU64() {
-  uint64_t result = Rotl(state_[0] + state_[3], 23) + state_[0];
-  uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
 }
 
 uint64_t Rng::NextU64Below(uint64_t bound) {
@@ -58,29 +43,33 @@ double Rng::Uniform(double lo, double hi) {
   return lo + (hi - lo) * NextDouble();
 }
 
-double Rng::NextGaussian() {
-  if (has_spare_gaussian_) {
-    has_spare_gaussian_ = false;
-    return spare_gaussian_;
+double Rng::GaussianOutsideRectangle(uint64_t strip, double u, double x) {
+  for (;;) {
+    if (strip == 0) {
+      // Beyond R: Marsaglia's exponential tail method.
+      double tx;
+      double ty;
+      do {
+        tx = -detmath::Log(OpenUnitInterval()) / ziggurat::kZigR;
+        ty = -detmath::Log(OpenUnitInterval());
+      } while (2.0 * ty < tx * tx);
+      return u < 0 ? -(ziggurat::kZigR + tx) : ziggurat::kZigR + tx;
+    }
+    // The wedge between the rectangle and the density.
+    const double f_lo = ziggurat::kZigF[strip + 1];
+    const double f_hi = ziggurat::kZigF[strip];
+    if (f_lo + (f_hi - f_lo) * NextDouble() < detmath::Exp(-0.5 * x * x)) {
+      return x;
+    }
+    const uint64_t bits = NextU64();
+    strip = bits & 0xff;
+    u = 2.0 * std::bit_cast<double>((bits >> 12) | 0x3ff0000000000000ULL) -
+        3.0;
+    x = u * ziggurat::kZigX[strip];
+    if (std::fabs(x) < ziggurat::kZigX[strip + 1]) {
+      return x;
+    }
   }
-  double u, v, s;
-  do {
-    u = Uniform(-1.0, 1.0);
-    v = Uniform(-1.0, 1.0);
-    s = u * u + v * v;
-  } while (s >= 1.0 || s == 0.0);
-  double m = std::sqrt(-2.0 * std::log(s) / s);
-  spare_gaussian_ = v * m;
-  has_spare_gaussian_ = true;
-  return u * m;
-}
-
-double Rng::Gaussian(double mean, double stddev) {
-  return mean + stddev * NextGaussian();
-}
-
-double Rng::LogNormal(double mu, double sigma) {
-  return std::exp(mu + sigma * NextGaussian());
 }
 
 double Rng::Exponential(double mean) {
@@ -88,7 +77,7 @@ double Rng::Exponential(double mean) {
   do {
     u = NextDouble();
   } while (u <= 0.0);
-  return -mean * std::log(u);
+  return -mean * detmath::Log(u);
 }
 
 bool Rng::Bernoulli(double p) { return NextDouble() < p; }

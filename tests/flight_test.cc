@@ -166,6 +166,25 @@ TEST(FlightLogTest, AedAcceptsBriefDivergence) {
   EXPECT_FALSE(r.unstable);
 }
 
+TEST(FlightLogTest, AedReturnsOnAHugeYawDivergence) {
+  // A fault-biased heading can put the estimate ~1e12 rad off. The degree
+  // wrap used to subtract 360 one step at a time (O(|deg|) work, and no
+  // exit once deg - 360 == deg); now it reduces with std::remainder first.
+  FlightLog log;
+  for (int i = 0; i < 100; ++i) {
+    FlightLogEntry e;
+    e.time = Millis(i * 40);
+    e.est_yaw_rad = 1e12;  // 5.7e13 deg, which wraps to about -37.7 deg.
+    log.Record(e);
+  }
+  AedResult r = AnalyzeAttitudeDivergence(log);
+  EXPECT_TRUE(r.unstable);
+  EXPECT_GT(r.worst_divergence_deg, 5.0);
+  EXPECT_LE(r.worst_divergence_deg, 180.0);
+  EXPECT_DOUBLE_EQ(r.worst_divergence_deg,
+                   std::fabs(std::remainder(1e12 * 57.29577951308232, 360.0)));
+}
+
 // --------------------------------------------------------- Full stack.
 
 class SitlTest : public ::testing::Test {

@@ -229,30 +229,6 @@ TEST(BatteryTest, RealPackLastsRealisticHoverTime) {
 
 // ---- Sensor snapshot bus (DESIGN.md §10) ----
 
-TEST(SensorBusTest, VersionsAreEvenAndAdvancePerPublish) {
-  SensorBus bus;
-  EXPECT_EQ(bus.version(), 0u);  // Never published.
-  SensorSnapshot* slot = bus.BeginPublish();
-  slot->baro_altitude_m = 12.5;
-  // Mid-publish the sequence is odd: a concurrent reader would retry.
-  EXPECT_EQ(bus.version() % 2, 1u);
-  bus.EndPublish();
-  EXPECT_EQ(bus.version() % 2, 0u);
-  EXPECT_EQ(bus.publishes(), 1u);
-
-  SensorSnapshot copy;
-  uint64_t v1 = bus.Read(&copy);
-  EXPECT_EQ(v1, bus.version());
-  EXPECT_DOUBLE_EQ(copy.baro_altitude_m, 12.5);
-
-  bus.BeginPublish()->baro_altitude_m = 13.0;
-  bus.EndPublish();
-  uint64_t v2 = bus.Read(&copy);
-  EXPECT_GT(v2, v1);  // The version doubles as a freshness token.
-  EXPECT_DOUBLE_EQ(copy.baro_altitude_m, 13.0);
-  EXPECT_DOUBLE_EQ(bus.latest().baro_altitude_m, 13.0);
-}
-
 class SensorHubFixture : public HwFixture {
  protected:
   SensorHubFixture()

@@ -3,7 +3,9 @@
 // sensor degradation, and the kernel-latency/flight coupling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "src/core/drone.h"
 #include "src/core/reference_apps.h"
@@ -248,26 +250,42 @@ TEST(NetworkRobustnessTest, GuidedFlightSurvivesLossyLink) {
 // ------------------------------------------------- Sensor degradation.
 
 TEST(SensorFailureTest, GpsOutageIsToleratedInHover) {
-  SimClock clock;
-  SitlDrone drone(&clock, kBase, 41);
-  clock.RunFor(Seconds(2));
-  drone.SetModeCmd(CopterMode::kGuided);
-  drone.ArmCmd();
-  drone.TakeoffCmd(12.0);
-  ASSERT_TRUE(drone.RunUntil(
-      [&] { return drone.physics().truth().position.altitude_m > 11.0; },
-      Seconds(60)));
-  // GPS drops to 3 satellites for 10 s mid-hover: the estimator keeps the
-  // last fix, baro holds altitude, and the drone must not diverge.
-  GeoPoint before = drone.physics().truth().position;
-  drone.gps().set_satellites(3);  // No fix.
-  clock.RunFor(Seconds(10));
-  drone.gps().set_satellites(11);  // Reacquired.
-  clock.RunFor(Seconds(5));
-  GeoPoint after = drone.physics().truth().position;
-  EXPECT_LT(HaversineMeters(before, after), 4.0);
-  AedResult aed = AnalyzeAttitudeDivergence(drone.controller().flight_log());
-  EXPECT_FALSE(aed.unstable);
+  // GPS drops to 3 satellites for 10 s mid-hover: the controller detects
+  // the stale fix and holds a level attitude, baro holds altitude, and the
+  // drone must not diverge. How far it drifts depends on the seed's noise,
+  // so the check is over a sweep of seeds rather than one lucky seed.
+  // Under libm numerics (before util/detmath) seeds 10..41 drifted median
+  // 5.17 m, p90 7.62 m, max 11.10 m (seed 41: 3.46 m), and over seeds
+  // 1..200 p10 2.49, p50 5.32, p90 7.71, max 11.10 m with none unstable.
+  // The bounds are 1.5x that median and 1.5x that worst seed. Without the
+  // stale-fix detection the same seeds drift median ~36 m, max ~88 m.
+  std::vector<double> drifts;
+  for (uint64_t seed = 10; seed <= 41; ++seed) {
+    SimClock clock;
+    SitlDrone drone(&clock, kBase, seed);
+    clock.RunFor(Seconds(2));
+    drone.SetModeCmd(CopterMode::kGuided);
+    drone.ArmCmd();
+    drone.TakeoffCmd(12.0);
+    ASSERT_TRUE(drone.RunUntil(
+        [&] { return drone.physics().truth().position.altitude_m > 11.0; },
+        Seconds(60)))
+        << "seed " << seed;
+    GeoPoint before = drone.physics().truth().position;
+    drone.gps().set_satellites(3);  // No fix.
+    clock.RunFor(Seconds(10));
+    drone.gps().set_satellites(11);  // Reacquired.
+    clock.RunFor(Seconds(5));
+    GeoPoint after = drone.physics().truth().position;
+    double drift = HaversineMeters(before, after);
+    EXPECT_LT(drift, 16.0) << "seed " << seed;
+    AedResult aed = AnalyzeAttitudeDivergence(drone.controller().flight_log());
+    EXPECT_FALSE(aed.unstable) << "seed " << seed;
+    drifts.push_back(drift);
+  }
+  std::sort(drifts.begin(), drifts.end());
+  double median = (drifts[15] + drifts[16]) / 2;
+  EXPECT_LT(median, 7.75);
 }
 
 // -------------------------------------- Kernel latency vs flight safety.

@@ -365,6 +365,23 @@ TEST(ReplayLogTest, RejectsBadMagic) {
       << parsed.status().ToString();
 }
 
+TEST(ReplayLogTest, RejectsAnOtherFormatVersion) {
+  // The little-endian version word follows the 8-byte magic. A log
+  // recorded under an older format (version 1 sampled sensors with libm
+  // and the polar normal sampler) would replay into different numerics, so
+  // any other version is refused outright.
+  for (uint32_t version : {kReplayLogVersion - 1, kReplayLogVersion + 1}) {
+    std::string bytes = MakeLog(7, 0x99);
+    for (int i = 0; i < 4; ++i) {
+      bytes[8 + i] = static_cast<char>((version >> (8 * i)) & 0xff);
+    }
+    auto parsed = ReplayLog::FromBytes(bytes, 7, 0x99);
+    ASSERT_FALSE(parsed.ok()) << "version " << version;
+    EXPECT_NE(parsed.status().message().find("version"), std::string::npos)
+        << parsed.status().ToString();
+  }
+}
+
 TEST(ReplayLogTest, RejectsWrongSeedAndFingerprint) {
   std::string bytes = MakeLog(7, 0x99);
   auto wrong_seed = ReplayLog::FromBytes(bytes, 8, 0x99);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "src/util/rng.h"
 
 namespace androne {
@@ -93,7 +95,7 @@ TEST(HistogramTest, MergeMatchesSingleStreamRecording) {
   Histogram combined(10, 6);
   Rng rng(7);
   for (int i = 0; i < 500; ++i) {
-    int64_t v = static_cast<int64_t>(rng.LogNormal(5.0, 1.5));
+    int64_t v = static_cast<int64_t>(std::exp(rng.Gaussian(5.0, 1.5)));
     if (i % 2 == 0) {
       a.Record(v);
     } else {
