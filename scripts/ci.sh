@@ -7,7 +7,9 @@
 #   scripts/ci.sh                       # full run
 #   SKIP_ASAN=1 scripts/ci.sh          # plain tests + benches only
 #   scripts/ci.sh --repeat-determinism # also re-run the determinism
-#                                      # harness N times (default 5;
+#                                      # harness and the trace, snapshot
+#                                      # and control-plane goldens N times
+#                                      # (default 5;
 #                                      # ANDRONE_DETERMINISM_REPEATS=N)
 #
 # Produces BENCH_fault_sweep.json at the repo root: the link fault sweep
@@ -117,13 +119,15 @@ if [[ "$REPEAT_DETERMINISM" == "1" ]]; then
   # the trace/metrics determinism harness in fresh processes so ASLR and
   # allocator state vary between runs. The snapshot golden rides along: a
   # component Visit that walks an unordered container shows up here as a
-  # flaky blob digest.
+  # flaky blob digest. So does the control-plane golden: an ordering leak
+  # on the serving path shows up as a flaky report.
   REPEATS="${ANDRONE_DETERMINISM_REPEATS:-5}"
   echo "=== determinism harness: $REPEATS repeated runs ==="
   for i in $(seq 1 "$REPEATS"); do
     ./build/tests/determinism_test --gtest_brief=1
     ./build/tests/trace_golden_test --gtest_brief=1
     ./build/tests/snapshot_golden_test --gtest_brief=1
+    ./build/tests/control_plane_golden_test --gtest_brief=1
   done
 fi
 

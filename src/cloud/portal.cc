@@ -98,9 +98,8 @@ StatusOr<OrderConfirmation> Portal::OrderVirtualDrone(
                                             energy_model_.HoverPowerW());
 
   StoredVirtualDrone stored;
-  stored.definition_json = def.ToJson();
-  stored.resumable = false;
-  vdr_->Save(def.id, std::move(stored));
+  stored.definition = std::move(def);
+  vdr_->Save(confirmation.vdrone_id, std::move(stored));
   return confirmation;
 }
 

@@ -36,14 +36,6 @@ bool VirtualDroneRepository::Contains(const std::string& vdrone_id) const {
   return drones_.count(vdrone_id) > 0;
 }
 
-uint64_t VirtualDroneRepository::StorageBytes() const {
-  uint64_t total = 0;
-  for (const auto& [id, drone] : drones_) {
-    total += drone.definition_json.size() + drone.image.size();
-  }
-  return total;
-}
-
 void CloudStorage::Put(const std::string& user, const std::string& path,
                        std::string content) {
   files_[user][path] = std::move(content);

@@ -1,7 +1,9 @@
 // Cloud-side stores (paper §4, Figure 3):
 //  * Virtual Drone Repository (VDR): preconfigured/suspended virtual drones
-//    (definition JSON + exported container image) for later reuse, resume,
-//    or redeployment on different physical hardware.
+//    for later reuse, resume, or redeployment on different physical
+//    hardware. Each entry holds the definition, the exported container
+//    image and the tenancy progress as values; the definition's Figure 2
+//    JSON is the wire format, produced only when someone asks for text.
 //  * CloudStorage: per-user flight artifacts (files apps marked for the
 //    user), retrieved on demand after the flight.
 //  * AppStore: published AnDrone app packages with their manifests.
@@ -13,18 +15,29 @@
 #include <string>
 #include <vector>
 
+#include "src/core/definition.h"
 #include "src/util/status.h"
 
 namespace androne {
 
+// VDC progress snapshot (waypoints served, allotments used) so a resumed
+// virtual drone continues where it left off on another flight. The zero
+// defaults are a virtual drone that has never flown.
+struct VirtualDroneProgress {
+  size_t waypoints_served = 0;
+  double energy_used_j = 0;
+  double time_used_s = 0;
+  bool reached_first_waypoint = false;
+  bool finished_last_waypoint = false;
+  bool exhausted = false;
+};
+
 struct StoredVirtualDrone {
-  std::string definition_json;
+  VirtualDroneDefinition definition;
   std::vector<uint8_t> image;  // ImageStore::Export bytes; may be empty for
                                // never-flown definitions.
   bool resumable = false;      // Saved mid-task (needs the image to resume).
-  // VDC progress snapshot (waypoints served, allotments used) so a resumed
-  // virtual drone continues where it left off on another flight.
-  std::string progress_json;
+  VirtualDroneProgress progress;
 };
 
 class VirtualDroneRepository {
@@ -36,10 +49,6 @@ class VirtualDroneRepository {
   Status Remove(const std::string& vdrone_id);
   std::vector<std::string> List() const;
   bool Contains(const std::string& vdrone_id) const;
-
-  // Total bytes held (definitions + images): the quantity kept small by the
-  // diff-only image design.
-  uint64_t StorageBytes() const;
 
  private:
   std::map<std::string, StoredVirtualDrone> drones_;

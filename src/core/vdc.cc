@@ -66,27 +66,20 @@ StatusOr<VirtualDroneInstance*> Vdc::Deploy(
   // from the shared base image (paper §3).
   ImageId image = base_image_;
   if (vdr_ != nullptr && vdr_->Contains(def.id)) {
-    auto stored = vdr_->Load(def.id);
-    if (stored.ok() && !stored->image.empty()) {
-      ASSIGN_OR_RETURN(image, runtime_->images()->Import(stored->image));
+    ASSIGN_OR_RETURN(StoredVirtualDrone stored, vdr_->Load(def.id));
+    if (!stored.image.empty()) {
+      ASSIGN_OR_RETURN(image, runtime_->images()->Import(stored.image));
       ALOG(kInfo, "vdc") << "resuming " << def.id << " from the VDR";
     }
     // Restore tenancy progress so allotments and served waypoints carry
     // across flights (and across physical drones).
-    if (stored.ok() && !stored->progress_json.empty()) {
-      auto progress = ParseJson(stored->progress_json);
-      if (progress.ok()) {
-        vd->waypoints_served =
-            static_cast<size_t>(progress->GetIntOr("waypoints-served", 0));
-        vd->energy_used_j = progress->GetNumberOr("energy-used", 0);
-        vd->time_used_s = progress->GetNumberOr("time-used", 0);
-        vd->reached_first_waypoint =
-            progress->GetBoolOr("reached-first", false);
-        vd->finished_last_waypoint =
-            progress->GetBoolOr("finished-last", false);
-        vd->exhausted = progress->GetBoolOr("exhausted", false);
-      }
-    }
+    const VirtualDroneProgress& progress = stored.progress;
+    vd->waypoints_served = progress.waypoints_served;
+    vd->energy_used_j = progress.energy_used_j;
+    vd->time_used_s = progress.time_used_s;
+    vd->reached_first_waypoint = progress.reached_first_waypoint;
+    vd->finished_last_waypoint = progress.finished_last_waypoint;
+    vd->exhausted = progress.exhausted;
   }
 
   ASSIGN_OR_RETURN(
@@ -431,17 +424,15 @@ Status Vdc::StoreToVdr(const std::string& vdrone_id, bool resumable) {
   ASSIGN_OR_RETURN(std::vector<uint8_t> image,
                    runtime_->images()->Export(committed));
   StoredVirtualDrone stored;
-  stored.definition_json = vd->definition.ToJson();
+  stored.definition = vd->definition;
   stored.image = std::move(image);
   stored.resumable = resumable;
-  JsonObject progress;
-  progress["waypoints-served"] = static_cast<int64_t>(vd->waypoints_served);
-  progress["energy-used"] = vd->energy_used_j;
-  progress["time-used"] = vd->time_used_s;
-  progress["reached-first"] = vd->reached_first_waypoint;
-  progress["finished-last"] = vd->finished_last_waypoint;
-  progress["exhausted"] = vd->exhausted;
-  stored.progress_json = JsonValue(std::move(progress)).Dump();
+  stored.progress.waypoints_served = vd->waypoints_served;
+  stored.progress.energy_used_j = vd->energy_used_j;
+  stored.progress.time_used_s = vd->time_used_s;
+  stored.progress.reached_first_waypoint = vd->reached_first_waypoint;
+  stored.progress.finished_last_waypoint = vd->finished_last_waypoint;
+  stored.progress.exhausted = vd->exhausted;
   vdr_->Save(vdrone_id, std::move(stored));
   return OkStatus();
 }

@@ -19,6 +19,7 @@
 #ifndef SRC_SNAPSHOT_SNAPSHOT_H_
 #define SRC_SNAPSHOT_SNAPSHOT_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -31,6 +32,11 @@
 #include "src/util/time.h"
 
 namespace androne {
+
+// Fixed-width fields travel as whole words: one copy of the native bytes,
+// which is the wire's little-endian layout only on a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "snapshots are little-endian; a word copy must match it");
 
 class SnapshotWriter {
  public:
@@ -65,9 +71,9 @@ class SnapshotWriter {
  private:
   template <typename T>
   void AppendLe(T v) {
-    for (size_t i = 0; i < sizeof(T); ++i) {
-      buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
+    char word[sizeof(T)];
+    std::memcpy(word, &v, sizeof(T));
+    buf_.append(word, sizeof(T));
   }
 
   std::string buf_;
@@ -99,12 +105,8 @@ class SnapshotReader {
   template <typename T>
   Status ReadLe(T* out) {
     RETURN_IF_ERROR(Need(sizeof(T)));
-    T v = 0;
-    for (size_t i = 0; i < sizeof(T); ++i) {
-      v |= static_cast<T>(static_cast<uint8_t>(data_[pos_ + i])) << (8 * i);
-    }
+    std::memcpy(out, data_.data() + pos_, sizeof(T));
     pos_ += sizeof(T);
-    *out = v;
     return OkStatus();
   }
 

@@ -173,14 +173,13 @@ TEST(FlightPlannerTest, PlanIsDeterministicForSeed) {
 
 TEST(VdrTest, SaveLoadRemove) {
   VirtualDroneRepository vdr;
-  vdr.Save("vd-1", StoredVirtualDrone{"{}", {1, 2, 3}, true});
+  vdr.Save("vd-1", StoredVirtualDrone{{}, {1, 2, 3}, true, {}});
   EXPECT_TRUE(vdr.Contains("vd-1"));
   auto loaded = vdr.Load("vd-1");
   ASSERT_TRUE(loaded.ok());
   EXPECT_TRUE(loaded->resumable);
   EXPECT_EQ(loaded->image.size(), 3u);
   EXPECT_EQ(vdr.List().size(), 1u);
-  EXPECT_GT(vdr.StorageBytes(), 0u);
   EXPECT_TRUE(vdr.Remove("vd-1").ok());
   EXPECT_FALSE(vdr.Load("vd-1").ok());
   EXPECT_FALSE(vdr.Remove("vd-1").ok());
@@ -390,11 +389,36 @@ TEST_F(PortalTest, OrderProducesValidDefinitionInVdr) {
   EXPECT_EQ(def.owner, "alice");
   // Default geofence radius applied.
   EXPECT_DOUBLE_EQ(def.waypoints[0].max_radius_m, 100.0);
-  // Stored in the VDR, parseable.
+  // Stored in the VDR as the confirmed definition, field by field.
   auto stored = vdr_.Load(confirmation->vdrone_id);
   ASSERT_TRUE(stored.ok());
-  EXPECT_TRUE(
-      VirtualDroneDefinition::FromJson(stored->definition_json).ok());
+  const VirtualDroneDefinition& kept = stored->definition;
+  EXPECT_EQ(kept.id, confirmation->vdrone_id);
+  EXPECT_EQ(kept.id, def.id);
+  EXPECT_EQ(kept.owner, def.owner);
+  ASSERT_EQ(kept.waypoints.size(), def.waypoints.size());
+  for (size_t i = 0; i < def.waypoints.size(); ++i) {
+    EXPECT_EQ(kept.waypoints[i].point.latitude_deg,
+              def.waypoints[i].point.latitude_deg);
+    EXPECT_EQ(kept.waypoints[i].point.longitude_deg,
+              def.waypoints[i].point.longitude_deg);
+    EXPECT_EQ(kept.waypoints[i].point.altitude_m,
+              def.waypoints[i].point.altitude_m);
+    EXPECT_EQ(kept.waypoints[i].max_radius_m, def.waypoints[i].max_radius_m);
+  }
+  EXPECT_EQ(kept.max_duration_s, def.max_duration_s);
+  EXPECT_EQ(kept.energy_allotted_j, def.energy_allotted_j);
+  EXPECT_EQ(kept.continuous_devices, def.continuous_devices);
+  EXPECT_EQ(kept.waypoint_devices, def.waypoint_devices);
+  EXPECT_EQ(kept.apps, def.apps);
+  EXPECT_EQ(kept.app_args, def.app_args);
+  EXPECT_FALSE(stored->resumable);
+  EXPECT_TRUE(stored->image.empty());
+  // The Figure 2 text is still one call away and round-trips byte for byte.
+  const std::string json = kept.ToJson();
+  auto parsed = VirtualDroneDefinition::FromJson(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(parsed->ToJson(), json);
   // Billing estimate present.
   EXPECT_GT(confirmation->estimate.energy_j, 0);
   EXPECT_GT(confirmation->estimate.flight_time_estimate_s, 0);

@@ -366,6 +366,47 @@ TEST_F(DroneFixture, StoreToVdrAndResumeOnNewDrone) {
             1u);
 }
 
+TEST_F(DroneFixture, VdrProgressCarriesAllotmentsIntoTheNextDeploy) {
+  ASSERT_TRUE(system_.Deploy(SurveyDefinition("vd-1")).ok());
+  ASSERT_TRUE(system_.vdc().NotifyWaypointReached("vd-1", 0).ok());
+  ASSERT_TRUE(system_.vdc().AccountActiveTenant(Seconds(7)));
+  ASSERT_TRUE(system_.vdc()
+                  .NotifyWaypointLeft("vd-1", TenancyEndReason::kInterrupted)
+                  .ok());
+  ASSERT_TRUE(system_.vdc().StoreToVdr("vd-1", /*resumable=*/true).ok());
+  auto flown = system_.vdc().Find("vd-1");
+  ASSERT_TRUE(flown.ok());
+  auto stored = system_.vdr().Load("vd-1");
+  ASSERT_TRUE(stored.ok());
+  const VirtualDroneProgress& progress = stored->progress;
+  EXPECT_GT(progress.energy_used_j, 0);
+  EXPECT_GT(progress.time_used_s, 0);
+  EXPECT_EQ(progress.waypoints_served, (*flown)->waypoints_served);
+  EXPECT_EQ(progress.energy_used_j, (*flown)->energy_used_j);
+  EXPECT_EQ(progress.time_used_s, (*flown)->time_used_s);
+  EXPECT_TRUE(progress.reached_first_waypoint);
+  EXPECT_EQ(progress.finished_last_waypoint,
+            (*flown)->finished_last_waypoint);
+  EXPECT_EQ(progress.exhausted, (*flown)->exhausted);
+
+  // Another drone pulls the virtual drone from the shared VDR: the tenancy
+  // resumes with exactly the usage the first flight left behind.
+  SimClock clock;
+  AnDroneSystem other(&clock, MakeOptions());
+  ASSERT_TRUE(other.Boot().ok());
+  other.vdc().RegisterAppFactory(
+      "com.example.survey", [] { return std::make_unique<SurveyApp>(); },
+      kSurveyManifest);
+  other.vdr().Save("vd-1", *stored);
+  auto resumed = other.Deploy(SurveyDefinition("vd-1"));
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  EXPECT_EQ((*resumed)->waypoints_served, progress.waypoints_served);
+  EXPECT_EQ((*resumed)->energy_used_j, progress.energy_used_j);
+  EXPECT_EQ((*resumed)->time_used_s, progress.time_used_s);
+  EXPECT_TRUE((*resumed)->reached_first_waypoint);
+  EXPECT_EQ((*resumed)->exhausted, progress.exhausted);
+}
+
 // ---------------- The §6.6 multi-waypoint flight simulation ----------------
 
 TEST_F(DroneFixture, MultiTenantFlightEndToEnd) {
