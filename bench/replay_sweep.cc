@@ -7,19 +7,23 @@
 // discrete layer (clock, MAVLink, proxy, safety supervisor, mission
 // driver, telemetry, metrics) re-executes live.
 //
-// Timing uses process CPU time, not wall time: replay and resim are both
-// CPU-bound single-world runs, and CPU time is stable where wall time
-// jitters with scheduler noise. Each family times --reps interleaved
-// resim/replay pairs (alternating which side runs first, so a host that
-// speeds up or slows down mid-run hits both sides alike); the speedup is
-// the median of the per-pair ratios, with their min and max recorded.
+// Timing uses process CPU time, not wall time: resim, replay and record
+// are all CPU-bound single-world runs, and CPU time is stable where wall
+// time jitters with scheduler noise. Each family times --reps interleaved
+// rounds of one resim, one replay and one recording run (rotating which
+// side runs first, so a host that speeds up or slows down mid-run hits
+// every side alike); the speedup is the median of the per-round
+// resim/replay ratios, with their min and max recorded, and the recording
+// overhead the median of the per-round record/resim ratios. Each timed
+// recording must reproduce the untimed one's log byte for byte.
 //
 // The sweep also exercises fork-and-explore: a what-if fan-out from the
 // baseline world's last decision-point checkpoint, whose control branch
 // must continue the recorded timeline bit-identically.
 //
 // Flags:
-//   --reps N       interleaved resim/replay pairs per family (default 15)
+//   --reps N       interleaved resim/replay/record rounds per family
+//                  (default 15)
 //   --seed N       world seed (default 2026)
 //   --branches N   fork-and-explore branch count (default 4)
 //   --json PATH    machine-readable results; the CI gate greps for
@@ -83,31 +87,45 @@ double Median(std::vector<double> v) {
   return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
 }
 
-struct TimedPairs {
+struct TimedRounds {
   WorldResult resim;
   WorldResult replay;
+  WorldResult record;
   std::vector<double> resim_s;
   std::vector<double> replay_s;
-  std::vector<double> ratio;  // resim / replay, per pair.
+  std::vector<double> record_s;
+  std::vector<double> ratio;     // resim / replay, per round.
+  std::vector<double> overhead;  // record / resim, per round.
 };
 
-TimedPairs RunPairs(const FleetWorldConfig& resim,
-                    const FleetWorldConfig& replay, uint64_t seed,
-                    int pairs) {
-  TimedPairs t;
-  for (int i = 0; i < pairs; ++i) {
-    double resim_s;
-    double replay_s;
-    if (i % 2 == 0) {
-      resim_s = TimeWorld(resim, seed, &t.resim);
-      replay_s = TimeWorld(replay, seed, &t.replay);
-    } else {
-      replay_s = TimeWorld(replay, seed, &t.replay);
-      resim_s = TimeWorld(resim, seed, &t.resim);
+// |rounds| rounds of the three sides; round i starts at side i % 3.
+TimedRounds RunRounds(const FleetWorldConfig& resim,
+                      const FleetWorldConfig& replay,
+                      const FleetWorldConfig& record, uint64_t seed,
+                      int rounds) {
+  TimedRounds t;
+  for (int i = 0; i < rounds; ++i) {
+    double resim_s = 0;
+    double replay_s = 0;
+    double record_s = 0;
+    for (int k = 0; k < 3; ++k) {
+      switch ((i + k) % 3) {
+        case 0:
+          resim_s = TimeWorld(resim, seed, &t.resim);
+          break;
+        case 1:
+          replay_s = TimeWorld(replay, seed, &t.replay);
+          break;
+        default:
+          record_s = TimeWorld(record, seed, &t.record);
+          break;
+      }
     }
     t.resim_s.push_back(resim_s);
     t.replay_s.push_back(replay_s);
+    t.record_s.push_back(record_s);
     t.ratio.push_back(replay_s > 0 ? resim_s / replay_s : 0);
+    t.overhead.push_back(resim_s > 0 ? record_s / resim_s : 0);
   }
   return t;
 }
@@ -129,11 +147,13 @@ struct Family {
 
 struct Row {
   std::string family;
-  double resim_ms = 0;   // Median over the pairs.
-  double replay_ms = 0;  // Median over the pairs.
-  double speedup = 0;    // Median pair ratio.
+  double resim_ms = 0;   // Median over the rounds.
+  double replay_ms = 0;  // Median over the rounds.
+  double record_ms = 0;  // Median over the rounds.
+  double speedup = 0;    // Median resim / replay ratio.
   double speedup_min = 0;
   double speedup_max = 0;
+  double record_overhead = 0;  // Median record / resim ratio.
   bool digest_match = false;
   uint64_t ticks = 0;
   uint64_t log_bytes = 0;
@@ -174,12 +194,12 @@ int Run(int argc, char** argv) {
       {"sensor_chaos", nullptr, &sensor_chaos},
   };
 
-  std::printf("  seed %llx, %d interleaved pairs per family, CPU time,"
+  std::printf("  seed %llx, %d interleaved rounds per family, CPU time,"
               " medians\n\n",
               static_cast<unsigned long long>(seed), reps);
-  std::printf("  %-14s %10s %10s %9s %15s %10s %10s  %s\n", "family",
-              "resim ms", "replay ms", "speedup", "pair min-max", "ticks",
-              "log KB", "digest");
+  std::printf("  %-14s %10s %10s %9s %15s %10s %10s %10s %10s  %s\n",
+              "family", "resim ms", "replay ms", "speedup", "round min-max",
+              "record ms", "rec/resim", "ticks", "log KB", "digest");
 
   std::vector<Row> rows;
   bool all_match = true;
@@ -204,35 +224,47 @@ int Run(int argc, char** argv) {
 
     FleetWorldConfig replay = mission;
     replay.replay_from = &store;
+    // The timed recordings go to their own store: a Put into |store| would
+    // drop the log view the replays share.
+    ReplayLogStore rerecorded;
+    FleetWorldConfig rerecord = mission;
+    rerecord.record_into = &rerecorded;
     // One untimed replay first: it validates and caches the log view that
     // every later replay of this seed shares (the recording run already
     // warmed the resim side).
     WorldResult warmup;
     (void)TimeWorld(replay, seed, &warmup);
-    TimedPairs timed = RunPairs(mission, replay, seed, reps);
+    TimedRounds timed = RunRounds(mission, replay, rerecord, seed, reps);
     const WorldResult& replayed = timed.replay;
+    const auto log = store.Get(seed);
+    const auto relog = rerecorded.Get(seed);
 
     Row row;
     row.family = family.name;
     row.resim_ms = Median(timed.resim_s) * 1e3;
     row.replay_ms = Median(timed.replay_s) * 1e3;
+    row.record_ms = Median(timed.record_s) * 1e3;
     row.speedup = Median(timed.ratio);
     row.speedup_min = *std::min_element(timed.ratio.begin(), timed.ratio.end());
     row.speedup_max = *std::max_element(timed.ratio.begin(), timed.ratio.end());
+    row.record_overhead = Median(timed.overhead);
     row.digest_match = replayed.replay.digest_match &&
                        replayed.replay.underruns == 0 &&
                        Matches(replayed, recorded) &&
-                       Matches(timed.resim, recorded);
+                       Matches(timed.resim, recorded) &&
+                       Matches(timed.record, recorded) && log != nullptr &&
+                       relog != nullptr && *log == *relog;
     row.ticks = replayed.replay.ticks;
     row.log_bytes = replayed.replay.log_bytes;
     row.underruns = replayed.replay.underruns;
     all_match = all_match && row.digest_match;
     min_speedup = rows.empty() ? row.speedup
                                : std::min(min_speedup, row.speedup);
-    std::printf("  %-14s %10.2f %10.2f %8.2fx %7.2fx-%5.2fx %10llu %10.1f"
-                "  %s\n",
+    std::printf("  %-14s %10.2f %10.2f %8.2fx %7.2fx-%5.2fx %10.2f %9.2fx"
+                " %10llu %10.1f  %s\n",
                 family.name, row.resim_ms, row.replay_ms, row.speedup,
-                row.speedup_min, row.speedup_max,
+                row.speedup_min, row.speedup_max, row.record_ms,
+                row.record_overhead,
                 static_cast<unsigned long long>(row.ticks),
                 static_cast<double>(row.log_bytes) / 1024.0,
                 row.digest_match ? "identical" : "DIVERGED");
@@ -260,7 +292,7 @@ int Run(int argc, char** argv) {
   const bool speedup_ge_2 = min_speedup >= 2.0;
   std::printf("\n  replayed worlds %s the recording runs\n",
               all_match ? "MATCH" : "DIVERGE FROM");
-  std::printf("  replay is %.2fx resim (median pair ratio) in the slowest"
+  std::printf("  replay is %.2fx resim (median round ratio) in the slowest"
               " family — %s the 2x gate\n\n",
               min_speedup, speedup_ge_2 ? "clears" : "MISSES");
   BenchNote("a replayed world re-executes the discrete layer against the "
@@ -288,6 +320,8 @@ int Run(int argc, char** argv) {
       r["speedup"] = row.speedup;
       r["speedup_min"] = row.speedup_min;
       r["speedup_max"] = row.speedup_max;
+      r["record_ms"] = row.record_ms;
+      r["record_overhead"] = row.record_overhead;
       r["digest_match"] = row.digest_match;
       r["ticks"] = static_cast<double>(row.ticks);
       r["log_bytes"] = static_cast<double>(row.log_bytes);

@@ -85,6 +85,33 @@ FleetManager::Session& FleetManager::Get(uint64_t id) {
   return sessions_.at(id);
 }
 
+Histogram& FleetManager::StageLatency(Stage stage) {
+  struct Layout {
+    const char* name;
+    int decades;  // Of microseconds, at 10 buckets per decade.
+  };
+  // Admission waits, flights and whole sessions can outrun the default 8
+  // decades (100 s), so they get 12.
+  static constexpr Layout kLayouts[kStageCount] = {
+      {"latency.order_us", 8}, {"latency.plan_us", 8},
+      {"latency.admit_us", 12}, {"latency.fly_us", 12},
+      {"latency.bill_us", 8},  {"latency.session_us", 12},
+  };
+  Histogram*& hist = stage_latency_[stage];
+  if (hist == nullptr) {
+    hist = &metrics_.Hist(kLayouts[stage].name, 10, kLayouts[stage].decades);
+  }
+  return *hist;
+}
+
+double& FleetManager::EndStateCount(OrderState state) {
+  double*& count = end_state_count_[static_cast<size_t>(state)];
+  if (count == nullptr) {
+    count = &metrics_.Counter(std::string("ctrl.") + OrderStateName(state));
+  }
+  return *count;
+}
+
 void FleetManager::Apply(Session& s, OrderEvent event) {
   Status status = s.lifecycle.Apply(event);
   if (!status.ok()) {
@@ -105,9 +132,8 @@ void FleetManager::Finish(Session& s, OrderEvent event, int64_t charged_ud,
     clock_.Cancel(s.cancel_event);
     s.cancel_event = 0;
   }
-  metrics_.Hist("latency.session_us", 10, 12)
-      .Record(ToMicros(s.end - s.arrival));
-  metrics_.Add(std::string("ctrl.") + OrderStateName(s.lifecycle.state()));
+  StageLatency(kSessionStage).Record(ToMicros(s.end - s.arrival));
+  EndStateCount(s.lifecycle.state()) += 1;
 }
 
 ShardOutcome FleetManager::Serve(const std::vector<SessionSpec>& specs) {
@@ -191,8 +217,7 @@ void FleetManager::OnOrdered(uint64_t id) {
     return;
   }
   s.order_done = clock_.now();
-  metrics_.Hist("latency.order_us")
-      .Record(ToMicros(s.order_done - s.arrival));
+  StageLatency(kOrderStage).Record(ToMicros(s.order_done - s.arrival));
 
   OrderRequest request;
   request.user = "tenant-" + std::to_string(id);
@@ -252,8 +277,7 @@ void FleetManager::OnPlanned(uint64_t id) {
     return;
   }
   s.plan_done = clock_.now();
-  metrics_.Hist("latency.plan_us")
-      .Record(ToMicros(s.plan_done - s.order_done));
+  StageLatency(kPlanStage).Record(ToMicros(s.plan_done - s.order_done));
   if (s.plan_failed) {
     Finish(s, OrderEvent::kPlanFail, 0, Microdollars(s.estimate_cost));
     return;
@@ -278,8 +302,7 @@ void FleetManager::OnPlanned(uint64_t id) {
 void FleetManager::HandleAdmit(uint64_t id, int board) {
   Session& s = Get(id);
   s.board = board;
-  metrics_.Hist("latency.admit_us", 10, 12)
-      .Record(ToMicros(clock_.now() - s.plan_done));
+  StageLatency(kAdmitStage).Record(ToMicros(clock_.now() - s.plan_done));
   BoardRuntime& b = boards_[board];
   b.boarding.push_back(id);
   if (b.hold_timer == 0) {
@@ -401,8 +424,7 @@ void FleetManager::OnLanded(uint64_t id) {
     return;
   }
   s.land_time = clock_.now();
-  metrics_.Hist("latency.fly_us", 10, 12)
-      .Record(ToMicros(s.land_time - s.launch_time));
+  StageLatency(kFlyStage).Record(ToMicros(s.land_time - s.launch_time));
   LeaveBoard(id);
   CellularLteModel lte;
   const SimDuration bill_latency = Millis(4) +
@@ -416,8 +438,7 @@ void FleetManager::OnBilled(uint64_t id) {
   if (s.lifecycle.terminal()) {
     return;
   }
-  metrics_.Hist("latency.bill_us")
-      .Record(ToMicros(clock_.now() - s.land_time));
+  StageLatency(kBillStage).Record(ToMicros(clock_.now() - s.land_time));
   Finish(s, OrderEvent::kComplete,
          Microdollars(billing_.CostForEnergy(s.billable_energy_j)), 0);
 }

@@ -17,6 +17,7 @@
 #ifndef SRC_CTRL_FLEET_MANAGER_H_
 #define SRC_CTRL_FLEET_MANAGER_H_
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -127,6 +128,15 @@ class FleetManager {
 
   Session& Get(uint64_t id);
 
+  // Every session records its stage latencies and its end state. Each of
+  // those metrics is resolved in the registry on first use and cached, so
+  // a name no session reached never enters the snapshot and later events
+  // build no key and walk no map.
+  enum Stage { kOrderStage, kPlanStage, kAdmitStage, kFlyStage, kBillStage,
+               kSessionStage, kStageCount };
+  Histogram& StageLatency(Stage stage);
+  double& EndStateCount(OrderState state);
+
   FleetManagerConfig config_;
   SimClock clock_;
   AppStore app_store_;
@@ -137,6 +147,8 @@ class FleetManager {
   FlightPlanner planner_;
   AdmissionController admission_;
   MetricsRegistry metrics_;
+  std::array<Histogram*, kStageCount> stage_latency_{};
+  std::array<double*, kOrderStateCount> end_state_count_{};
   std::map<uint64_t, Session> sessions_;
   std::vector<BoardRuntime> boards_;
   std::vector<SessionRecord> records_;

@@ -91,7 +91,11 @@ uint64_t MetricsSnapshot::Digest() const {
 }
 
 void MetricsRegistry::Add(const std::string& name, double delta) {
-  counters_[name] += delta;
+  Counter(name) += delta;
+}
+
+double& MetricsRegistry::Counter(const std::string& name) {
+  return counters_[name];
 }
 
 void MetricsRegistry::Set(const std::string& name, double value) {

@@ -43,10 +43,15 @@ struct MetricsSnapshot {
   uint64_t Digest() const;
 };
 
+// Counter and Hist hand out references into std::map nodes, which never
+// move: a hot caller may resolve a name once and keep the reference until
+// Clear().
 class MetricsRegistry {
  public:
   // Adds |delta| to the named counter (created at 0).
   void Add(const std::string& name, double delta = 1);
+  // The named counter itself (created at 0).
+  double& Counter(const std::string& name);
   // Sets the named gauge.
   void Set(const std::string& name, double value);
   // Named histogram with the default log-bucket layout; created on first

@@ -6,15 +6,21 @@
 // estimator filtering, the attitude cascade, physics integration, and the
 // planner's annealing — and must land on bit-identical digests.
 //
-// The log is a single SnapshotWriter byte stream, keyed by world seed and
+// The log is a single little-endian byte stream, keyed by world seed and
 // config fingerprint so a log can never be replayed against a different
 // world than the one that recorded it:
 //
 //   [magic u64] [version u32] [seed u64] [fingerprint u64]
-//   "PLAN" [have_plan bool] [route: drone, feasible, totals, stops]
 //   "TICK" [count u64] [count * FlightPlaneSample, fixed-width]
-//   "FOOT" [tick checksum u64 (FNV-1a over the sample bytes)]
-//          [sensor-fault counters] [expected digests] [completed bool]
+//   "PLAN" [have_plan bool] [route: drone, feasible, totals, stops]
+//   "FOOT" [tick checksum u64] [sensor-fault counters]
+//          [expected digests] [completed bool]
+//
+// The writer builds the whole log in one buffer: the tick count is written
+// as 0 and patched at Finalize, each tick is stored as fixed-width words
+// straight into the buffer, and the plan and footer (known only once the
+// flight ends) follow the ticks. The tick checksum hashes the region a
+// 64-bit word at a time (TickChecksum in replay_log.cc).
 //
 // A tick's layout is VisitValue(Ar&, FlightPlaneSample&): the writer and
 // the reader both walk that one list. Loading validates magic, version,
@@ -34,15 +40,15 @@
 #include "src/cloud/flight_planner.h"
 #include "src/flight/flight_controller.h"
 #include "src/hw/sensor_faults.h"
-#include "src/snapshot/snapshot.h"
 #include "src/util/status.h"
 
 namespace androne {
 
 inline constexpr uint64_t kReplayLogMagic = 0x31474f4c52444e41ULL;  // "ANDRLOG1"
-// Version 2: ticks recorded under util/detmath numerics and the ziggurat
-// normal sampler; a version-1 log would replay into different numerics.
-inline constexpr uint32_t kReplayLogVersion = 2;
+// Version 3: PLAN follows the ticks and the tick checksum is word-wise.
+// Version 2 had PLAN ahead of the ticks and a byte-wise FNV-1a checksum;
+// version 1 was recorded under libm numerics and the polar normal sampler.
+inline constexpr uint32_t kReplayLogVersion = 3;
 
 // Expected outcomes of the recording run, written after the flight ends.
 // The sensor-fault tallies are installed into the replaying world (its
@@ -58,26 +64,28 @@ struct ReplayFooter {
   bool completed = false;
 };
 
-// Streaming recorder: header + plan accumulate in one buffer, tick samples
-// in another (appended once per fast-loop tick, ~230 bytes each), spliced
-// with the footer at Finalize. One writer per recorded world.
+// Streaming recorder: the header and every tick (appended once per
+// fast-loop tick, ~230 bytes each) go into one buffer, which Finalize
+// completes with the plan and footer and returns. One writer per recorded
+// world.
 class ReplayLogWriter {
  public:
   ReplayLogWriter(uint64_t seed, uint64_t config_fingerprint);
 
   // The recorded world's planned route, captured right after the planner
-  // runs (a replaying world installs it instead of re-deriving it).
+  // runs (a replaying world installs it instead of re-deriving it). May be
+  // called at any point before Finalize.
   void SetPlan(const PlannedRoute& route);
 
   void Append(const FlightPlaneSample& sample);
   uint64_t tick_count() const { return ticks_; }
 
-  // Seals the log; the writer is spent afterwards.
+  // Seals the log and hands over the buffer; the writer is spent
+  // afterwards (tick_count() still answers).
   std::string Finalize(const ReplayFooter& footer);
 
  private:
-  SnapshotWriter head_;
-  SnapshotWriter tick_;
+  std::string buf_;  // Header, "TICK", count placeholder, then the ticks.
   uint64_t ticks_ = 0;
   bool have_plan_ = false;
   PlannedRoute plan_;

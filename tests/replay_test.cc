@@ -7,7 +7,10 @@
 // the recorded timeline bit-identically.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -18,6 +21,7 @@
 #include "src/replay/explore.h"
 #include "src/replay/replay_log.h"
 #include "src/snapshot/snapshot.h"
+#include "src/util/rng.h"
 
 namespace androne {
 namespace {
@@ -366,9 +370,10 @@ TEST(ReplayLogTest, RejectsBadMagic) {
 }
 
 TEST(ReplayLogTest, RejectsAnOtherFormatVersion) {
-  // The little-endian version word follows the 8-byte magic. A log
-  // recorded under an older format (version 1 sampled sensors with libm
-  // and the polar normal sampler) would replay into different numerics, so
+  // The little-endian version word follows the 8-byte magic. A log in an
+  // older format (version 2 put PLAN ahead of the ticks and checksummed
+  // them byte-wise; version 1 sampled sensors with libm and the polar
+  // normal sampler) would be misread or replay into different numerics, so
   // any other version is refused outright.
   for (uint32_t version : {kReplayLogVersion - 1, kReplayLogVersion + 1}) {
     std::string bytes = MakeLog(7, 0x99);
@@ -417,6 +422,165 @@ TEST(ReplayLogTest, RejectsCorruptedTickBytes) {
   ASSERT_FALSE(parsed.ok());
 }
 
+// The tick region follows magic, version, seed, fingerprint, the "TICK"
+// tag and the tick count; its words are counted from its first byte.
+constexpr size_t kTickRegionAt = 8 + 4 + 8 + 8 + 4 + 8;
+
+size_t SampleBytes() {
+  SnapshotWriter w;
+  FlightPlaneSample sample;
+  VisitValue(w, sample);
+  return w.bytes().size();
+}
+
+TEST(ReplayLogTest, RejectsATwoWordHighBitFlip) {
+  // Word-wise FNV-1a without the xorshift misses this: flipping bit 63 of
+  // a word flips only bit 63 of the state, and the same flip in the next
+  // word cancels it. Try every pair of consecutive words in the region.
+  const std::string bytes = MakeLog(7, 0x99);
+  ASSERT_TRUE(ReplayLog::FromBytes(bytes, 7, 0x99).ok());
+  const size_t words = 4 * SampleBytes() / 8;
+  for (size_t word = 0; word + 1 < words; ++word) {
+    std::string bad = bytes;
+    bad[kTickRegionAt + 8 * word + 7] ^= static_cast<char>(0x80);
+    bad[kTickRegionAt + 8 * word + 15] ^= static_cast<char>(0x80);
+    auto parsed = ReplayLog::FromBytes(bad, 7, 0x99);
+    ASSERT_FALSE(parsed.ok()) << "words " << word << " and " << word + 1;
+    EXPECT_NE(parsed.status().message().find("checksum"), std::string::npos)
+        << parsed.status().ToString();
+  }
+}
+
+TEST(ReplayLogTest, RejectsEverySingleBitFlipInTheTickRegion) {
+  // Two 231-byte ticks: 57 whole words and a 6-byte tail, ~3.7k flips.
+  const std::string bytes = MakeLog(7, 0x99, /*ticks=*/2);
+  const size_t region = 2 * SampleBytes();
+  ASSERT_NE(region % 8, 0u);
+  for (size_t at = kTickRegionAt; at < kTickRegionAt + region; ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string bad = bytes;
+      bad[at] ^= static_cast<char>(1 << bit);
+      auto parsed = ReplayLog::FromBytes(bad, 7, 0x99);
+      ASSERT_FALSE(parsed.ok()) << "byte " << at << " bit " << bit;
+      EXPECT_NE(parsed.status().message().find("checksum"),
+                std::string::npos)
+          << parsed.status().ToString();
+    }
+  }
+}
+
+TEST(ReplayLogTest, TickRegionHoldsTheSnapshotWritersBytes) {
+  // The writer stores words straight into its buffer; they must be the
+  // bytes the generic SnapshotWriter makes of the same VisitValue list.
+  // DistinctSample sets every field, its bools alternate with k, and three
+  // 231-byte ticks make a region that is not a whole number of words.
+  constexpr int kTicks = 3;
+  ReplayLogWriter writer(/*seed=*/42, /*config_fingerprint=*/0xabcdef);
+  SnapshotWriter expected;
+  for (int k = 0; k < kTicks; ++k) {
+    FlightPlaneSample sample = DistinctSample(k);
+    writer.Append(sample);
+    VisitValue(expected, sample);
+  }
+  ASSERT_NE(expected.bytes().size() % 8, 0u);
+  const std::string bytes = writer.Finalize(ReplayFooter{});
+  ASSERT_GE(bytes.size(), kTickRegionAt + expected.bytes().size());
+  EXPECT_TRUE(bytes.compare(kTickRegionAt, expected.bytes().size(),
+                            expected.bytes()) == 0);
+
+  auto parsed = ReplayLog::FromBytes(bytes, 42, 0xabcdef);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->tick_count(), static_cast<uint64_t>(kTicks));
+  for (int k = 0; k < kTicks; ++k) {
+    FlightPlaneSample tick;
+    parsed->ReadTick(static_cast<uint64_t>(k), tick);
+    ExpectSameSample(DistinctSample(k), tick, k);
+  }
+}
+
+TEST(ReplayLogTest, ZeroTickLogWithoutAPlanRoundTrips) {
+  ReplayFooter footer;
+  footer.have_sensor_counters = true;
+  footer.sensor_counters.dropouts = 3;
+  footer.sensor_counters.stuck_reads = 4;
+  footer.sensor_counters.corrupted_reads = 5;
+  footer.digest = 0x1111;
+  footer.flight_digest = 0x2222;
+  footer.metrics_digest = 0x3333;
+  footer.trace_hash = 0x4444;
+  ReplayLogWriter writer(/*seed=*/5, /*config_fingerprint=*/0x55);
+  const std::string bytes = writer.Finalize(footer);
+  EXPECT_EQ(writer.tick_count(), 0u);
+  // Header and empty TICK section, "PLAN" + flag, and the 70-byte footer.
+  EXPECT_EQ(bytes.size(), kTickRegionAt + 4 + 1 + 70);
+
+  auto parsed = ReplayLog::FromBytes(bytes, 5, 0x55);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->tick_count(), 0u);
+  EXPECT_FALSE(parsed->have_plan());
+  EXPECT_TRUE(parsed->plan().stops.empty());
+  const ReplayFooter& got = parsed->footer();
+  EXPECT_TRUE(got.have_sensor_counters);
+  EXPECT_EQ(got.sensor_counters.dropouts, 3u);
+  EXPECT_EQ(got.sensor_counters.stuck_reads, 4u);
+  EXPECT_EQ(got.sensor_counters.corrupted_reads, 5u);
+  EXPECT_EQ(got.digest, 0x1111u);
+  EXPECT_EQ(got.flight_digest, 0x2222u);
+  EXPECT_EQ(got.metrics_digest, 0x3333u);
+  EXPECT_EQ(got.trace_hash, 0x4444u);
+  EXPECT_FALSE(got.completed);
+}
+
+TEST(ReplayLogTest, PlanSetAfterTheTicksLandsInTheLog) {
+  // The plan is written after the ticks, so SetPlan may come at any point
+  // before Finalize and yields the same log wherever it comes.
+  PlannedRoute route;
+  route.drone = 2;
+  route.feasible = true;
+  route.total_energy_j = 4321.5;
+  route.total_time_s = 98.25;
+  route.stops.push_back(PlannedStop{/*job_index=*/3,
+                                    /*arrival_energy_j=*/111.5,
+                                    /*arrival_time_s=*/12.75});
+  route.stops.push_back(PlannedStop{/*job_index=*/1,
+                                    /*arrival_energy_j=*/222.5,
+                                    /*arrival_time_s=*/40.5});
+  constexpr int kTicks = 2;
+  ReplayLogWriter late(/*seed=*/42, /*config_fingerprint=*/0xabcdef);
+  ReplayLogWriter early(/*seed=*/42, /*config_fingerprint=*/0xabcdef);
+  early.SetPlan(route);
+  for (int k = 0; k < kTicks; ++k) {
+    late.Append(DistinctSample(k));
+    early.Append(DistinctSample(k));
+  }
+  late.SetPlan(route);
+  const std::string bytes = late.Finalize(ReplayFooter{});
+  EXPECT_TRUE(bytes == early.Finalize(ReplayFooter{}));
+
+  auto parsed = ReplayLog::FromBytes(bytes, 42, 0xabcdef);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_TRUE(parsed->have_plan());
+  const PlannedRoute& plan = parsed->plan();
+  EXPECT_EQ(plan.drone, 2);
+  EXPECT_TRUE(plan.feasible);
+  EXPECT_EQ(plan.total_energy_j, 4321.5);
+  EXPECT_EQ(plan.total_time_s, 98.25);
+  ASSERT_EQ(plan.stops.size(), 2u);
+  for (size_t i = 0; i < plan.stops.size(); ++i) {
+    EXPECT_EQ(plan.stops[i].job_index, route.stops[i].job_index) << i;
+    EXPECT_EQ(plan.stops[i].arrival_energy_j,
+              route.stops[i].arrival_energy_j) << i;
+    EXPECT_EQ(plan.stops[i].arrival_time_s, route.stops[i].arrival_time_s)
+        << i;
+  }
+  ASSERT_EQ(parsed->tick_count(), static_cast<uint64_t>(kTicks));
+  for (int k = 0; k < kTicks; ++k) {
+    FlightPlaneSample tick;
+    parsed->ReadTick(static_cast<uint64_t>(k), tick);
+    ExpectSameSample(DistinctSample(k), tick, k);
+  }
+}
+
 TEST(ReplayLogTest, RejectsTrailingGarbage) {
   std::string bytes = MakeLog(7, 0x99);
   bytes += "extra";
@@ -427,8 +591,8 @@ TEST(ReplayLogTest, RejectsTrailingGarbage) {
 }
 
 TEST(ReplayLogTest, RejectsAnOversizedPlanStopCount) {
-  // The PLAN section precedes the tick checksum, so a corrupt stop count
-  // must be caught by its own bound, not by an allocation failure.
+  // The tick checksum does not cover the PLAN section, so a corrupt stop
+  // count must be caught by its own bound, not by an allocation failure.
   ReplayLogWriter writer(/*seed=*/7, /*config_fingerprint=*/0x99);
   PlannedRoute route;
   route.total_time_s = 4321.125;
@@ -463,6 +627,173 @@ TEST(ReplayLogTest, StoreIsKeyedBySeed) {
   ASSERT_NE(store.Get(1), nullptr);
   EXPECT_EQ(*store.Get(1), "aaaa");
   EXPECT_EQ(store.Get(3), nullptr);
+}
+
+// --- Seeded mutations of ReplayLog::FromBytes ----------------------------
+
+// A log's bytes are untrusted input: whatever a mutation did, FromBytes
+// either refuses them with a Status or returns a view whose every tick lies
+// inside the bytes and decodes (the ASan/UBSan build checks the decode).
+// Returns whether the bytes were accepted.
+bool AcceptedAsDecodableView(std::string bytes, uint64_t seed,
+                             uint64_t fingerprint, const std::string& what) {
+  auto parsed = ReplayLog::FromBytes(
+      std::make_shared<const std::string>(std::move(bytes)), seed,
+      fingerprint);
+  if (!parsed.ok()) {
+    EXPECT_FALSE(parsed.status().message().empty()) << what;
+    return false;
+  }
+  const size_t room =
+      parsed->byte_size() - std::min(parsed->byte_size(), kTickRegionAt);
+  EXPECT_LE(parsed->tick_count(), room / SampleBytes()) << what;
+  if (parsed->tick_count() <= room / SampleBytes()) {
+    FlightPlaneSample tick;
+    for (uint64_t i = 0; i < parsed->tick_count(); ++i) {
+      parsed->ReadTick(i, tick);
+    }
+  }
+  return true;
+}
+
+std::string CorpusLog(uint64_t seed, uint64_t fingerprint, int ticks,
+                      int stops) {
+  ReplayLogWriter writer(seed, fingerprint);
+  for (int k = 0; k < ticks; ++k) {
+    writer.Append(DistinctSample(k));
+  }
+  if (stops >= 0) {
+    PlannedRoute route;
+    route.drone = 1;
+    route.feasible = true;
+    route.total_energy_j = 500.5;
+    route.total_time_s = 60.25;
+    for (int i = 0; i < stops; ++i) {
+      route.stops.push_back(
+          PlannedStop{static_cast<size_t>(i), 10.0 * i, 2.5 * i});
+    }
+    writer.SetPlan(route);
+  }
+  ReplayFooter footer;
+  footer.digest = 0x5151;
+  footer.completed = true;
+  return writer.Finalize(footer);
+}
+
+TEST(ReplayLogTest, SeededMutationsReturnAStatusOrADecodableView) {
+  // Corpus: a world's own recording, and two writer-made logs under the
+  // same seed and fingerprint (so splices get past the header), one with a
+  // three-stop plan and one with none.
+  constexpr uint64_t kSeed = 21;
+  ReplayLogStore store;
+  FleetWorldConfig config = SmallConfig();
+  config.record_into = &store;
+  ASSERT_FALSE(RunFleetWorld(config, MakeContext(kSeed)).infra_failure);
+  ASSERT_NE(store.Get(kSeed), nullptr);
+  const std::string recorded = *store.Get(kSeed);
+  uint64_t fingerprint = 0;
+  ASSERT_GE(recorded.size(), kTickRegionAt);
+  std::memcpy(&fingerprint, recorded.data() + 8 + 4 + 8, 8);
+
+  struct Base {
+    std::string bytes;
+    size_t stop_count_at = 0;  // 0 when the log carries no plan.
+  };
+  std::vector<Base> corpus;
+  for (const std::string& bytes :
+       {recorded, CorpusLog(kSeed, fingerprint, 5, 3),
+        CorpusLog(kSeed, fingerprint, 2, -1)}) {
+    auto parsed = ReplayLog::FromBytes(bytes, kSeed, fingerprint);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    // "PLAN", the flag, then drone, feasible and the two totals.
+    const size_t plan_at =
+        kTickRegionAt +
+        static_cast<size_t>(parsed->tick_count()) * SampleBytes();
+    corpus.push_back(
+        Base{bytes, parsed->have_plan() ? plan_at + 4 + 1 + 8 + 1 + 8 + 8
+                                        : 0});
+  }
+
+  Rng rng(0x6d757461);
+  auto below = [&rng](size_t n) {
+    return static_cast<size_t>(rng.NextU64Below(n));
+  };
+  constexpr int kMutations = 2048;
+  int rejected = 0;
+  for (int i = 0; i < kMutations; ++i) {
+    // The recording is ~10k times a small log's size: one mutation in 32.
+    const Base& base = corpus[i % 32 == 0 ? 0 : 1 + i % 2];
+    std::string bytes = base.bytes;
+    const uint64_t ticks = (bytes.size() - kTickRegionAt) / SampleBytes();
+    std::string what = "mutation " + std::to_string(i) + ": ";
+    switch (below(6)) {
+      case 0: {  // One to three bit flips anywhere.
+        const size_t flips = 1 + below(3);
+        for (size_t f = 0; f < flips; ++f) {
+          const size_t at = below(bytes.size());
+          bytes[at] ^= static_cast<char>(1 << below(8));
+          what += "flip@" + std::to_string(at) + " ";
+        }
+        break;
+      }
+      case 1: {  // Truncation.
+        bytes.resize(below(bytes.size()));
+        what += "truncate to " + std::to_string(bytes.size());
+        break;
+      }
+      case 2: {  // Splice: a prefix of this log, a suffix of another.
+        const std::string& other = corpus[below(corpus.size())].bytes;
+        const size_t cut = below(bytes.size() + 1);
+        const size_t from = below(other.size() + 1);
+        bytes = bytes.substr(0, cut) + other.substr(from);
+        what += "splice " + std::to_string(cut) + "+" + std::to_string(from);
+        break;
+      }
+      case 3: {  // Tick count overwrite.
+        constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+        const uint64_t values[] = {0,
+                                   1,
+                                   ticks - 1,
+                                   ticks + 1,
+                                   2 * ticks,
+                                   ticks + (1ull << 32),
+                                   kMax / SampleBytes(),
+                                   kMax / SampleBytes() + 1,
+                                   1ull << 63,
+                                   kMax,
+                                   rng.NextU64()};
+        const uint64_t count = values[below(std::size(values))];
+        std::memcpy(bytes.data() + kTickRegionAt - 8, &count, 8);
+        what += "tick count " + std::to_string(count);
+        break;
+      }
+      case 4: {  // Stop count overwrite (or the footer, for a plan-less log).
+        const uint32_t values[] = {0, 1, 2, 4, 0x7fffffff, 0x80000000,
+                                   0xffffffff,
+                                   static_cast<uint32_t>(rng.NextU64())};
+        const uint32_t count = values[below(std::size(values))];
+        const size_t at = base.stop_count_at != 0 ? base.stop_count_at
+                                                  : bytes.size() - 4;
+        std::memcpy(bytes.data() + at, &count, 4);
+        what += "stop count " + std::to_string(count);
+        break;
+      }
+      default: {  // A word of zeros, ones or noise anywhere.
+        const size_t at = below(bytes.size() - 7);
+        const uint64_t words[] = {0, ~0ull, rng.NextU64()};
+        std::memcpy(bytes.data() + at, &words[below(3)], 8);
+        what += "word@" + std::to_string(at);
+        break;
+      }
+    }
+    if (!AcceptedAsDecodableView(std::move(bytes), kSeed, fingerprint, what)) {
+      ++rejected;
+    }
+  }
+  // Most mutations break the log; a few (a flip in a footer digest, a
+  // count overwritten with its own value) leave a log that still parses.
+  EXPECT_GT(rejected, kMutations / 2);
+  EXPECT_LT(rejected, kMutations);
 }
 
 // --- Fork-and-explore ----------------------------------------------------
