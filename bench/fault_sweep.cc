@@ -1,9 +1,8 @@
 // Fault sweep: reliable COMMAND_LONG delivery over the paper's LTE link as
 // network conditions degrade. Sweeps (a) random burst-loss probability and
 // (b) outage duty cycle, and reports delivery rate, retransmissions per
-// delivered command, and time-to-ack — the robustness envelope behind the
-// link-loss failsafe thresholds (a command that cannot be delivered within
-// the watchdog's Loiter deadline is what the failsafe exists for).
+// delivered command, and time-to-ack — the robustness envelope of the
+// reliable sender's retry and give-up constants.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -38,7 +37,7 @@ SweepResult RunPoint(const FaultPlan& plan) {
   FaultyLinkModel reverse(&lte, &plan, &clock, LinkDirection::kReverse);
   DuplexChannel channel(&clock, &forward, &reverse, kSeed);
 
-  ReliableCommandSender sender(&clock, RetryConfig{}, kSeed + 1);
+  ReliableCommandSender sender(&clock, kSeed + 1);
   CommandDeduper deduper(&clock, /*window=*/Seconds(5));
   MavlinkParser up_parser;
   MavlinkParser down_parser;
@@ -167,8 +166,9 @@ void SweepOutageDutyCycle() {
 void Run(const char* json_path) {
   BenchHeader("Fault sweep",
               "reliable command delivery over degrading LTE links");
-  BenchNote("RetryConfig defaults: 400 ms ack timeout, 10 attempts, "
-            "exponential backoff to 5 s with 25% jitter");
+  BenchNote("ReliableCommandSender constants (mavlink/reliable.cc): "
+            "kAckTimeout 400 ms, kMaxAttempts 10, kRetryBackoff "
+            "exponential to 5 s with 25% jitter");
   SweepBurstLoss();
   SweepOutageDutyCycle();
   std::printf("\n");

@@ -9,6 +9,10 @@
 
 namespace androne {
 
+namespace {
+constexpr double kCruiseSpeedMs = 6.0;
+}  // namespace
+
 std::string FlightPlan::ToString() const {
   std::string out = "FlightPlan (makespan " +
                     std::to_string(static_cast<int>(makespan_s)) + " s, " +
@@ -49,11 +53,11 @@ double FlightPlanner::RouteEnergyJ(const std::vector<PlannerJob>& jobs,
   GeoPoint at = config_.depot;
   for (size_t idx : order) {
     const PlannerJob& job = jobs[idx];
-    energy += model_.LegEnergyJ(at, job.waypoint, config_.cruise_speed_ms);
+    energy += model_.LegEnergyJ(at, job.waypoint, kCruiseSpeedMs);
     energy += job.service_energy_j;
     at = job.waypoint;
   }
-  energy += model_.LegEnergyJ(at, config_.depot, config_.cruise_speed_ms);
+  energy += model_.LegEnergyJ(at, config_.depot, kCruiseSpeedMs);
   return energy;
 }
 
@@ -66,11 +70,11 @@ double FlightPlanner::RouteTimeS(const std::vector<PlannerJob>& jobs,
   GeoPoint at = config_.depot;
   for (size_t idx : order) {
     const PlannerJob& job = jobs[idx];
-    time += Distance3dMeters(at, job.waypoint) / config_.cruise_speed_ms;
+    time += Distance3dMeters(at, job.waypoint) / kCruiseSpeedMs;
     time += job.service_time_s;
     at = job.waypoint;
   }
-  time += Distance3dMeters(at, config_.depot) / config_.cruise_speed_ms;
+  time += Distance3dMeters(at, config_.depot) / kCruiseSpeedMs;
   return time;
 }
 
@@ -128,8 +132,7 @@ FlightPlan FlightPlanner::Materialize(
     const std::vector<std::vector<size_t>>& routes) const {
   FlightPlan plan;
   plan.constraint_violations = CountConstraintViolations(jobs, routes);
-  double usable = config_.battery_capacity_j *
-                  (1.0 - config_.energy_reserve_fraction);
+  double usable = config_.battery_capacity_j * (1.0 - kEnergyReserveFraction);
   int drone = 0;
   for (const auto& order : routes) {
     PlannedRoute route;
@@ -139,15 +142,15 @@ FlightPlan FlightPlanner::Materialize(
     GeoPoint at = config_.depot;
     for (size_t idx : order) {
       const PlannerJob& job = jobs[idx];
-      energy += model_.LegEnergyJ(at, job.waypoint, config_.cruise_speed_ms);
-      time += Distance3dMeters(at, job.waypoint) / config_.cruise_speed_ms;
+      energy += model_.LegEnergyJ(at, job.waypoint, kCruiseSpeedMs);
+      time += Distance3dMeters(at, job.waypoint) / kCruiseSpeedMs;
       route.stops.push_back(PlannedStop{idx, energy, time});
       energy += job.service_energy_j;
       time += job.service_time_s;
       at = job.waypoint;
     }
-    energy += model_.LegEnergyJ(at, config_.depot, config_.cruise_speed_ms);
-    time += Distance3dMeters(at, config_.depot) / config_.cruise_speed_ms;
+    energy += model_.LegEnergyJ(at, config_.depot, kCruiseSpeedMs);
+    time += Distance3dMeters(at, config_.depot) / kCruiseSpeedMs;
     route.total_energy_j = energy;
     route.total_time_s = time;
     route.feasible = energy <= usable;
@@ -159,8 +162,7 @@ FlightPlan FlightPlanner::Materialize(
 }
 
 double FlightPlanner::Cost(const FlightPlan& plan) const {
-  double usable = config_.battery_capacity_j *
-                  (1.0 - config_.energy_reserve_fraction);
+  double usable = config_.battery_capacity_j * (1.0 - kEnergyReserveFraction);
   double cost = plan.makespan_s;
   // Ordering/grouping breaches are hard constraints: dominate travel time.
   cost += 5000.0 * plan.constraint_violations;
@@ -180,8 +182,7 @@ StatusOr<FlightPlan> FlightPlanner::Plan(
   if (config_.fleet_size <= 0) {
     return InvalidArgumentError("fleet size must be positive");
   }
-  double usable = config_.battery_capacity_j *
-                  (1.0 - config_.energy_reserve_fraction);
+  double usable = config_.battery_capacity_j * (1.0 - kEnergyReserveFraction);
   // Single-job feasibility: depot -> wp -> service -> depot must fit.
   for (size_t i = 0; i < jobs.size(); ++i) {
     double solo = RouteEnergyJ(jobs, {i});

@@ -40,13 +40,13 @@ struct PlannerJob {
   bool grouped = false;  // No other tenant's stop between this tenant's.
 };
 
+// Battery fraction every route holds back for winds/contingency.
+inline constexpr double kEnergyReserveFraction = 0.15;
+
 struct PlannerConfig {
   GeoPoint depot;               // Launch/return base.
   int fleet_size = 1;
   double battery_capacity_j = 199800.0;
-  double cruise_speed_ms = 6.0;
-  // Reserve fraction held back for winds/contingency.
-  double energy_reserve_fraction = 0.15;
   uint64_t seed = 1;
   int annealing_iterations = 20000;
 };

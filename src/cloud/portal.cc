@@ -8,6 +8,11 @@ namespace androne {
 
 namespace {
 
+// The provider's geofence and tenancy-length policy (paper §2).
+constexpr double kDefaultGeofenceRadiusM = 100.0;
+constexpr double kMaxGeofenceRadiusM = 500.0;
+constexpr double kMaxDurationS = 1800.0;
+
 void AddUnique(std::vector<std::string>& list, const std::string& value) {
   if (std::find(list.begin(), list.end(), value) == list.end()) {
     list.push_back(value);
@@ -17,18 +22,16 @@ void AddUnique(std::vector<std::string>& list, const std::string& value) {
 }  // namespace
 
 Portal::Portal(AppStore* app_store, VirtualDroneRepository* vdr,
-               const EnergyModel& energy_model, const Billing& billing,
-               PortalConfig config)
+               const EnergyModel& energy_model, const Billing& billing)
     : app_store_(app_store), vdr_(vdr), energy_model_(energy_model),
-      billing_(billing), config_(config) {}
+      billing_(billing) {}
 
 StatusOr<OrderConfirmation> Portal::OrderVirtualDrone(
     const OrderRequest& request) {
   if (request.waypoints.empty()) {
     return InvalidArgumentError("an order needs at least one waypoint");
   }
-  if (request.max_duration_s <= 0 ||
-      request.max_duration_s > config_.max_duration_s) {
+  if (request.max_duration_s <= 0 || request.max_duration_s > kMaxDurationS) {
     return InvalidArgumentError("max-duration outside the provider's limits");
   }
 
@@ -39,15 +42,15 @@ StatusOr<OrderConfirmation> Portal::OrderVirtualDrone(
   // default (paper §2).
   double radius = request.geofence_radius_m > 0
                       ? request.geofence_radius_m
-                      : config_.default_geofence_radius_m;
-  if (radius > config_.max_geofence_radius_m) {
+                      : kDefaultGeofenceRadiusM;
+  if (radius > kMaxGeofenceRadiusM) {
     return InvalidArgumentError("requested geofence exceeds provider maximum");
   }
   for (WaypointSpec& wp : def.waypoints) {
     if (wp.max_radius_m <= 0) {
       wp.max_radius_m = radius;
     }
-    wp.max_radius_m = std::min(wp.max_radius_m, config_.max_geofence_radius_m);
+    wp.max_radius_m = std::min(wp.max_radius_m, kMaxGeofenceRadiusM);
   }
   def.max_duration_s = request.max_duration_s;
   def.energy_allotted_j =

@@ -18,12 +18,6 @@
 
 namespace androne {
 
-struct PortalConfig {
-  double default_geofence_radius_m = 100.0;
-  double max_geofence_radius_m = 500.0;
-  double max_duration_s = 1800.0;
-};
-
 struct OrderRequest {
   std::string user;
   std::vector<WaypointSpec> waypoints;
@@ -47,8 +41,7 @@ struct OrderConfirmation {
 class Portal {
  public:
   Portal(AppStore* app_store, VirtualDroneRepository* vdr,
-         const EnergyModel& energy_model, const Billing& billing,
-         PortalConfig config = PortalConfig());
+         const EnergyModel& energy_model, const Billing& billing);
 
   // Validates and registers an order; the definition lands in the VDR
   // ready for the flight planner to schedule.
@@ -59,7 +52,6 @@ class Portal {
   VirtualDroneRepository* vdr_;
   EnergyModel energy_model_;
   Billing billing_;
-  PortalConfig config_;
   int next_order_ = 1;
 };
 

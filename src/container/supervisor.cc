@@ -8,6 +8,11 @@
 
 namespace androne {
 
+namespace {
+// A life this long resets the consecutive-failure streak.
+constexpr SimDuration kStableAfter = Seconds(30);
+}  // namespace
+
 ContainerSupervisor::ContainerSupervisor(SimClock* clock,
                                          ContainerRuntime* runtime,
                                          SupervisorPolicy policy,
@@ -52,7 +57,7 @@ void ContainerSupervisor::OnCrash(ContainerId id) {
   }
   Watched& w = it->second;
   // A long, healthy life forgives earlier failures.
-  if (clock_->now() - w.last_start >= policy_.stable_after) {
+  if (clock_->now() - w.last_start >= kStableAfter) {
     w.streak = 0;
   }
   RestartEpisode episode;

@@ -24,8 +24,6 @@ struct SupervisorPolicy {
   BackoffPolicy backoff{Millis(500), 2.0, Seconds(30), 0.1};
   // Give up after this many consecutive failed lives.
   int max_consecutive_restarts = 5;
-  // A life this long resets the consecutive-failure streak.
-  SimDuration stable_after = Seconds(30);
 };
 
 // One crash-and-restart cycle of a watched container.

@@ -12,6 +12,10 @@ namespace androne {
 
 namespace {
 constexpr double kArrivalThresholdM = 3.0;
+constexpr double kCruiseAltitudeM = 15.0;
+// The flight container's kernel: its wake latency is injected into every
+// fast-loop tick.
+constexpr PreemptionModel kFlightKernel = PreemptionModel::kPreemptRt;
 }  // namespace
 
 AnDroneSystem::AnDroneSystem(SimClock* clock, AnDroneOptions options)
@@ -111,11 +115,9 @@ Status AnDroneSystem::Boot() {
   fc_config.home = options_.base;
   flight_controller_ = std::make_unique<FlightController>(
       clock_, physics_.get(), motors_, sensor_source, &battery_, fc_config);
-  if (options_.inject_kernel_latency) {
-    latency_sampler_ = std::make_unique<WakeLatencySampler>(
-        options_.kernel, IdleLoad(), boot_seed + 9);
-    flight_controller_->SetLatencySampler(latency_sampler_.get());
-  }
+  latency_sampler_ = std::make_unique<WakeLatencySampler>(
+      kFlightKernel, IdleLoad(), boot_seed + 9);
+  flight_controller_->SetLatencySampler(latency_sampler_.get());
   // MAV_CMD_DO_DIGICAM_CONTROL routes through the shared CameraService
   // (the flight container is a trusted caller of the device container).
   flight_controller_->SetCameraTrigger([ardupilot_proc]() -> Status {
@@ -146,8 +148,8 @@ Status AnDroneSystem::Boot() {
 
   // Planner commands go out ack-tracked: locally the ack resolves in the
   // same event, but the same executor then survives a lossy planner link.
-  planner_sender_ = std::make_unique<ReliableCommandSender>(
-      clock_, RetryConfig{}, boot_seed + 11);
+  planner_sender_ =
+      std::make_unique<ReliableCommandSender>(clock_, boot_seed + 11);
   planner_sender_->SetSendSink([this](const MavlinkFrame& frame) {
     proxy_->HandlePlannerFrame(frame);
   });
@@ -157,7 +159,7 @@ Status AnDroneSystem::Boot() {
 
   // --- VDC ---
   vdc_ = std::make_unique<Vdc>(clock_, runtime_.get(), &device_stack_, &vdr_,
-                               &cloud_storage_, base_image_, Vdc::Config{});
+                               &cloud_storage_, base_image_);
   vdc_->SetTenancyEndCallback(
       [this](const std::string& vdrone_id, TenancyEndReason reason) {
         pending_ends_.push_back(TenancyEnd{vdrone_id, reason});
@@ -212,9 +214,7 @@ void AnDroneSystem::ReseedStreams(uint64_t seed) {
   imu_->checkpoint_rng() = Rng(seed + 2);
   baro_->checkpoint_rng() = Rng(seed + 3);
   mag_->checkpoint_rng() = Rng(seed + 4);
-  if (latency_sampler_ != nullptr) {
-    latency_sampler_->checkpoint_rng() = Rng(seed + 9);
-  }
+  latency_sampler_->checkpoint_rng() = Rng(seed + 9);
   planner_sender_->checkpoint_rng() = Rng(seed + 11);
   if (sensor_fault_injector_ != nullptr) {
     sensor_fault_injector_->checkpoint_rng() =
@@ -373,7 +373,7 @@ Status AnDroneSystem::StepTakeoff() {
     }
     CommandLong takeoff;
     takeoff.command = static_cast<uint16_t>(MavCmd::kNavTakeoff);
-    takeoff.param7 = static_cast<float>(options_.cruise_altitude_m);
+    takeoff.param7 = static_cast<float>(kCruiseAltitudeM);
     PlannerSend(MavMessage{takeoff});
     progress_.phase_deadline = clock_->now() + Seconds(60);
   }
@@ -381,7 +381,7 @@ Status AnDroneSystem::StepTakeoff() {
   RETURN_IF_ERROR(PumpPhase(
       [this] {
         return std::fabs(physics_->truth().position.altitude_m -
-                         options_.cruise_altitude_m) < 1.0;
+                         kCruiseAltitudeM) < 1.0;
       },
       nullptr, &satisfied));
   if (!satisfied) {
@@ -709,6 +709,8 @@ Status AnDroneSystem::Visit(Ar& ar) {
   if (ar.Present(sensor_fault_injector_ != nullptr, "sensor-fault")) {
     RETURN_IF_ERROR(sensor_fault_injector_->Visit(ar));
   }
+  // Boot always builds the sampler; its presence byte still refuses a
+  // blob that lacks it.
   if (ar.Present(latency_sampler_ != nullptr, "latency-sampler")) {
     latency_sampler_->checkpoint_rng().Visit(ar);
   }

@@ -44,10 +44,7 @@ struct AnDroneOptions {
   // *after* warmup, so running warmup first would be wasted work (and its
   // pending timers are dropped by SimClock::ResetForRestore anyway).
   bool boot_warmup = true;
-  PreemptionModel kernel = PreemptionModel::kPreemptRt;
-  bool inject_kernel_latency = true;
   WhitelistTemplate default_whitelist = WhitelistTemplate::kStandard;
-  double cruise_altitude_m = 15.0;
   // Dwell limit at waypoints whose tenant requests no flight control and
   // never calls waypointCompleted().
   double no_control_dwell_s = 20.0;

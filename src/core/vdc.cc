@@ -9,6 +9,15 @@
 
 namespace androne {
 
+namespace {
+// Fraction of the allotment remaining at which low-X warnings fire.
+constexpr double kWarningFraction = 0.2;
+// Power attributed to a tenant while it operates at a waypoint.
+constexpr double kTenancyPowerW = 170.0;
+// Virtual flight controller address reported by the SDK.
+constexpr char kVfcAddress[] = "10.77.0.1:5760";
+}  // namespace
+
 const char* TenancyEndReasonName(TenancyEndReason reason) {
   switch (reason) {
     case TenancyEndReason::kCompleted:
@@ -32,10 +41,9 @@ void AndroneApp::AttachSdk(AndroneSdk* sdk, const JsonValue& args) {
 
 Vdc::Vdc(SimClock* clock, ContainerRuntime* runtime,
          DeviceContainerStack* device_stack, VirtualDroneRepository* vdr,
-         CloudStorage* cloud_storage, ImageId base_image, Config config)
+         CloudStorage* cloud_storage, ImageId base_image)
     : clock_(clock), runtime_(runtime), device_stack_(device_stack),
-      vdr_(vdr), cloud_storage_(cloud_storage), base_image_(base_image),
-      config_(config) {}
+      vdr_(vdr), cloud_storage_(cloud_storage), base_image_(base_image) {}
 
 void Vdc::RegisterAppFactory(const std::string& package, AppFactory factory,
                              const std::string& manifest_xml) {
@@ -108,7 +116,7 @@ StatusOr<VirtualDroneInstance*> Vdc::Deploy(
   };
   hooks.allotted_energy_left = [raw] { return raw->EnergyLeftJ(); };
   hooks.allotted_time_left = [raw] { return raw->TimeLeftS(); };
-  hooks.flight_controller_ip = [this] { return config_.vfc_address; };
+  hooks.flight_controller_ip = [] { return std::string(kVfcAddress); };
   hooks.mark_file_for_user = [raw](const std::string& path) -> Status {
     if (!raw->container->ReadFile(path).ok()) {
       return NotFoundError("no such file in the virtual drone: " + path);
@@ -380,16 +388,16 @@ bool Vdc::AccountActiveTenant(SimDuration dt) {
   }
   VirtualDroneInstance& vd = **found;
   double dts = ToSecondsF(dt);
-  vd.energy_used_j += config_.tenancy_power_w * dts;
+  vd.energy_used_j += kTenancyPowerW * dts;
   vd.time_used_s += dts;
 
   double warn_energy =
-      vd.definition.energy_allotted_j * config_.warning_fraction;
+      vd.definition.energy_allotted_j * kWarningFraction;
   if (!vd.low_energy_warned && vd.EnergyLeftJ() <= warn_energy) {
     vd.low_energy_warned = true;
     vd.sdk->NotifyLowEnergy(vd.EnergyLeftJ());
   }
-  double warn_time = vd.definition.max_duration_s * config_.warning_fraction;
+  double warn_time = vd.definition.max_duration_s * kWarningFraction;
   if (!vd.low_time_warned && vd.TimeLeftS() <= warn_time) {
     vd.low_time_warned = true;
     vd.sdk->NotifyLowTime(vd.TimeLeftS());

@@ -96,18 +96,9 @@ struct VirtualDroneInstance {
 
 class Vdc {
  public:
-  struct Config {
-    // Fraction of the allotment remaining at which low-X warnings fire.
-    double warning_fraction = 0.2;
-    // Power attributed to a tenant while it operates at a waypoint.
-    double tenancy_power_w = 170.0;
-    // Virtual flight controller address template reported by the SDK.
-    std::string vfc_address = "10.77.0.1:5760";
-  };
-
   Vdc(SimClock* clock, ContainerRuntime* runtime,
       DeviceContainerStack* device_stack, VirtualDroneRepository* vdr,
-      CloudStorage* cloud_storage, ImageId base_image, Config config);
+      CloudStorage* cloud_storage, ImageId base_image);
 
   // Registers an app implementation (the on-drone equivalent of having the
   // APK installed in the image).
@@ -207,7 +198,6 @@ class Vdc {
   CloudStorage* cloud_storage_;
   const AppStore* app_store_ = nullptr;
   ImageId base_image_;
-  Config config_;
 
   struct RegisteredApp {
     AppFactory factory;

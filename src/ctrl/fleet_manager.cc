@@ -261,9 +261,8 @@ void FleetManager::OnOrdered(uint64_t id) {
   s.billable_energy_j =
       std::min(s.flight_energy_j, confirmation->definition.energy_allotted_j);
   const PlannerConfig planner_defaults;
-  s.plan_failed = s.flight_energy_j >
-                  planner_defaults.battery_capacity_j *
-                      (1 - planner_defaults.energy_reserve_fraction);
+  s.plan_failed = s.flight_energy_j > planner_defaults.battery_capacity_j *
+                                          (1 - kEnergyReserveFraction);
 
   const SimDuration plan_latency =
       Millis(30) + Micros(1500 * s.spec.waypoints) +

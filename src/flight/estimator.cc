@@ -154,7 +154,10 @@ void Estimator::UpdateMag(double heading_rad) {
   double innovation = WrapPi(heading_rad - attitude_.yaw_rad);
   SensorHealthState& s = state(EstimatorSensor::kMag);
   double gate = kMagGateBaseRad + kMagGateGrowthRad * s.consecutive_rejects;
-  if (s.accepted > 0 && std::abs(innovation) > std::min(gate, M_PI)) {
+  // NaN passes any `> gate` test, so a non-finite reading (a fault ramp
+  // that overflowed) is rejected outright, even before the first accept.
+  if (!std::isfinite(innovation) ||
+      (s.accepted > 0 && std::abs(innovation) > std::min(gate, M_PI))) {
     Reject(EstimatorSensor::kMag);
     return;
   }
@@ -164,6 +167,10 @@ void Estimator::UpdateMag(double heading_rad) {
 
 void Estimator::UpdateBaro(double altitude_m) {
   SensorHealthState& s = state(EstimatorSensor::kBaro);
+  if (!std::isfinite(altitude_m)) {  // As for the magnetometer.
+    Reject(EstimatorSensor::kBaro);
+    return;
+  }
   if (have_baro_) {
     double innovation = altitude_m - baro_alt_m_;
     double gate = std::min(
@@ -187,6 +194,14 @@ void Estimator::UpdateGps(const GpsFix& fix) {
     return;
   }
   SensorHealthState& s = state(EstimatorSensor::kGps);
+  // As for the magnetometer. The estimate is built from finite fixes only,
+  // and the haversine of finite points is finite, so the gate below needs
+  // no NaN test of its own.
+  if (!std::isfinite(fix.position.latitude_deg) ||
+      !std::isfinite(fix.position.longitude_deg)) {
+    Reject(EstimatorSensor::kGps);
+    return;
+  }
   if (s.accepted > 0) {
     double innovation = HaversineMeters(fix.position, position_.position);
     double since_accept_s =

@@ -45,7 +45,9 @@ FlightController::FlightController(SimClock* clock, QuadPhysics* physics,
       // The window must outlast a sender's largest retransmission gap.
       deduper_(clock, /*window=*/Seconds(5)),
       position_ctrl_(physics->hover_throttle(), PositionControllerLimits{}),
-      safety_(clock, config.safety, physics->hover_throttle()) {
+      // The Simplex supervisor's default envelope: its limits sit far
+      // outside nominal flight (see SafetyEnvelope).
+      safety_(clock, SafetyEnvelope{}, physics->hover_throttle()) {
   safety_.SetStageCallback(
       [this](SafetyStage stage, uint32_t reasons) {
         OnSafetyStage(stage, reasons);

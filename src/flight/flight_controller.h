@@ -48,9 +48,6 @@ struct FlightControllerConfig {
   // Battery failsafe: below this remaining fraction the controller forces
   // RTL so the flight always ends at base (0 disables).
   double battery_failsafe_fraction = 0.15;
-  // Simplex safety supervisor envelope (enabled by default; limits sit far
-  // outside nominal flight, see SafetyEnvelope).
-  SafetyEnvelope safety;
 };
 
 // One fast-loop tick's worth of continuous-flight-plane state (DESIGN.md

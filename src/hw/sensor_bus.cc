@@ -2,23 +2,28 @@
 
 namespace androne {
 
+namespace {
+// The hub's cadence mirrors the flight controller's sensor schedule: IMU
+// every tick at 400 Hz, barometer and magnetometer 25 Hz, GPS 5 Hz.
+constexpr SimDuration kSlowPeriod = Millis(40);
+constexpr SimDuration kGpsPeriod = Millis(200);
+}  // namespace
+
 SensorHub::SensorHub(SimClock* clock, GpsReceiver* gps, Imu* imu,
-                     Barometer* baro, Magnetometer* mag, ContainerId opener,
-                     SensorHubConfig config)
+                     Barometer* baro, Magnetometer* mag, ContainerId opener)
     : clock_(clock),
       gps_(gps),
       imu_(imu),
       baro_(baro),
       mag_(mag),
-      opener_(opener),
-      config_(config) {}
+      opener_(opener) {}
 
 Status SensorHub::Refresh() {
   SimTime now = clock_->now();
   bool imu_due = imu_ != nullptr && now != last_imu_time_;
   bool slow_due = (baro_ != nullptr || mag_ != nullptr) &&
-                  now - last_slow_time_ >= config_.slow_period;
-  bool gps_due = gps_ != nullptr && now - last_gps_time_ >= config_.gps_period;
+                  now - last_slow_time_ >= kSlowPeriod;
+  bool gps_due = gps_ != nullptr && now - last_gps_time_ >= kGpsPeriod;
   if (!imu_due && !slow_due && !gps_due) {
     return OkStatus();
   }

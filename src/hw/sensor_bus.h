@@ -62,13 +62,6 @@ class SensorBus {
   uint64_t publishes_ = 0;
 };
 
-// Cadence for the hub below; defaults mirror the flight controller's sensor
-// schedule (IMU every tick at 400 Hz, baro/mag 25 Hz, GPS 5 Hz).
-struct SensorHubConfig {
-  SimDuration slow_period = Millis(40);  // Barometer + magnetometer.
-  SimDuration gps_period = Millis(200);
-};
-
 // The device container's sampler: owns the bus, draws each sensor at its
 // native rate, and publishes one snapshot per sim instant at most. All
 // consumers (SensorService, LocationManagerService, the flight stack's
@@ -77,8 +70,7 @@ struct SensorHubConfig {
 class SensorHub {
  public:
   SensorHub(SimClock* clock, GpsReceiver* gps, Imu* imu, Barometer* baro,
-            Magnetometer* mag, ContainerId opener,
-            SensorHubConfig config = {});
+            Magnetometer* mag, ContainerId opener);
 
   // Samples whatever is due at the current sim time and publishes. Cheap
   // when nothing is due (one time compare). Returns the first device error
@@ -115,7 +107,6 @@ class SensorHub {
   Barometer* baro_;
   Magnetometer* mag_;
   ContainerId opener_;
-  SensorHubConfig config_;
   SensorBus bus_;
   SimTime last_imu_time_ = -Seconds(1);
   SimTime last_slow_time_ = -Seconds(1);

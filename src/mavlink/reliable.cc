@@ -3,12 +3,23 @@
 #include <algorithm>
 
 #include "src/snapshot/archive.h"
+#include "src/util/backoff.h"
 
 namespace androne {
 
-ReliableCommandSender::ReliableCommandSender(SimClock* clock,
-                                            RetryConfig config, uint64_t seed)
-    : clock_(clock), config_(config), rng_(seed) {}
+namespace {
+// Time to wait for COMMAND_ACK before the first retransmission: comfortably
+// above one RTT of the target link (LTE: ~140 ms).
+constexpr SimDuration kAckTimeout = Millis(400);
+// Total transmissions (first send + retries) before giving up.
+constexpr int kMaxAttempts = 10;
+// Backoff between retransmissions (attempt 0 = delay after the first
+// retransmission). Jitter decorrelates retry storms across senders.
+constexpr BackoffPolicy kRetryBackoff{Millis(400), 2.0, Seconds(5), 0.25};
+}  // namespace
+
+ReliableCommandSender::ReliableCommandSender(SimClock* clock, uint64_t seed)
+    : clock_(clock), rng_(seed) {}
 
 void ReliableCommandSender::SendCommand(const CommandLong& cmd) {
   auto existing = pending_.find(cmd.command);
@@ -63,8 +74,8 @@ void ReliableCommandSender::Transmit(uint16_t command_id) {
   }
   SimDuration delay =
       it->second.attempts == 1
-          ? config_.ack_timeout
-          : config_.backoff.DelayFor(it->second.attempts - 2, rng_);
+          ? kAckTimeout
+          : kRetryBackoff.DelayFor(it->second.attempts - 2, rng_);
   it->second.timer =
       clock_->ScheduleAfter(delay, [this, command_id] { OnTimeout(command_id); });
 }
@@ -75,7 +86,7 @@ void ReliableCommandSender::OnTimeout(uint16_t command_id) {
     return;
   }
   it->second.timer = 0;
-  if (it->second.attempts >= config_.max_attempts) {
+  if (it->second.attempts >= kMaxAttempts) {
     ++gave_up_;
     Resolve(command_id, /*delivered=*/false);
     return;

@@ -16,7 +16,7 @@
 
 #include "src/mavlink/messages.h"
 #include "src/snapshot/snapshot.h"
-#include "src/util/backoff.h"
+#include "src/util/rng.h"
 #include "src/util/sim_clock.h"
 
 namespace androne {
@@ -44,17 +44,6 @@ void VisitValue(Ar& ar, CommandAck& ack) {
   ar.U8(ack.result);
 }
 
-struct RetryConfig {
-  // Time to wait for COMMAND_ACK before the first retransmission. Should
-  // comfortably exceed one RTT of the target link (LTE: ~140 ms).
-  SimDuration ack_timeout = Millis(400);
-  // Total transmissions (first send + retries) before giving up.
-  int max_attempts = 10;
-  // Backoff between retransmissions (attempt 0 = delay after the first
-  // retransmission). Jitter decorrelates retry storms across senders.
-  BackoffPolicy backoff{Millis(400), 2.0, Seconds(5), 0.25};
-};
-
 // Ack-tracked COMMAND_LONG sender. One command per MAV_CMD id may be in
 // flight at a time (COMMAND_ACK only carries the command id); sending a
 // command that is already pending replaces the pending one.
@@ -68,7 +57,7 @@ class ReliableCommandSender {
 
   using WireSink = std::function<void(const std::vector<uint8_t>&)>;
 
-  ReliableCommandSender(SimClock* clock, RetryConfig config, uint64_t seed);
+  ReliableCommandSender(SimClock* clock, uint64_t seed);
 
   void SetSendSink(FrameSink sink) { sink_ = std::move(sink); }
   // Wire-level alternative to SetSendSink for senders that feed a byte
@@ -123,7 +112,6 @@ class ReliableCommandSender {
   void Resolve(uint16_t command_id, bool delivered);
 
   SimClock* clock_;
-  RetryConfig config_;
   Rng rng_;
   FrameSink sink_;
   WireSink wire_sink_;

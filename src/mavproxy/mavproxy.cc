@@ -91,10 +91,6 @@ void MavProxy::SetTrace(TraceRecorder* trace) {
 }
 
 void MavProxy::HandlePlannerFrame(const MavlinkFrame& frame) {
-  // Planner heartbeats prove the cloud link is alive.
-  if (frame.msgid == MavMsgId::kHeartbeat && watchdog_ != nullptr) {
-    watchdog_->NoteHeartbeat();
-  }
   // The planner/service-provider connection is unrestricted.
   SendToMaster(frame);
 }
@@ -113,17 +109,7 @@ VirtualFlightController* MavProxy::CreateVfc(int tenant_id,
   vfc->SetMasterSink([this](const MavlinkFrame& frame) {
     SendToMaster(frame);
   });
-  // Tenant heartbeats also prove the link; the watchdog may be enabled
-  // before or after the VFC exists.
-  vfc->SetHeartbeatListener([this] {
-    if (watchdog_ != nullptr) {
-      watchdog_->NoteHeartbeat();
-    }
-  });
   VirtualFlightController* raw = vfc.get();
-  if (watchdog_ != nullptr && !watchdog_->link_healthy()) {
-    raw->SuspendForLinkLoss();
-  }
   vfcs_.push_back(std::move(vfc));
   return raw;
 }
@@ -166,7 +152,6 @@ void MavProxy::OnSafetyRelease() {
 template <class Ar>
 Status MavProxy::Visit(Ar& ar) {
   ar.Section("PRXY");
-  ar.U8(failsafe_seq_);
   ar.U64(master_frames_);
   ar.U64(wire_frames_);
   ar.U64(wire_flushes_);
@@ -174,9 +159,6 @@ Status MavProxy::Visit(Ar& ar) {
   // The batch deadline is armed exactly while its event is pending.
   ar.Timer("mav.batch", batch_deadline_);
   ar.Bool(batch_deadline_armed_);
-  if (ar.Present(watchdog_ != nullptr, "link-watchdog")) {
-    RETURN_IF_ERROR(watchdog_->Visit(ar));
-  }
   ar.Match(vfcs_.size(), "mavproxy VFC roster size");
   for (const auto& vfc : vfcs_) {
     RETURN_IF_ERROR(vfc->Visit(ar));
@@ -195,37 +177,6 @@ void MavProxy::RegisterTimers(TimerRearmer& rearmer) {
     });
     batch_deadline_armed_ = true;
   });
-  if (watchdog_ != nullptr) {
-    watchdog_->RegisterTimers(rearmer);
-  }
-}
-
-LinkWatchdog* MavProxy::EnableLinkFailsafe(const LinkWatchdogConfig& config) {
-  if (watchdog_ != nullptr) {
-    return watchdog_.get();
-  }
-  watchdog_ = std::make_unique<LinkWatchdog>(clock_, config);
-  watchdog_->SetStageCallback([this](LinkFailsafeStage stage) {
-    // Every tenant loses control; the link itself is gone, not just one
-    // tenant's fence standing.
-    for (const auto& vfc : vfcs_) {
-      vfc->SuspendForLinkLoss();
-    }
-    CommandLong cmd;
-    cmd.command = static_cast<uint16_t>(stage == LinkFailsafeStage::kRtl
-                                            ? MavCmd::kNavReturnToLaunch
-                                            : MavCmd::kNavLoiterUnlimited);
-    MavlinkFrame frame = PackMessage(MavMessage{cmd});
-    frame.seq = failsafe_seq_++;
-    SendToMaster(frame);
-  });
-  watchdog_->SetRecoveryCallback([this] {
-    for (const auto& vfc : vfcs_) {
-      vfc->ResumeAfterLinkLoss();
-    }
-  });
-  watchdog_->Start();
-  return watchdog_.get();
 }
 
 }  // namespace androne

@@ -8,8 +8,8 @@
 #include <memory>
 #include <vector>
 
-#include "src/mavproxy/link_watchdog.h"
 #include "src/mavproxy/vfc.h"
+#include "src/snapshot/snapshot.h"
 
 namespace androne {
 
@@ -72,14 +72,6 @@ class MavProxy {
   void OnSafetyOverride();
   void OnSafetyRelease();
 
-  // Link-loss failsafe: heartbeats from the ground side (planner endpoint or
-  // any VFC client) feed a watchdog; on a missed-heartbeat deadline the
-  // proxy commands the flight controller into Loiter, escalates to RTL on
-  // prolonged loss, and refuses every tenant's commands (the same refusal
-  // path geofence recovery uses). Tenant control resumes on link recovery.
-  LinkWatchdog* EnableLinkFailsafe(const LinkWatchdogConfig& config = {});
-  LinkWatchdog* link_watchdog() { return watchdog_.get(); }
-
   // Coalesces planner wire telemetry into batched datagrams. Without this,
   // every telemetry frame costs one VPN datagram (encap copy + one scheduled
   // delivery event); with it, N frames cost one.
@@ -102,8 +94,8 @@ class MavProxy {
 
   // --- Checkpoint/restore (DESIGN.md §13) ---
   // Persists counters, the in-flight telemetry batch (bytes + armed
-  // deadline, key "mav.batch"), watchdog state, and each VFC's view machine
-  // in creation order. The restoring world must have created the identical
+  // deadline, key "mav.batch"), and each VFC's view machine in creation
+  // order. The restoring world must have created the identical
   // VFC roster (same Deploy at the same seed) before the load.
   // Instantiated for SaveArchive and LoadArchive in mavproxy.cc.
   template <class Ar>
@@ -119,8 +111,6 @@ class MavProxy {
   WireSink to_planner_wire_;
   std::vector<uint8_t> planner_wire_scratch_;
   std::vector<std::unique_ptr<VirtualFlightController>> vfcs_;
-  std::unique_ptr<LinkWatchdog> watchdog_;
-  uint8_t failsafe_seq_ = 0;
   uint64_t master_frames_ = 0;
 
   // Telemetry batching state. The deadline event is armed when the first

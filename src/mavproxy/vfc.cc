@@ -53,14 +53,6 @@ void VirtualFlightController::ResumeAfterFenceRecovery() {
   fence_suspended_ = false;
 }
 
-void VirtualFlightController::SuspendForLinkLoss() {
-  link_suspended_ = true;
-}
-
-void VirtualFlightController::ResumeAfterLinkLoss() {
-  link_suspended_ = false;
-}
-
 void VirtualFlightController::SuspendForSafetyOverride() {
   safety_suspended_ = true;
 }
@@ -93,12 +85,8 @@ void VirtualFlightController::HandleClientFrame(const MavlinkFrame& frame) {
   if (!message.ok()) {
     return;
   }
-  // Inbound GCS heartbeats are fine to swallow, but they do prove the
-  // tenant's link is alive.
+  // Inbound GCS heartbeats are swallowed.
   if (std::holds_alternative<Heartbeat>(*message)) {
-    if (heartbeat_listener_) {
-      heartbeat_listener_();
-    }
     return;
   }
   // Until the waypoint is reached (and whenever suspended), every command

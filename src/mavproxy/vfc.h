@@ -55,22 +55,11 @@ class VirtualFlightController {
   // Temporarily refuse commands during geofence recovery (paper §4.3).
   void SuspendForFenceRecovery();
   void ResumeAfterFenceRecovery();
-  // Temporarily refuse commands while the cloud link is in failsafe; the
-  // flight controller is loitering or returning home, so tenant commands
-  // get the same denied-ack refusal the fence-recovery path uses.
-  void SuspendForLinkLoss();
-  void ResumeAfterLinkLoss();
   // Temporarily refuse commands while the onboard safety supervisor has
   // overridden the complex controller: the physical drone is flying the
   // recovery ladder and no tenant input can reach the motors.
   void SuspendForSafetyOverride();
   void ResumeAfterSafetyOverride();
-
-  // Observes every inbound client heartbeat (the proxy's link watchdog
-  // feeds on these).
-  void SetHeartbeatListener(std::function<void()> listener) {
-    heartbeat_listener_ = std::move(listener);
-  }
 
   // --- Data path ---
   // Client -> flight controller. Declined commands get a denied ack (for
@@ -83,7 +72,7 @@ class VirtualFlightController {
   int tenant_id() const { return tenant_id_; }
   bool commands_enabled() const {
     return state_ == VfcState::kActive && !fence_suspended_ &&
-           !link_suspended_ && !safety_suspended_;
+           !safety_suspended_;
   }
   uint64_t commands_forwarded() const { return commands_forwarded_; }
   uint64_t commands_declined() const { return commands_declined_; }
@@ -95,7 +84,6 @@ class VirtualFlightController {
     ar.Section("VFC ");
     ar.Enum(state_, VfcState::kLanding);
     ar.Bool(fence_suspended_);
-    ar.Bool(link_suspended_);
     ar.Bool(safety_suspended_);
     ar.Optional(waypoint_, [&](GeoPoint& p) { VisitValue(ar, p); });
     ar.F64(virtual_altitude_m_);
@@ -122,11 +110,9 @@ class VirtualFlightController {
   FrameSink to_client_;
   FrameSink to_master_;
   ControlQuery control_query_;
-  std::function<void()> heartbeat_listener_;
 
   VfcState state_ = VfcState::kIdleOnGround;
   bool fence_suspended_ = false;
-  bool link_suspended_ = false;
   bool safety_suspended_ = false;
   std::optional<GeoPoint> waypoint_;
   // The synthetic view's current altitude during takeoff/landing animation.

@@ -2,8 +2,8 @@
 // scripted schedule of fault windows — total outages, burst loss, latency
 // inflation, asymmetric partitions — and a FaultyLinkModel decorates any
 // LinkModel with that plan, so the same chaos scenario replays bit-identically
-// under a fixed seed. This is the substrate for the link-loss failsafe and
-// chaos tests: the paper's whole premise (§6.5) is that virtual drones stay
+// under a fixed seed. This is the substrate for the link chaos tests and
+// campaigns: the paper's whole premise (§6.5) is that virtual drones stay
 // safe over a lossy LTE link, which the seed models only on the happy path.
 //
 // The window machinery is the shared util/fault_plan FaultSchedule, the same

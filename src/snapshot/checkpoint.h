@@ -17,8 +17,10 @@ namespace androne {
 // against the exact serialization code that produced it. Version 2: the
 // Rng saves only its xoshiro words (no spare normal), the SBUS section
 // lost the seqlock's sequence and retry words, and every component state
-// follows util/detmath numerics.
-inline constexpr uint32_t kSnapshotFormatVersion = 2;
+// follows util/detmath numerics. Version 3: the PRXY section lost the
+// link failsafe's command sequence and watchdog presence bytes, and each
+// VFC section its link-loss suspension flag.
+inline constexpr uint32_t kSnapshotFormatVersion = 3;
 inline constexpr uint64_t kSnapshotMagic = 0x414e44524f4e4531ULL;  // "ANDRONE1"
 
 // When FleetWorld captures checkpoints. Checkpoints are taken between

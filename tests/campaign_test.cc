@@ -88,29 +88,34 @@ TEST_F(CampaignTest, CountsPassFailAndUnexpectedVerdicts) {
   EXPECT_TRUE(report.buckets[0].first_divergence.empty());
 }
 
-// Fault parameters are only checked to be finite, so this manifest parses
-// and ramps the mag heading toward 3e13 rad. The world must still finish:
-// the estimator wraps that heading in O(1).
+// Fault parameters are only checked to be finite, so these manifests parse.
+// At 1e12 the mag heading ramps toward 3e13 rad, which the estimator wraps
+// in O(1); at 1e308 the ramp overflows to inf and the wrapped heading is
+// NaN, which the estimator's gate must reject. Either way the world must
+// finish.
 TEST_F(CampaignTest, HugeMagBiasManifestCompletes) {
-  auto campaign = ParseCampaignManifest(R"(
+  for (const char* p0 : {"1e12", "1e308"}) {
+    SCOPED_TRACE(p0);
+    auto campaign = ParseCampaignManifest(std::string(R"(
 <campaign name="mag-bias" seed="2026">
   <scenario annealing="120" dwell_s="5" name="mag_bias" repeat="1">
     <sensor_fault channel="mag" dur_s="30" kind="bias_drift"
-                  p0="1e12" start_s="20"/>
+                  p0=")") + p0 + R"(" start_s="20"/>
     <assert expr="completed == 1"/>
   </scenario>
 </campaign>)");
-  ASSERT_TRUE(campaign.ok()) << campaign.status().message();
-  std::vector<ScenarioSpec> scenarios = Expand(*campaign);
-  ASSERT_EQ(scenarios.size(), 1u);
+    ASSERT_TRUE(campaign.ok()) << campaign.status().message();
+    std::vector<ScenarioSpec> scenarios = Expand(*campaign);
+    ASSERT_EQ(scenarios.size(), 1u);
 
-  CampaignOptions options;
-  options.name = campaign->name;
-  options.triage = false;
-  CampaignReport report = CampaignRunner(options).Run(scenarios);
-  EXPECT_EQ(report.scenarios, 1);
-  EXPECT_EQ(report.passed, 1);
-  EXPECT_EQ(report.unexpected, 0);
+    CampaignOptions options;
+    options.name = campaign->name;
+    options.triage = false;
+    CampaignReport report = CampaignRunner(options).Run(scenarios);
+    EXPECT_EQ(report.scenarios, 1);
+    EXPECT_EQ(report.passed, 1);
+    EXPECT_EQ(report.unexpected, 0);
+  }
 }
 
 TEST_F(CampaignTest, TriagePinsFirstDivergentEventForChaosFailures) {

@@ -122,8 +122,7 @@ TEST(FlightPlannerTest, RespectsBatteryCapacity) {
   }
   auto plan = planner.Plan(jobs);
   ASSERT_TRUE(plan.ok()) << plan.status();
-  double usable = config.battery_capacity_j *
-                  (1 - config.energy_reserve_fraction);
+  double usable = config.battery_capacity_j * (1 - kEnergyReserveFraction);
   int used_routes = 0;
   for (const PlannedRoute& route : plan->routes) {
     EXPECT_LE(route.total_energy_j, usable);

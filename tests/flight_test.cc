@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "src/flight/controllers.h"
 #include "src/flight/estimator.h"
@@ -136,6 +137,49 @@ TEST(EstimatorTest, HugeMagHeadingReturns) {
     EXPECT_TRUE(std::isfinite(est.attitude().yaw_rad)) << heading;
     EXPECT_LE(std::abs(est.attitude().yaw_rad), M_PI) << heading;
   }
+}
+
+// A fault ramp that overflows turns a reading into inf and the wrapped
+// heading into NaN. NaN passes any `> gate` test, so every gate must
+// reject a non-finite reading itself: before the first accept and after.
+TEST(EstimatorTest, NonFiniteReadingsAreRejected) {
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  Estimator est(kHome);
+  GpsFix bad;
+  bad.has_fix = true;
+  bad.position = GeoPoint{kNaN, -85.812, 30.0};
+  est.UpdateMag(kInf);
+  est.UpdateBaro(kNaN);
+  est.UpdateGps(bad);
+  EXPECT_FALSE(est.position().valid);
+
+  GpsFix good;
+  good.has_fix = true;
+  good.position = GeoPoint{43.609, -85.812, 30.0};
+  est.UpdateMag(0.3);
+  est.UpdateBaro(12.0);
+  est.UpdateGps(good);
+  for (double reading : {kInf, -kInf, kNaN}) {
+    est.UpdateMag(reading);
+    est.UpdateBaro(reading);
+    bad.position.latitude_deg = reading;
+    est.UpdateGps(bad);
+    bad.position.latitude_deg = 43.609;
+    bad.position.longitude_deg = reading;
+    est.UpdateGps(bad);
+  }
+  for (EstimatorSensor sensor :
+       {EstimatorSensor::kMag, EstimatorSensor::kBaro, EstimatorSensor::kGps}) {
+    EXPECT_EQ(est.health(sensor).accepted, 1u) << static_cast<int>(sensor);
+  }
+  EXPECT_EQ(est.health(EstimatorSensor::kMag).rejected, 4u);
+  EXPECT_EQ(est.health(EstimatorSensor::kBaro).rejected, 4u);
+  EXPECT_EQ(est.health(EstimatorSensor::kGps).rejected, 7u);
+  EXPECT_TRUE(std::isfinite(est.attitude().yaw_rad));
+  EXPECT_DOUBLE_EQ(est.position().position.altitude_m, 12.0);
+  EXPECT_DOUBLE_EQ(est.position().position.latitude_deg, 43.609);
+  EXPECT_DOUBLE_EQ(est.position().position.longitude_deg, -85.812);
 }
 
 // ------------------------------------------------------------- AED.

@@ -12,7 +12,7 @@
 
 #include "src/exec/fleet_world.h"
 #include "src/exec/world_template.h"
-#include "src/mavproxy/link_watchdog.h"
+#include "src/hw/sensor_faults.h"
 #include "src/obs/trace.h"
 #include "src/snapshot/checkpoint.h"
 #include "src/util/rng.h"
@@ -113,30 +113,33 @@ TEST(SnapshotHardeningTest, OutOfRangeEnumIsAnError) {
   EXPECT_NE(status.message().find("enum"), std::string::npos) << status;
 }
 
-TEST(SnapshotHardeningTest, WatchdogPresenceMustMatchBothWays) {
+// A system booted with a sensor-fault plan saves the injector's section
+// behind a presence byte; a restoring world must match it either way.
+TEST(SnapshotHardeningTest, SensorFaultPresenceMustMatchBothWays) {
+  SensorFaultPlan plan;
   TestSystem plain;
   ASSERT_TRUE(BootSystem(plain).ok());
-  TestSystem guarded;
-  ASSERT_TRUE(BootSystem(guarded).ok());
-  guarded.system->proxy().EnableLinkFailsafe(LinkWatchdogConfig{});
+  TestSystem faulted;
+  ASSERT_TRUE(BootSystem(faulted, /*warmup=*/true, &plan).ok());
 
-  auto restore_into = [](bool watchdog, const std::string& blob) {
+  auto restore_into = [&plan](bool faults, const std::string& blob) {
     TestSystem target;
-    EXPECT_TRUE(BootSystem(target, /*warmup=*/false).ok());
-    if (watchdog) {
-      target.system->proxy().EnableLinkFailsafe(LinkWatchdogConfig{});
-    }
+    EXPECT_TRUE(
+        BootSystem(target, /*warmup=*/false, faults ? &plan : nullptr).ok());
     SnapshotReader r(blob);
     return target.system->RestoreState(r);
   };
   const std::string without = SaveSystemBlob(*plain.system);
-  const std::string with = SaveSystemBlob(*guarded.system);
+  const std::string with = SaveSystemBlob(*faulted.system);
   EXPECT_TRUE(restore_into(false, without).ok());
   EXPECT_TRUE(restore_into(true, with).ok());
-  Status status = restore_into(true, without);
-  EXPECT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("presence"), std::string::npos) << status;
-  EXPECT_FALSE(restore_into(false, with).ok());
+  for (const Status& status :
+       {restore_into(true, without), restore_into(false, with)}) {
+    EXPECT_FALSE(status.ok());
+    EXPECT_NE(status.message().find("sensor-fault presence"),
+              std::string::npos)
+        << status;
+  }
 }
 
 TEST(SnapshotHardeningTest, OutOfRangeTraceHeadIsAnError) {

@@ -40,12 +40,15 @@ struct TestSystem {
 
 // Boot plus one deployed tenant: the deterministic construction a saved
 // system and every restore target share. |warmup| = false boots the
-// structure only, as a restore target does.
-inline Status BootSystem(TestSystem& ts, bool warmup = true) {
+// structure only, as a restore target does. A non-null |sensor_faults|
+// (owned by the caller) gives the system a sensor-fault injector.
+inline Status BootSystem(TestSystem& ts, bool warmup = true,
+                         const SensorFaultPlan* sensor_faults = nullptr) {
   AnDroneOptions options;
   options.base = kBase;
   options.seed = kSystemSeed;
   options.boot_warmup = warmup;
+  options.sensor_faults = sensor_faults;
   ts.system = std::make_unique<AnDroneSystem>(&ts.clock, options);
   RETURN_IF_ERROR(ts.system->Boot());
   VirtualDroneDefinition def;
