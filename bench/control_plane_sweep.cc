@@ -225,15 +225,15 @@ int Run(int argc, char** argv) {
       line["count"] = static_cast<double>(stage.count);
       line["p50_ms"] = stage.p50_ms;
       line["p99_ms"] = stage.p99_ms;
-      stages.push_back(JsonValue(line));
+      stages.emplace_back(std::move(line));
     }
     doc["stages"] = JsonValue(stages);
     JsonArray out_rows;
     for (const Row& row : rows) {
-      out_rows.push_back(JsonValue(RowJson(row)));
+      out_rows.emplace_back(RowJson(row));
     }
-    out_rows.push_back(JsonValue(RowJson(tight_row)));
-    out_rows.push_back(JsonValue(RowJson(fleet_row)));
+    out_rows.emplace_back(RowJson(tight_row));
+    out_rows.emplace_back(RowJson(fleet_row));
     doc["rows"] = JsonValue(out_rows);
     WriteJsonDoc(json_path, doc);
   }

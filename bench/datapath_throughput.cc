@@ -198,7 +198,7 @@ void Run(const char* json_path) {
       row["datagrams_per_s"] = p.frames_per_s;
       row["flight_digest"] = HexDigest(p.flight_digest);
       row["completed"] = p.completed;
-      rows.push_back(JsonValue(row));
+      rows.emplace_back(std::move(row));
     }
     doc["rows"] = JsonValue(rows);
     WriteJsonDoc(json_path, doc);

@@ -132,7 +132,7 @@ void PrintRow(const char* sweep, const char* label, double x,
   row["ack_p50_ms"] = static_cast<double>(r.ack_ms.Percentile(0.5));
   row["ack_max_ms"] = static_cast<double>(r.ack_ms.max());
   row["gave_up"] = static_cast<double>(r.gave_up);
-  g_rows.push_back(JsonValue(row));
+  g_rows.emplace_back(std::move(row));
 }
 
 void SweepBurstLoss() {

@@ -227,7 +227,7 @@ void Run(const char* json_path) {
       row["speedup_vs_1_thread"] = p.speedup;
       row["saturated"] = p.saturated;
       row["fleet_digest"] = HexDigest(p.fleet_digest);
-      rows.push_back(JsonValue(row));
+      rows.emplace_back(std::move(row));
     }
     // The clone_vs_cold_boot comparison as its own labeled row.
     {
@@ -238,7 +238,7 @@ void Run(const char* json_path) {
       row["clone_speedup"] = clone_speedup;
       row["cold_fleet_digest"] = HexDigest(cold.fleet_digest);
       row["digest_match"] = clone_digest_match;
-      rows.push_back(JsonValue(row));
+      rows.emplace_back(std::move(row));
     }
     doc["rows"] = JsonValue(rows);
     WriteJsonDoc(json_path, doc);

@@ -8,10 +8,11 @@
 //   restore+replay   reload the latest checkpoint, replay from its sim-time
 //   boot replay      checkpointing off — re-fly the whole mission from boot
 //
-// Restore-and-replay must win: it redoes only the window between the last
-// checkpoint and the crash instead of the whole flight. A no-crash pass
-// with checkpointing on also prices the capture overhead (blob size, per-
-// checkpoint cost) against the plain baseline.
+// Restore-and-replay redoes only the window between the last checkpoint
+// and the crash instead of the whole flight, but pays a rebuild and an
+// overlay; the per-row and sweep speedups are recorded, not gated. A
+// no-crash pass with checkpointing on also prices the capture overhead
+// (blob size, per-checkpoint cost) against the plain baseline.
 //
 // Flags:
 //   --crash-at S[,S..]  crash sim-times in seconds (default 36,72,108,
@@ -230,17 +231,14 @@ int Run(int argc, char** argv) {
     rows.push_back(row);
   }
 
-  // The economics verdict aggregates across crash points: restore wins big
-  // on late crashes and roughly ties on early ones (little flight to skip),
-  // so the sweep-total wall is the fair comparison.
-  const bool restore_beats_boot = total_boot_s > total_restore_s;
+  // The sweep-total wall weighs early crashes (little flight to skip)
+  // against late ones.
   const double sweep_speedup =
       total_restore_s > 0 ? total_boot_s / total_restore_s : 0;
   std::printf("\n  recovered worlds %s the uninterrupted baseline\n",
               all_match ? "MATCH" : "DIVERGE FROM");
-  std::printf("  restore+replay %s re-flying from boot across the sweep "
-              "(%.2fx)\n\n",
-              restore_beats_boot ? "beats" : "DOES NOT BEAT", sweep_speedup);
+  std::printf("  restore+replay vs re-flying from boot across the sweep: "
+              "%.2fx\n\n", sweep_speedup);
   BenchNote("a crashed world replays from its latest checkpoint and lands "
             "on the exact bytes of the run that never crashed");
 
@@ -260,7 +258,6 @@ int Run(int argc, char** argv) {
         static_cast<double>(overhead.result.recovery.checkpoint_bytes);
     doc["per_checkpoint_us"] = per_checkpoint_us < 0 ? 0 : per_checkpoint_us;
     doc["digest_match"] = all_match;
-    doc["restore_beats_boot"] = restore_beats_boot;
     doc["sweep_speedup"] = sweep_speedup;
     JsonArray out_rows;
     for (const Row& row : rows) {
@@ -276,7 +273,7 @@ int Run(int argc, char** argv) {
       r["fixed_point_ok"] = row.fixed_point_ok;
       r["digest_match"] = row.digest_match;
       r["boot_digest_match"] = row.boot_digest_match;
-      out_rows.push_back(JsonValue(r));
+      out_rows.emplace_back(std::move(r));
     }
     doc["rows"] = JsonValue(out_rows);
     WriteJsonDoc(json_path, doc);

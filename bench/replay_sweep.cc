@@ -326,7 +326,7 @@ int Run(int argc, char** argv) {
       r["ticks"] = static_cast<double>(row.ticks);
       r["log_bytes"] = static_cast<double>(row.log_bytes);
       r["underruns"] = static_cast<double>(row.underruns);
-      out_rows.push_back(JsonValue(r));
+      out_rows.emplace_back(std::move(r));
     }
     doc["rows"] = JsonValue(out_rows);
     WriteJsonDoc(json_path, doc);

@@ -128,7 +128,7 @@ void Report(const char* sweep, const char* label, double x,
   row["worst_alt_error_m"] = o.worst_alt_error_m;
   row["worst_tilt_rad"] = o.worst_tilt_rad;
   row["sensor_rejects"] = static_cast<double>(o.sensor_rejects);
-  g_rows.push_back(JsonValue(row));
+  g_rows.emplace_back(std::move(row));
 }
 
 void SweepGpsJump() {

@@ -208,6 +208,8 @@ class BinderDriver {
   // process/container dying. Cached resolutions made at epoch E stay valid
   // exactly while lookup_epoch() == E.
   uint64_t lookup_epoch() const { return lookup_epoch_; }
+  // For a restore that tears down processes the saved epoch already counts.
+  void set_lookup_epoch(uint64_t epoch) { lookup_epoch_ = epoch; }
 
  private:
   friend class BinderProc;

@@ -174,12 +174,15 @@ Status ContainerRuntime::RestoreLifecycle(Container& container,
   if (container.state_ == ContainerState::kRunning &&
       state != ContainerState::kRunning) {
     // The snapshot caught this container between lives: silently drop the
-    // processes the restoring boot spawned (no trace, no crash listener).
+    // processes the restoring boot spawned (no trace, no crash listener,
+    // and no lookup-epoch bump: the saved epoch already counts the crash).
     for (const ContainerProcess& proc : container.processes_) {
       process_owner_.erase(proc.pid);
     }
     container.processes_.clear();
+    const uint64_t epoch = driver_->lookup_epoch();
     driver_->DestroyContainer(id);
+    driver_->set_lookup_epoch(epoch);
   } else if (container.state_ != ContainerState::kRunning &&
              state == ContainerState::kRunning) {
     // The snapshot has a running life the restoring boot never started

@@ -78,8 +78,13 @@ void ContainerSupervisor::OnCrash(ContainerId id) {
   ALOG(kWarning, "supervisor")
       << "container " << id << " crashed (streak " << w.streak
       << "); restarting in " << ToMillis(delay) << " ms";
+  ArmRestart(id, w, clock_->now() + delay);
+}
+
+void ContainerSupervisor::ArmRestart(ContainerId id, Watched& w,
+                                     SimTime when) {
   w.restart_event =
-      clock_->ScheduleAfter(delay, [this, id] { AttemptRestart(id); });
+      clock_->ScheduleAt(when, [this, id] { AttemptRestart(id); });
 }
 
 void ContainerSupervisor::AttemptRestart(ContainerId id) {
@@ -117,9 +122,16 @@ Status ContainerSupervisor::Visit(Ar& ar) {
     ar.Match(id, "supervisor watched container");
     ar.U32(watched.streak);
     ar.I64(watched.last_start);
-    // A restart is pending exactly while its event is armed.
-    ar.Timer("sup." + std::to_string(id), watched.restart_event);
     ar.Bool(watched.restart_pending);
+    // A restart is pending exactly while its event is armed, so only a
+    // pending restart offers a re-arm, and a timer table that names any
+    // other fails to restore.
+    if (watched.restart_pending) {
+      ar.Timer("sup." + std::to_string(id), watched.restart_event,
+               [this, id, &watched](SimTime when) {
+                 ArmRestart(id, watched, when);
+               });
+    }
     ar.Bool(watched.gave_up);
   }
   ar.Seq(episodes_, [&](RestartEpisode& episode) {
@@ -133,19 +145,5 @@ Status ContainerSupervisor::Visit(Ar& ar) {
 
 template Status ContainerSupervisor::Visit(SaveArchive&);
 template Status ContainerSupervisor::Visit(LoadArchive&);
-
-void ContainerSupervisor::RegisterTimers(TimerRearmer& rearmer) {
-  for (const auto& [id, watched] : watched_) {
-    if (!watched.restart_pending) {
-      continue;
-    }
-    const ContainerId captured = id;
-    rearmer.Register("sup." + std::to_string(id),
-                     [this, captured](SimTime when) {
-      watched_[captured].restart_event = clock_->ScheduleAt(
-          when, [this, captured] { AttemptRestart(captured); });
-    });
-  }
-}
 
 }  // namespace androne

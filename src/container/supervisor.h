@@ -13,7 +13,6 @@
 
 #include "src/container/runtime.h"
 #include "src/obs/metrics.h"
-#include "src/snapshot/snapshot.h"
 #include "src/util/backoff.h"
 #include "src/util/rng.h"
 #include "src/util/sim_clock.h"
@@ -60,13 +59,11 @@ class ContainerSupervisor {
 
   // --- Checkpoint/restore (DESIGN.md §13) ---
   // Persists the watch table (streaks, pending restarts with their armed
-  // backoff deadlines under keys "sup.<container>"), the episode log, and
-  // the jitter RNG. The restoring world must Watch() the identical
-  // container set before the load. Instantiated for SaveArchive and
-  // LoadArchive in supervisor.cc.
+  // backoff deadlines), the episode log, and the jitter RNG. The restoring
+  // world must Watch() the identical container set before the load.
+  // Instantiated for SaveArchive and LoadArchive in supervisor.cc.
   template <class Ar>
   Status Visit(Ar& ar);
-  void RegisterTimers(TimerRearmer& rearmer);
 
  private:
   struct Watched {
@@ -78,6 +75,8 @@ class ContainerSupervisor {
   };
 
   void OnCrash(ContainerId id);
+  // Schedules |id|'s restart at |when|; |w| is its watch entry.
+  void ArmRestart(ContainerId id, Watched& w, SimTime when);
   void AttemptRestart(ContainerId id);
 
   SimClock* clock_;

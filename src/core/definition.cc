@@ -87,7 +87,7 @@ std::string VirtualDroneDefinition::ToJson() const {
     obj["longitude"] = wp.point.longitude_deg;
     obj["altitude"] = wp.point.altitude_m;
     obj["max-radius"] = wp.max_radius_m;
-    wps.push_back(JsonValue(std::move(obj)));
+    wps.emplace_back(std::move(obj));
   }
   root["waypoints"] = JsonValue(std::move(wps));
   root["max-duration"] = max_duration_s;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
 
 #include "src/hw/camera.h"
 #include "src/rt/load_profile.h"
@@ -192,8 +193,7 @@ Status AnDroneSystem::Boot() {
 
   // Accounting + compute-power tick at 1 Hz.
   accounting_running_ = true;
-  accounting_event_ =
-      clock_->ScheduleAfter(Seconds(1), [this] { AccountingTick(); });
+  ArmAccounting(clock_->now() + Seconds(1));
 
   booted_ = true;
   // Let sensors and the estimator warm up (GPS acquisition). The clone
@@ -236,8 +236,11 @@ void AnDroneSystem::AccountingTick() {
   }
   battery_.Drain(compute_power_.Watts(0.08, 2 + vdrones, vdrones),
                  Seconds(1));
-  accounting_event_ =
-      clock_->ScheduleAfter(Seconds(1), [this] { AccountingTick(); });
+  ArmAccounting(clock_->now() + Seconds(1));
+}
+
+void AnDroneSystem::ArmAccounting(SimTime when) {
+  accounting_event_ = clock_->ScheduleAt(when, [this] { AccountingTick(); });
 }
 
 StatusOr<VirtualDroneInstance*> AnDroneSystem::Deploy(
@@ -689,7 +692,9 @@ Status AnDroneSystem::Visit(Ar& ar) {
     ar.Enum(end.reason, TenancyEndReason::kInterrupted);
   });
   ar.Bool(accounting_running_);
-  bool accounting_pending = ar.Timer("sys.accounting", accounting_event_);
+  bool accounting_pending =
+      ar.Timer("sys.accounting", accounting_event_,
+               [this](SimTime when) { ArmAccounting(when); });
   ar.Bool(accounting_pending);
   RETURN_IF_ERROR(progress_.Visit(ar));
 
@@ -736,18 +741,13 @@ void AnDroneSystem::SaveState(SnapshotWriter& w, TimerRegistry& timers) const {
 }
 
 Status AnDroneSystem::RestoreState(SnapshotReader& r) {
-  LoadArchive ar(r);
+  restored_timers_ = TimerRearmer();
+  LoadArchive ar(r, restored_timers_);
   return Visit(ar);
 }
 
 void AnDroneSystem::RegisterTimers(TimerRearmer& rearmer) {
-  rearmer.Register("sys.accounting", [this](SimTime when) {
-    accounting_event_ =
-        clock_->ScheduleAt(when, [this] { AccountingTick(); });
-  });
-  flight_controller_->RegisterTimers(rearmer);
-  planner_sender_->RegisterTimers(rearmer);
-  proxy_->RegisterTimers(rearmer);
+  rearmer = std::exchange(restored_timers_, TimerRearmer());
 }
 
 }  // namespace androne

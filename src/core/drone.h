@@ -161,6 +161,8 @@ class AnDroneSystem {
   template <class Ar>
   Status Visit(Ar& ar);
   // Entry points over Visit for callers holding a bare writer or reader.
+  // RestoreState keeps the re-arm handlers its load registered;
+  // RegisterTimers moves them into |rearmer| for TimerRearmer::Replay.
   void SaveState(SnapshotWriter& w, TimerRegistry& timers) const;
   Status RestoreState(SnapshotReader& r);
   void RegisterTimers(TimerRearmer& rearmer);
@@ -202,6 +204,7 @@ class AnDroneSystem {
  private:
   // Planner-endpoint MAVLink helpers.
   void PlannerSend(const MavMessage& message);
+  void ArmAccounting(SimTime when);
   void AccountingTick();
   void ApplyTenantGeofence(const VirtualDroneInstance& vd, size_t waypoint);
   void ClearGeofence();
@@ -286,6 +289,7 @@ class AnDroneSystem {
   bool booted_ = false;
   bool accounting_running_ = false;
   EventId accounting_event_ = 0;
+  TimerRearmer restored_timers_;  // Filled by RestoreState.
   bool abort_requested_ = false;
   std::string abort_reason_;
 

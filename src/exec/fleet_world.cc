@@ -297,14 +297,9 @@ class WorldAttempt {
       chaos_supervisor_->Watch(chaos_payload_);
       chaos_events_.resize(static_cast<size_t>(config_.crash_loop.count), 0);
       for (int k = 0; k < config_.crash_loop.count; ++k) {
-        SimDuration at = SecondsF(config_.crash_loop.start_s +
-                                  k * config_.crash_loop.period_s);
-        chaos_events_[static_cast<size_t>(k)] = clock_.ScheduleAfter(at, [this] {
-          // A crash only lands on a running life; between backoff and
-          // restart the container is already down and the scheduled crash
-          // is a no-op.
-          (void)system_->runtime().CrashContainer(chaos_payload_);
-        });
+        ArmChaosCrash(static_cast<size_t>(k),
+                      clock_.now() + SecondsF(config_.crash_loop.start_s +
+                                              k * config_.crash_loop.period_s));
       }
     }
 
@@ -339,7 +334,7 @@ class WorldAttempt {
     // Cooperative fleet cancellation: a once-per-sim-second clock event
     // polls the shared flag and aborts the flight (RTL + resumable saves)
     // when the fleet budget expires or an operator cancels.
-    poll_event_ = clock_.ScheduleAfter(Seconds(1), [this] { PollCancel(); });
+    ArmPoll(clock_.now() + Seconds(1));
 
     // The crash fault family: each scheduled sim-time kills this world.
     // ScheduleAt clamps to now, so a crash time inside the boot warmup
@@ -645,12 +640,24 @@ class WorldAttempt {
   uint64_t fly_ns() const { return fly_ns_; }
 
  private:
+  void ArmPoll(SimTime at) {
+    poll_event_ = clock_.ScheduleAt(at, [this] { PollCancel(); });
+  }
+
   void PollCancel() {
     if (ctx_.ShouldCancel()) {
       system_->RequestAbort("fleet cancelled");
       return;
     }
-    poll_event_ = clock_.ScheduleAfter(Seconds(1), [this] { PollCancel(); });
+    ArmPoll(clock_.now() + Seconds(1));
+  }
+
+  void ArmChaosCrash(size_t k, SimTime at) {
+    chaos_events_[k] = clock_.ScheduleAt(at, [this] {
+      // A crash only lands on a running life; between backoff and restart
+      // the container is already down and the scheduled crash is a no-op.
+      (void)system_->runtime().CrashContainer(chaos_payload_);
+    });
   }
 
   // The crash schedule is config, not world state: crash events are never
@@ -733,21 +740,21 @@ class WorldAttempt {
 
   // The one overlay flow, on top of a freshly built world (a clone's
   // structure-only boot, or a full rebuild for a mission resume): header
-  // validation, body, clock rewind, timer re-arm, trailing-bytes check.
+  // validation, body (which binds each timer key it visits to its re-arm),
+  // clock rewind, timer re-arm, trailing-bytes check.
   Status Overlay(BlobKind kind, const std::string& blob) {
     SnapshotReader r(blob);
     const CheckpointHeader expected = HeaderFor(kind);
     CheckpointHeader header;
     RETURN_IF_ERROR(
         header.Load(r, expected.seed, expected.world_fingerprint));
-    LoadArchive ar(r);
+    TimerRearmer rearmer;
+    LoadArchive ar(r, rearmer);
     uint64_t events_run = 0;
     RETURN_IF_ERROR(VisitBody(ar, kind, events_run));
     // Drops every event the build armed; the timer table re-creates the
     // ones that were pending at capture.
     clock_.ResetForRestore(header.sim_time, events_run);
-    TimerRearmer rearmer;
-    RegisterTimers(rearmer);
     RETURN_IF_ERROR(rearmer.Replay(r));
     if (r.remaining() != 0) {
       return InvalidArgumentError(
@@ -780,12 +787,14 @@ class WorldAttempt {
     ar.U64(events_run);
     ar.U64(frames_down_);
     ar.U64(bytes_down_);
-    bool pending = ar.Timer("world.poll", poll_event_);
+    bool pending = ar.Timer("world.poll", poll_event_,
+                            [this](SimTime at) { ArmPoll(at); });
     ar.Bool(pending);
     ar.Match(chaos_events_.size(), "chaos-loop event count");
     for (size_t k = 0; k < chaos_events_.size(); ++k) {
       pending = ar.Timer("world.chaosloop." + std::to_string(k),
-                         chaos_events_[k]);
+                         chaos_events_[k],
+                         [this, k](SimTime at) { ArmChaosCrash(k, at); });
       ar.Bool(pending);
     }
     if (ar.Present(chaos_supervisor_ != nullptr, "chaos-supervisor")) {
@@ -797,30 +806,6 @@ class WorldAttempt {
     RETURN_IF_ERROR(downlink_->Visit(ar, "net.down"));
     RETURN_IF_ERROR(tunnel_tx_->Visit(ar));
     return tunnel_rx_->Visit(ar);
-  }
-
-  // Binds every timer key a blob can carry to its callback. A template
-  // overlay runs before the world wiring exists, so only the parts built
-  // so far register.
-  void RegisterTimers(TimerRearmer& rearmer) {
-    rearmer.Register("world.poll", [this](SimTime at) {
-      poll_event_ = clock_.ScheduleAt(at, [this] { PollCancel(); });
-    });
-    for (size_t k = 0; k < chaos_events_.size(); ++k) {
-      rearmer.Register("world.chaosloop." + std::to_string(k),
-                       [this, k](SimTime at) {
-        chaos_events_[k] = clock_.ScheduleAt(at, [this] {
-          (void)system_->runtime().CrashContainer(chaos_payload_);
-        });
-      });
-    }
-    if (chaos_supervisor_ != nullptr) {
-      chaos_supervisor_->RegisterTimers(rearmer);
-    }
-    if (downlink_ != nullptr) {
-      downlink_->RegisterTimers(rearmer, "net.down");
-    }
-    system_->RegisterTimers(rearmer);
   }
 
   const FleetWorldConfig& config_;

@@ -79,9 +79,8 @@ void AttitudeController::Reset() {
   yaw_rate_pid_.Reset();
 }
 
-PositionController::PositionController(
-    double hover_throttle, const PositionControllerLimits& limits)
-    : hover_throttle_(hover_throttle), limits_(limits),
+PositionController::PositionController(double hover_throttle)
+    : hover_throttle_(hover_throttle),
       vel_n_pid_(0.16, 0.02, 0.01, 1.0),
       vel_e_pid_(0.16, 0.02, 0.01, 1.0),
       vel_d_pid_(0.22, 0.10, 0.0, 0.8) {}

@@ -81,8 +81,7 @@ struct PositionControllerLimits {
 
 class PositionController {
  public:
-  PositionController(double hover_throttle,
-                     const PositionControllerLimits& limits);
+  explicit PositionController(double hover_throttle);
 
   // NED position/velocity control toward target (meters, local frame).
   // |yaw| is the current heading used to rotate into body tilt.

@@ -49,6 +49,10 @@ bool SameReading(const ImuSample& a, const ImuSample& b) {
   return a.gyro_rads == b.gyro_rads && a.accel_mss == b.accel_mss &&
          a.timestamp == b.timestamp;
 }
+
+bool AllFinite(const std::array<double, 3>& v) {
+  return std::isfinite(v[0]) && std::isfinite(v[1]) && std::isfinite(v[2]);
+}
 }  // namespace
 
 void Estimator::Accept(EstimatorSensor sensor, SimTime at) {
@@ -81,7 +85,15 @@ bool Estimator::any_excluded() const {
 
 void Estimator::UpdateImu(const ImuSample& sample, SimDuration dt) {
   double dts = ToSecondsF(dt);
-  last_gyro_ = sample.gyro_rads;
+  // As for the magnetometer: a non-finite reading (a fault ramp that
+  // overflowed) is rejected like an implausible rate, so neither the raw
+  // rates the safety supervisor reads nor the attitude ever take it; a
+  // non-finite accelerometer also falls outside the 1 g window below.
+  const bool gyro_finite = AllFinite(sample.gyro_rads);
+  const bool finite = gyro_finite && AllFinite(sample.accel_mss);
+  if (gyro_finite) {
+    last_gyro_ = sample.gyro_rads;
+  }
 
   // Stuck detection: sensor noise never repeats bit-for-bit, a latched
   // sensor always does.
@@ -97,7 +109,7 @@ void Estimator::UpdateImu(const ImuSample& sample, SimDuration dt) {
                               std::abs(sample.gyro_rads[1]),
                               std::abs(sample.gyro_rads[2])});
   bool stuck = identical_imu_count_ >= kStuckImuAfter;
-  bool implausible = max_rate > kMaxPlausibleRateRads;
+  bool implausible = !finite || max_rate > kMaxPlausibleRateRads;
   bool gyro_usable = !stuck && !implausible;
   if (gyro_usable) {
     Accept(EstimatorSensor::kImu, sample.timestamp);

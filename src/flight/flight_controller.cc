@@ -19,6 +19,8 @@ constexpr SimDuration kHeartbeatPeriod = SecondsF(1.0 / 1.0);
 constexpr SimDuration kAttitudeTelemetryPeriod = SecondsF(1.0 / 10.0);
 constexpr SimDuration kPositionTelemetryPeriod = SecondsF(1.0 / 5.0);
 constexpr uint64_t kLogEveryTicks = 16;
+// The MAVLink system id the controller stamps and answers to.
+constexpr uint8_t kSysId = 1;
 
 constexpr double kWaypointReachedM = 2.0;
 constexpr double kRtlAltitudeM = 15.0;
@@ -44,7 +46,7 @@ FlightController::FlightController(SimClock* clock, QuadPhysics* physics,
       estimator_(config.home),
       // The window must outlast a sender's largest retransmission gap.
       deduper_(clock, /*window=*/Seconds(5)),
-      position_ctrl_(physics->hover_throttle(), PositionControllerLimits{}),
+      position_ctrl_(physics->hover_throttle()),
       // The Simplex supervisor's default envelope: its limits sit far
       // outside nominal flight (see SafetyEnvelope).
       safety_(clock, SafetyEnvelope{}, physics->hover_throttle()) {
@@ -63,20 +65,29 @@ void FlightController::Start() {
     return;
   }
   running_ = true;
-  fast_loop_event_ =
-      clock_->ScheduleAfter(kFastLoopPeriod, [this] { FastLoop(); });
-  StartTelemetry();
+  const SimTime now = clock_->now();
+  ArmFastLoop(now + kFastLoopPeriod);
+  ArmHeartbeat(now + kHeartbeatPeriod);
+  ArmAttitude(now + kAttitudeTelemetryPeriod);
+  ArmPosition(now + kPositionTelemetryPeriod);
 }
 
 void FlightController::Stop() { running_ = false; }
 
-void FlightController::StartTelemetry() {
-  heartbeat_event_ =
-      clock_->ScheduleAfter(kHeartbeatPeriod, [this] { HeartbeatTick(); });
-  attitude_event_ = clock_->ScheduleAfter(kAttitudeTelemetryPeriod,
-                                          [this] { AttitudeTick(); });
-  position_event_ = clock_->ScheduleAfter(kPositionTelemetryPeriod,
-                                          [this] { PositionTick(); });
+void FlightController::ArmFastLoop(SimTime when) {
+  fast_loop_event_ = clock_->ScheduleAt(when, [this] { FastLoop(); });
+}
+
+void FlightController::ArmHeartbeat(SimTime when) {
+  heartbeat_event_ = clock_->ScheduleAt(when, [this] { HeartbeatTick(); });
+}
+
+void FlightController::ArmAttitude(SimTime when) {
+  attitude_event_ = clock_->ScheduleAt(when, [this] { AttitudeTick(); });
+}
+
+void FlightController::ArmPosition(SimTime when) {
+  position_event_ = clock_->ScheduleAt(when, [this] { PositionTick(); });
 }
 
 void FlightController::HeartbeatTick() {
@@ -90,8 +101,7 @@ void FlightController::HeartbeatTick() {
   hb.system_status = static_cast<uint8_t>(armed_ ? MavState::kActive
                                                  : MavState::kStandby);
   Send(MavMessage{hb});
-  heartbeat_event_ =
-      clock_->ScheduleAfter(kHeartbeatPeriod, [this] { HeartbeatTick(); });
+  ArmHeartbeat(clock_->now() + kHeartbeatPeriod);
 }
 
 void FlightController::AttitudeTick() {
@@ -104,8 +114,7 @@ void FlightController::AttitudeTick() {
   att.pitch = static_cast<float>(estimator_.attitude().pitch_rad);
   att.yaw = static_cast<float>(estimator_.attitude().yaw_rad);
   Send(MavMessage{att});
-  attitude_event_ = clock_->ScheduleAfter(kAttitudeTelemetryPeriod,
-                                          [this] { AttitudeTick(); });
+  ArmAttitude(clock_->now() + kAttitudeTelemetryPeriod);
 }
 
 void FlightController::PositionTick() {
@@ -155,8 +164,7 @@ void FlightController::PositionTick() {
       (10.5 + 2.1 * std::max(0.0, sensed)) * 1000);
   ss.battery_remaining = static_cast<int8_t>(sensed * 100);
   Send(MavMessage{ss});
-  position_event_ = clock_->ScheduleAfter(kPositionTelemetryPeriod,
-                                          [this] { PositionTick(); });
+  ArmPosition(clock_->now() + kPositionTelemetryPeriod);
 }
 
 NedPoint FlightController::EstimatedNed() const {
@@ -373,8 +381,7 @@ void FlightController::FastLoop() {
     plane_recorder_(sample);
   }
 
-  fast_loop_event_ =
-      clock_->ScheduleAfter(kFastLoopPeriod, [this] { FastLoop(); });
+  ArmFastLoop(clock_->now() + kFastLoopPeriod);
 }
 
 void FlightController::RunControl(SimDuration dt, bool replaying) {
@@ -682,7 +689,7 @@ void FlightController::Send(const MavMessage& message) {
     return;
   }
   MavlinkFrame frame = PackMessage(message);
-  frame.sysid = config_.sysid;
+  frame.sysid = kSysId;
   frame.compid = 1;
   frame.seq = tx_seq_++;
   sender_(frame);
@@ -741,7 +748,7 @@ void FlightController::HandleFrame(const MavlinkFrame& frame) {
 }
 
 void FlightController::HandleCommandLong(const CommandLong& cmd) {
-  if (cmd.target_system != config_.sysid) {
+  if (cmd.target_system != kSysId) {
     return;
   }
   switch (static_cast<MavCmd>(cmd.command)) {
@@ -836,7 +843,7 @@ void FlightController::HandleCommandLong(const CommandLong& cmd) {
 }
 
 void FlightController::HandleSetMode(const SetMode& sm) {
-  if (sm.target_system != config_.sysid) {
+  if (sm.target_system != kSysId) {
     return;
   }
   SwitchMode(static_cast<CopterMode>(sm.custom_mode));
@@ -878,7 +885,7 @@ MavResult FlightController::SwitchMode(CopterMode mode) {
 
 void FlightController::HandleSetPositionTarget(
     const SetPositionTargetGlobalInt& sp) {
-  if (sp.target_system != config_.sysid || mode_ != CopterMode::kGuided) {
+  if (sp.target_system != kSysId || mode_ != CopterMode::kGuided) {
     return;
   }
   // type_mask bit semantics: bit set = ignore that field group.
@@ -899,7 +906,7 @@ void FlightController::HandleSetPositionTarget(
 }
 
 void FlightController::HandleRcOverride(const RcChannelsOverride& rc) {
-  if (rc.target_system != config_.sysid) {
+  if (rc.target_system != kSysId) {
     return;
   }
   rc_ = rc;
@@ -907,7 +914,7 @@ void FlightController::HandleRcOverride(const RcChannelsOverride& rc) {
 }
 
 void FlightController::HandleParamSet(const ParamSet& ps) {
-  if (ps.target_system != config_.sysid) {
+  if (ps.target_system != kSysId) {
     return;
   }
   params_[ps.param_id] = ps.param_value;
@@ -973,29 +980,18 @@ Status FlightController::Visit(Ar& ar) {
   RETURN_IF_ERROR(position_ctrl_.Visit(ar));
   RETURN_IF_ERROR(safety_.Visit(ar));
   RETURN_IF_ERROR(log_.Visit(ar));
-  ar.Timer("fc.fast", fast_loop_event_);
-  ar.Timer("fc.heartbeat", heartbeat_event_);
-  ar.Timer("fc.attitude", attitude_event_);
-  ar.Timer("fc.position", position_event_);
+  ar.Timer("fc.fast", fast_loop_event_,
+           [this](SimTime when) { ArmFastLoop(when); });
+  ar.Timer("fc.heartbeat", heartbeat_event_,
+           [this](SimTime when) { ArmHeartbeat(when); });
+  ar.Timer("fc.attitude", attitude_event_,
+           [this](SimTime when) { ArmAttitude(when); });
+  ar.Timer("fc.position", position_event_,
+           [this](SimTime when) { ArmPosition(when); });
   return ar.status();
 }
 
 template Status FlightController::Visit(SaveArchive&);
 template Status FlightController::Visit(LoadArchive&);
-
-void FlightController::RegisterTimers(TimerRearmer& rearmer) {
-  rearmer.Register("fc.fast", [this](SimTime when) {
-    fast_loop_event_ = clock_->ScheduleAt(when, [this] { FastLoop(); });
-  });
-  rearmer.Register("fc.heartbeat", [this](SimTime when) {
-    heartbeat_event_ = clock_->ScheduleAt(when, [this] { HeartbeatTick(); });
-  });
-  rearmer.Register("fc.attitude", [this](SimTime when) {
-    attitude_event_ = clock_->ScheduleAt(when, [this] { AttitudeTick(); });
-  });
-  rearmer.Register("fc.position", [this](SimTime when) {
-    position_event_ = clock_->ScheduleAt(when, [this] { PositionTick(); });
-  });
-}
 
 }  // namespace androne

@@ -30,7 +30,6 @@
 #include "src/mavlink/messages.h"
 #include "src/mavlink/reliable.h"
 #include "src/rt/kernel_model.h"
-#include "src/snapshot/snapshot.h"
 #include "src/util/sim_clock.h"
 
 namespace androne {
@@ -44,7 +43,6 @@ struct GeofenceConfig {
 
 struct FlightControllerConfig {
   GeoPoint home;
-  uint8_t sysid = 1;
   // Battery failsafe: below this remaining fraction the controller forces
   // RTL so the flight always ends at base (0 disables).
   double battery_failsafe_fraction = 0.15;
@@ -198,15 +196,11 @@ class FlightController {
 
   // --- Checkpoint/restore (DESIGN.md §13) ---
   // Lists every field that influences future control decisions plus the
-  // four periodic loops' armed deadlines (keys fc.fast / fc.heartbeat /
-  // fc.attitude / fc.position). Callbacks (sender, fence, safety, camera)
-  // are re-wired by the restoring world, not persisted. Instantiated for
-  // SaveArchive and LoadArchive in flight_controller.cc.
+  // four periodic loops' armed deadlines. Callbacks (sender, fence, safety,
+  // camera) are re-wired by the restoring world, not persisted.
+  // Instantiated for SaveArchive and LoadArchive in flight_controller.cc.
   template <class Ar>
   Status Visit(Ar& ar);
-  // Registers the loop re-arm handlers on |rearmer|; the restoring world
-  // calls this after the load and before TimerRearmer::Replay.
-  void RegisterTimers(TimerRearmer& rearmer);
 
  private:
   void FastLoop();
@@ -228,7 +222,11 @@ class FlightController {
   void OnSafetyStage(SafetyStage stage, uint32_t reasons);
   double SensedBatteryFraction() const;
   NedPoint EstimatedNed() const;
-  void StartTelemetry();
+  // Each loop's one schedule site: runs the loop at |when|.
+  void ArmFastLoop(SimTime when);
+  void ArmHeartbeat(SimTime when);
+  void ArmAttitude(SimTime when);
+  void ArmPosition(SimTime when);
   void HeartbeatTick();
   void AttitudeTick();
   void PositionTick();

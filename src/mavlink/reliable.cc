@@ -76,8 +76,12 @@ void ReliableCommandSender::Transmit(uint16_t command_id) {
       it->second.attempts == 1
           ? kAckTimeout
           : kRetryBackoff.DelayFor(it->second.attempts - 2, rng_);
-  it->second.timer =
-      clock_->ScheduleAfter(delay, [this, command_id] { OnTimeout(command_id); });
+  it->second.timer = ArmRetry(command_id, clock_->now() + delay);
+}
+
+EventId ReliableCommandSender::ArmRetry(uint16_t command_id, SimTime when) {
+  return clock_->ScheduleAt(when,
+                            [this, command_id] { OnTimeout(command_id); });
 }
 
 void ReliableCommandSender::OnTimeout(uint16_t command_id) {
@@ -139,7 +143,13 @@ Status ReliableCommandSender::Visit(Ar& ar) {
     VisitValue(ar, p.cmd);
     ar.U8(p.seq);
     ar.I64(p.attempts);
-    bool armed = ar.Timer("rel." + std::to_string(command_id), p.timer);
+    // The load visits a temporary entry, so the re-arm finds the stored
+    // one by id.
+    bool armed = ar.Timer("rel." + std::to_string(command_id), p.timer,
+                          [this, command_id](SimTime when) {
+                            pending_[command_id].timer =
+                                ArmRetry(command_id, when);
+                          });
     ar.Bool(armed);
   });
   return ar.status();
@@ -147,17 +157,6 @@ Status ReliableCommandSender::Visit(Ar& ar) {
 
 template Status ReliableCommandSender::Visit(SaveArchive&);
 template Status ReliableCommandSender::Visit(LoadArchive&);
-
-void ReliableCommandSender::RegisterTimers(TimerRearmer& rearmer) {
-  for (const auto& [command_id, p] : pending_) {
-    uint16_t id = command_id;
-    rearmer.Register("rel." + std::to_string(id),
-                     [this, id](SimTime when) {
-                       pending_[id].timer = clock_->ScheduleAt(
-                           when, [this, id] { OnTimeout(id); });
-                     });
-  }
-}
 
 namespace {
 

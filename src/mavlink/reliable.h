@@ -15,7 +15,6 @@
 #include <optional>
 
 #include "src/mavlink/messages.h"
-#include "src/snapshot/snapshot.h"
 #include "src/util/rng.h"
 #include "src/util/sim_clock.h"
 
@@ -90,14 +89,11 @@ class ReliableCommandSender {
   uint64_t gave_up() const { return gave_up_; }
 
   // --- Checkpoint/restore (DESIGN.md §13) ---
-  // Pending commands persist with their armed retry deadlines under keys
-  // "rel.<command_id>"; sinks/callbacks are re-wired by the caller.
-  // Instantiated for SaveArchive and LoadArchive in reliable.cc.
+  // Pending commands persist with their armed retry deadlines;
+  // sinks/callbacks are re-wired by the caller. Instantiated for
+  // SaveArchive and LoadArchive in reliable.cc.
   template <class Ar>
   Status Visit(Ar& ar);
-  // Registers one re-arm handler per restored pending command. Call after
-  // the load, before TimerRearmer::Replay.
-  void RegisterTimers(TimerRearmer& rearmer);
 
  private:
   struct Pending {
@@ -108,6 +104,8 @@ class ReliableCommandSender {
   };
 
   void Transmit(uint16_t command_id);
+  // Schedules |command_id|'s ack timeout at |when|.
+  EventId ArmRetry(uint16_t command_id, SimTime when);
   void OnTimeout(uint16_t command_id);
   void Resolve(uint16_t command_id, bool delivered);
 

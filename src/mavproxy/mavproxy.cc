@@ -30,12 +30,7 @@ void MavProxy::HandleMasterFrame(const MavlinkFrame& frame) {
       if (batch_scratch_.size() >= batch_config_.flush_bytes) {
         FlushTelemetryBatch();
       } else if (was_empty) {
-        batch_deadline_ =
-            clock_->ScheduleAfter(batch_config_.flush_after, [this] {
-              batch_deadline_armed_ = false;
-              FlushTelemetryBatch();
-            });
-        batch_deadline_armed_ = true;
+        ArmBatchDeadline(clock_->now() + batch_config_.flush_after);
       }
     } else {
       planner_wire_scratch_.clear();
@@ -61,6 +56,14 @@ void MavProxy::EnableTelemetryBatching(const TelemetryBatchConfig& config) {
   // Watermark overshoot is bounded by one encoded frame (MAVLink v1 caps at
   // 6-byte header + 255 payload + 2 CRC).
   batch_scratch_.reserve(config.flush_bytes + 263);
+}
+
+void MavProxy::ArmBatchDeadline(SimTime when) {
+  batch_deadline_ = clock_->ScheduleAt(when, [this] {
+    batch_deadline_armed_ = false;
+    FlushTelemetryBatch();
+  });
+  batch_deadline_armed_ = true;
 }
 
 void MavProxy::FlushTelemetryBatch() {
@@ -157,7 +160,8 @@ Status MavProxy::Visit(Ar& ar) {
   ar.U64(wire_flushes_);
   ar.Bytes(batch_scratch_);
   // The batch deadline is armed exactly while its event is pending.
-  ar.Timer("mav.batch", batch_deadline_);
+  ar.Timer("mav.batch", batch_deadline_,
+           [this](SimTime when) { ArmBatchDeadline(when); });
   ar.Bool(batch_deadline_armed_);
   ar.Match(vfcs_.size(), "mavproxy VFC roster size");
   for (const auto& vfc : vfcs_) {
@@ -168,15 +172,5 @@ Status MavProxy::Visit(Ar& ar) {
 
 template Status MavProxy::Visit(SaveArchive&);
 template Status MavProxy::Visit(LoadArchive&);
-
-void MavProxy::RegisterTimers(TimerRearmer& rearmer) {
-  rearmer.Register("mav.batch", [this](SimTime when) {
-    batch_deadline_ = clock_->ScheduleAt(when, [this] {
-      batch_deadline_armed_ = false;
-      FlushTelemetryBatch();
-    });
-    batch_deadline_armed_ = true;
-  });
-}
 
 }  // namespace androne

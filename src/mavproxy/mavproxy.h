@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "src/mavproxy/vfc.h"
-#include "src/snapshot/snapshot.h"
 
 namespace androne {
 
@@ -94,16 +93,17 @@ class MavProxy {
 
   // --- Checkpoint/restore (DESIGN.md §13) ---
   // Persists counters, the in-flight telemetry batch (bytes + armed
-  // deadline, key "mav.batch"), and each VFC's view machine in creation
-  // order. The restoring world must have created the identical
-  // VFC roster (same Deploy at the same seed) before the load.
-  // Instantiated for SaveArchive and LoadArchive in mavproxy.cc.
+  // deadline), and each VFC's view machine in creation order. The
+  // restoring world must have created the identical VFC roster (same
+  // Deploy at the same seed) before the load. Instantiated for SaveArchive
+  // and LoadArchive in mavproxy.cc.
   template <class Ar>
   Status Visit(Ar& ar);
-  void RegisterTimers(TimerRearmer& rearmer);
 
  private:
   void SendToMaster(const MavlinkFrame& frame);
+  // Flushes the batch at |when| unless it flushes early.
+  void ArmBatchDeadline(SimTime when);
 
   SimClock* clock_;
   FrameSink to_master_;

@@ -28,7 +28,11 @@ void NetworkChannel::Send(std::vector<uint8_t> payload) {
   Inflight& entry = inflight_[id];
   entry.payload = std::move(payload);
   entry.latency = latency;
-  entry.event = clock_->ScheduleAfter(latency, [this, id] { Deliver(id); });
+  entry.event = ArmDelivery(id, clock_->now() + latency);
+}
+
+EventId NetworkChannel::ArmDelivery(uint64_t id, SimTime when) {
+  return clock_->ScheduleAt(when, [this, id] { Deliver(id); });
 }
 
 void NetworkChannel::Deliver(uint64_t id) {
@@ -70,25 +74,18 @@ Status NetworkChannel::Visit(Ar& ar, const std::string& prefix) {
     ar.U64(id);
     ar.I64(entry.latency);
     ar.Bytes(entry.payload);
-    ar.Timer(prefix + "." + std::to_string(id), entry.event);
+    // The load visits a temporary entry, so the re-arm finds the stored
+    // one by id.
+    ar.Timer(prefix + "." + std::to_string(id), entry.event,
+             [this, id](SimTime when) {
+               inflight_[id].event = ArmDelivery(id, when);
+             });
   });
   return ar.status();
 }
 
 template Status NetworkChannel::Visit(SaveArchive&, const std::string&);
 template Status NetworkChannel::Visit(LoadArchive&, const std::string&);
-
-void NetworkChannel::RegisterTimers(TimerRearmer& rearmer,
-                                    const std::string& prefix) {
-  for (const auto& [id, entry] : inflight_) {
-    const uint64_t captured = id;
-    rearmer.Register(prefix + "." + std::to_string(id),
-                     [this, captured](SimTime when) {
-      inflight_[captured].event =
-          clock_->ScheduleAt(when, [this, captured] { Deliver(captured); });
-    });
-  }
-}
 
 void NetworkChannel::SetTrace(TraceRecorder* trace) {
   trace_ = trace;

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "src/net/link_model.h"
-#include "src/snapshot/snapshot.h"
 #include "src/util/histogram.h"
 #include "src/util/sim_clock.h"
 
@@ -55,15 +54,11 @@ class NetworkChannel {
 
   // --- Checkpoint/restore (DESIGN.md §13) ---
   // In-flight datagrams persist with their payload bytes and armed delivery
-  // deadlines under keys "<prefix>.<id>"; the receiver is re-wired by the
-  // restoring world. Instantiated for SaveArchive and LoadArchive in
-  // channel.cc.
+  // deadlines, whose timer keys start with |prefix|; the receiver is
+  // re-wired by the restoring world. Instantiated for SaveArchive and
+  // LoadArchive in channel.cc.
   template <class Ar>
   Status Visit(Ar& ar, const std::string& prefix);
-  // Registers one re-arm handler per restored in-flight datagram. Call
-  // after the load, before TimerRearmer::Replay, with the same prefix the
-  // save used.
-  void RegisterTimers(TimerRearmer& rearmer, const std::string& prefix);
 
  private:
   // One scheduled-but-undelivered datagram, held in a registry (keyed by a
@@ -74,6 +69,8 @@ class NetworkChannel {
     EventId event = 0;
   };
 
+  // Schedules datagram |id|'s delivery at |when|.
+  EventId ArmDelivery(uint64_t id, SimTime when);
   void Deliver(uint64_t id);
 
   SimClock* clock_;

@@ -7,9 +7,10 @@
 // member, and the two concrete archives below give that one list its two
 // meanings: SaveArchive appends each field to a SnapshotWriter and reports
 // armed timers to a TimerRegistry; LoadArchive reads each field back into
-// the same member from a SnapshotReader and keeps the first error (every
-// later primitive is then a no-op, and Visit returns ar.status()). Save and
-// restore therefore cannot disagree on order, width or presence.
+// the same member from a SnapshotReader, binds each timer key to its
+// re-arm in a TimerRearmer, and keeps the first error (every later
+// primitive is then a no-op, and Visit returns ar.status()). Save and
+// restore therefore cannot disagree on order, width, presence or timers.
 //
 // Both archives are concrete with inline primitives and every Visit is
 // instantiated once per archive, so a field costs what one hand-written
@@ -94,7 +95,9 @@ class SaveArchive {
   void Match(const std::string& live, const char* /*what*/) { w_.Str(live); }
 
   // Reports |id| under |key| when it is pending; returns whether it was.
-  bool Timer(std::string_view key, const EventId& id) {
+  // |rearm| is the load side's; a save never calls it.
+  template <class Rearm>
+  bool Timer(std::string_view key, const EventId& id, Rearm&& /*rearm*/) {
     SimTime when = 0;
     uint64_t seq = 0;
     if (id == 0 || !clock_.PendingInfo(id, &when, &seq)) {
@@ -140,7 +143,9 @@ class LoadArchive {
  public:
   static constexpr bool kLoading = true;
 
-  explicit LoadArchive(SnapshotReader& r) : r_(r) {}
+  // Fills |timers| with a re-arm handler per timer the visit names.
+  LoadArchive(SnapshotReader& r, TimerRearmer& timers)
+      : r_(r), timers_(timers) {}
 
   bool ok() const { return status_.ok(); }
   const Status& status() const { return status_; }
@@ -239,10 +244,13 @@ class LoadArchive {
     }
   }
 
-  // Restore drops every pending event; the timer table re-arms the ones
-  // that were pending through RegisterTimers.
-  bool Timer(std::string_view /*key*/, EventId& id) {
+  // Restore drops every pending event; TimerRearmer::Replay calls
+  // |rearm(when)|, which re-schedules the event and stores its id, when the
+  // timer table names |key|.
+  template <class Rearm>
+  bool Timer(std::string_view key, EventId& id, Rearm&& rearm) {
     id = 0;
+    timers_.Register(std::string(key), std::forward<Rearm>(rearm));
     return false;
   }
 
@@ -294,6 +302,7 @@ class LoadArchive {
   }
 
   SnapshotReader& r_;
+  TimerRearmer& timers_;
   Status status_;
 };
 

@@ -94,12 +94,13 @@ Status TimerRearmer::Replay(SnapshotReader& r) {
     SimTime when;
     RETURN_IF_ERROR(r.Str(&key));
     RETURN_IF_ERROR(r.I64(&when));
-    auto it = handlers_.find(key);
-    if (it == handlers_.end()) {
-      return InternalError("snapshot timer '" + key +
-                           "' has no registered re-arm handler");
+    auto handler = handlers_.extract(key);
+    if (handler.empty()) {
+      return InvalidArgumentError(
+          "snapshot timer '" + key +
+          "' is not held by the restored state or is named twice");
     }
-    it->second(when);
+    handler.mapped()(when);
   }
   return OkStatus();
 }

@@ -12,10 +12,10 @@
 // (deadline + the clock's FIFO sequence stamp); the registry persists the
 // table sorted by sequence, which captures the relative dispatch order of
 // same-deadline events without persisting raw sequence numbers (raw stamps
-// are not stable across a restore). On restore, components register a
-// re-arm handler per key with a TimerRearmer; replaying the table in saved
-// order re-schedules every timer at its absolute deadline with fresh
-// sequence stamps in the original relative order.
+// are not stable across a restore). On restore, the load binds each key
+// the components visit to its re-arm handler in a TimerRearmer; replaying
+// the table in saved order re-schedules every timer at its absolute
+// deadline with fresh sequence stamps in the original relative order.
 #ifndef SRC_SNAPSHOT_SNAPSHOT_H_
 #define SRC_SNAPSHOT_SNAPSHOT_H_
 
@@ -134,13 +134,13 @@ class TimerRegistry {
   std::vector<Entry> entries_;
 };
 
-// Restore-side dispatch: components register one handler per timer key;
-// Replay() walks the persisted table in order, invoking each handler at its
-// saved absolute deadline. The handler re-schedules on the live clock,
-// which re-establishes the original relative dispatch order because
-// sequence stamps are assigned in scheduling order. An entry with no
-// registered handler is an error — it means a component forgot to offer a
-// re-arm path for a timer it persisted.
+// Restore-side dispatch: LoadArchive registers one handler per timer key
+// the load visits; Replay() walks the persisted table in order, invoking
+// each handler at its saved absolute deadline. The handler re-schedules on
+// the live clock, which re-establishes the original relative dispatch order
+// because sequence stamps are assigned in scheduling order. Each handler
+// runs at most once: the table is untrusted bytes, so a key the restored
+// state does not hold, or one the table names twice, fails the replay.
 class TimerRearmer {
  public:
   using Handler = std::function<void(SimTime when)>;

@@ -118,6 +118,36 @@ TEST_F(CampaignTest, HugeMagBiasManifestCompletes) {
   }
 }
 
+// An IMU bias past the plausible-rate bound excludes the gyro, which the
+// Simplex supervisor treats as a hard violation (DESIGN.md §7): it descends
+// and lands the drone, so the world ends with completed = 0 as a scenario
+// outcome, not an infrastructure failure. A ramp that overflows to inf is
+// rejected like the finite one and flies the identical flight.
+TEST_F(CampaignTest, OverflowingImuBiasLandsLikeAFiniteOne) {
+  std::vector<uint64_t> flight_digests;
+  for (const char* p0 : {"1e12", "1e308"}) {
+    SCOPED_TRACE(p0);
+    auto campaign = ParseCampaignManifest(std::string(R"(
+<campaign name="imu-bias" seed="2026">
+  <scenario annealing="120" dwell_s="5" name="imu_bias" repeat="1">
+    <sensor_fault channel="imu" dur_s="30" kind="bias_drift"
+                  p0=")") + p0 + R"(" start_s="20"/>
+  </scenario>
+</campaign>)");
+    ASSERT_TRUE(campaign.ok()) << campaign.status().message();
+    std::vector<ScenarioSpec> scenarios = Expand(*campaign);
+    ASSERT_EQ(scenarios.size(), 1u);
+    StatusOr<WorldResult> world = CampaignRunner::Repro(
+        scenarios, scenarios[0].name, /*trace_categories=*/0);
+    ASSERT_TRUE(world.ok()) << world.status().message();
+    EXPECT_FALSE(world->completed);
+    EXPECT_FALSE(world->infra_failure);
+    flight_digests.push_back(world->flight_digest);
+  }
+  ASSERT_EQ(flight_digests.size(), 2u);
+  EXPECT_EQ(flight_digests[0], flight_digests[1]);
+}
+
 TEST_F(CampaignTest, TriagePinsFirstDivergentEventForChaosFailures) {
   CampaignSpec campaign;
   campaign.name = "triage";

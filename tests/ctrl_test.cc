@@ -306,7 +306,8 @@ TEST(AdmissionTest, SaveRestoreSaveIsByteFixedPoint) {
 
   AdmissionController restored(config);
   SnapshotReader reader(first.bytes());
-  LoadArchive load(reader);
+  TimerRearmer rearmer;
+  LoadArchive load(reader, rearmer);
   ASSERT_TRUE(restored.Visit(load).ok());
   EXPECT_EQ(reader.remaining(), 0u);
 

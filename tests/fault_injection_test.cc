@@ -21,6 +21,8 @@
 #include "src/mavproxy/mavproxy.h"
 #include "src/net/channel.h"
 #include "src/net/fault_injector.h"
+#include "src/snapshot/archive.h"
+#include "src/snapshot/snapshot.h"
 
 namespace androne {
 namespace {
@@ -370,6 +372,77 @@ TEST(ReliableDeliveryTest, SenderGivesUpAfterMaxAttempts) {
   EXPECT_EQ(h.gcs_.sender().gave_up(), 1u);
   EXPECT_EQ(h.gcs_.sender().pending(), 0u);
   EXPECT_FALSE(h.drone_.controller().armed());
+}
+
+// A sender whose every transmission is lost, with a log of what it sent.
+struct LossySender {
+  struct Sent {
+    SimTime at;
+    MavlinkFrame frame;
+    bool operator==(const Sent& o) const {
+      return at == o.at && frame.seq == o.frame.seq &&
+             frame.payload == o.frame.payload;
+    }
+  };
+  SimClock clock;
+  ReliableCommandSender sender{&clock, /*seed=*/61};
+  std::vector<Sent> sent;
+
+  LossySender() {
+    sender.SetSendSink([this](const MavlinkFrame& frame) {
+      sent.push_back({clock.now(), frame});
+    });
+  }
+
+  // The sender's state followed by its timer table.
+  std::string Save() {
+    SnapshotWriter w;
+    TimerRegistry timers;
+    SaveArchive ar(w, timers, clock);
+    EXPECT_TRUE(sender.Visit(ar).ok());
+    timers.Persist(w);
+    return w.Take();
+  }
+
+  // Load, clock rewind, timer re-arm.
+  Status Restore(const std::string& blob, SimTime now, uint64_t events_run) {
+    SnapshotReader r(blob);
+    TimerRearmer rearmer;
+    LoadArchive ar(r, rearmer);
+    RETURN_IF_ERROR(sender.Visit(ar));
+    clock.ResetForRestore(now, events_run);
+    return rearmer.Replay(r);
+  }
+};
+
+// A command awaiting its ack carries an armed retry timer: a restored
+// sender saves back to the same bytes and retransmits exactly when, and
+// exactly what, the original does.
+TEST(ReliableDeliveryTest, PendingRetryRestoresAtItsDeadline) {
+  LossySender original;
+  CommandLong arm;
+  arm.command = static_cast<uint16_t>(MavCmd::kComponentArmDisarm);
+  arm.param1 = 1;
+  original.sender.SendCommand(arm);
+  original.clock.RunFor(Millis(500));  // Past the first ack timeout.
+  ASSERT_EQ(original.sender.retransmissions(), 1u);
+  const std::string blob = original.Save();
+  ASSERT_NE(blob.find("rel." + std::to_string(arm.command)),
+            std::string::npos);
+
+  LossySender restored;
+  ASSERT_TRUE(restored
+                  .Restore(blob, original.clock.now(),
+                           original.clock.events_run())
+                  .ok());
+  EXPECT_EQ(restored.Save(), blob);
+  original.sent.clear();
+  original.clock.RunFor(Seconds(60));
+  restored.clock.RunFor(Seconds(60));
+  EXPECT_EQ(original.sender.gave_up(), 1u);
+  EXPECT_EQ(restored.sender.gave_up(), 1u);
+  EXPECT_EQ(restored.sent.size(), 8u);
+  EXPECT_TRUE(restored.sent == original.sent);
 }
 
 // A combined chaos script — link *and* sensor fault windows composed on

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <limits>
 
@@ -146,12 +147,24 @@ TEST(EstimatorTest, NonFiniteReadingsAreRejected) {
   const double kInf = std::numeric_limits<double>::infinity();
   const double kNaN = std::numeric_limits<double>::quiet_NaN();
   Estimator est(kHome);
+  const std::array<double, 3> kRates{0.1, 0.0, 0.0};
+  const std::array<double, 3> kLevel{0.0, 0.0, -9.80665};
+  ImuSample imu;
+  auto update_imu = [&](const std::array<double, 3>& gyro,
+                        const std::array<double, 3>& accel) {
+    imu.timestamp += Micros(2500);  // Live sensor: timestamps advance.
+    imu.gyro_rads = gyro;
+    imu.accel_mss = accel;
+    est.UpdateImu(imu, Micros(2500));
+  };
   GpsFix bad;
   bad.has_fix = true;
   bad.position = GeoPoint{kNaN, -85.812, 30.0};
   est.UpdateMag(kInf);
   est.UpdateBaro(kNaN);
   est.UpdateGps(bad);
+  update_imu({0.1, kNaN, 0.0}, kLevel);
+  update_imu(kRates, {kInf, 0.0, -9.80665});
   EXPECT_FALSE(est.position().valid);
 
   GpsFix good;
@@ -160,6 +173,8 @@ TEST(EstimatorTest, NonFiniteReadingsAreRejected) {
   est.UpdateMag(0.3);
   est.UpdateBaro(12.0);
   est.UpdateGps(good);
+  update_imu(kRates, kLevel);
+  const AttitudeEstimate before = est.attitude();
   for (double reading : {kInf, -kInf, kNaN}) {
     est.UpdateMag(reading);
     est.UpdateBaro(reading);
@@ -168,15 +183,30 @@ TEST(EstimatorTest, NonFiniteReadingsAreRejected) {
     bad.position.latitude_deg = 43.609;
     bad.position.longitude_deg = reading;
     est.UpdateGps(bad);
+    for (size_t axis = 0; axis < 3; ++axis) {
+      std::array<double, 3> gyro = kRates;
+      gyro[axis] = reading;
+      update_imu(gyro, kLevel);
+      EXPECT_EQ(est.last_gyro(), kRates);  // The last finite rates stay.
+      std::array<double, 3> accel = kLevel;
+      accel[axis] = reading;
+      update_imu(kRates, accel);
+    }
   }
   for (EstimatorSensor sensor :
-       {EstimatorSensor::kMag, EstimatorSensor::kBaro, EstimatorSensor::kGps}) {
+       {EstimatorSensor::kMag, EstimatorSensor::kBaro, EstimatorSensor::kGps,
+        EstimatorSensor::kImu}) {
     EXPECT_EQ(est.health(sensor).accepted, 1u) << static_cast<int>(sensor);
   }
   EXPECT_EQ(est.health(EstimatorSensor::kMag).rejected, 4u);
   EXPECT_EQ(est.health(EstimatorSensor::kBaro).rejected, 4u);
   EXPECT_EQ(est.health(EstimatorSensor::kGps).rejected, 7u);
+  EXPECT_EQ(est.health(EstimatorSensor::kImu).rejected, 20u);
   EXPECT_TRUE(std::isfinite(est.attitude().yaw_rad));
+  EXPECT_TRUE(std::isfinite(est.attitude().roll_rad));
+  EXPECT_TRUE(std::isfinite(est.attitude().pitch_rad));
+  // Only the gyro and the magnetometer turn the yaw; both were rejected.
+  EXPECT_EQ(est.attitude().yaw_rad, before.yaw_rad);
   EXPECT_DOUBLE_EQ(est.position().position.altitude_m, 12.0);
   EXPECT_DOUBLE_EQ(est.position().position.latitude_deg, 43.609);
   EXPECT_DOUBLE_EQ(est.position().position.longitude_deg, -85.812);

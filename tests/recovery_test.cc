@@ -5,6 +5,7 @@
 // any checkpoint cadence, and any executor thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "src/hw/sensor_faults.h"
 #include "src/obs/trace.h"
 #include "src/snapshot/checkpoint.h"
+#include "tests/snapshot_fixtures.h"
 
 namespace androne {
 namespace {
@@ -49,6 +51,16 @@ CheckpointPolicy PeriodicCadence() {
   policy.period_s = 4;
   policy.at_phase_boundaries = false;
   return policy;
+}
+
+// A crash-looped payload container: it crashes at 6, 12 and 18 s and its
+// supervisor restarts it after a backoff that grows with the streak.
+FleetWorldConfig CrashLoopConfig() {
+  FleetWorldConfig config = BaseConfig();
+  config.crash_loop.count = 3;
+  config.crash_loop.start_s = 4;
+  config.crash_loop.period_s = 6;
+  return config;
 }
 
 void ExpectEquivalent(const WorldResult& baseline, const WorldResult& run,
@@ -135,12 +147,8 @@ TEST(RecoveryEquivalenceTest, ReplayFromBootWhenNoCheckpointExists) {
 
 TEST(RecoveryEquivalenceTest, RecoveredWorldsUnderChaosStayEquivalent) {
   // Recovery composes with the other chaos axes: a crash-looped payload
-  // container (supervised restarts with armed backoff timers in the
-  // checkpoint) must survive the kill/restore cycle too.
-  FleetWorldConfig chaotic = BaseConfig();
-  chaotic.crash_loop.count = 3;
-  chaotic.crash_loop.start_s = 4;
-  chaotic.crash_loop.period_s = 6;
+  // container must survive the kill/restore cycle too.
+  FleetWorldConfig chaotic = CrashLoopConfig();
   WorldResult baseline = RunFleetWorld(chaotic, MakeContext(31));
   ASSERT_TRUE(baseline.completed);
 
@@ -151,6 +159,49 @@ TEST(RecoveryEquivalenceTest, RecoveredWorldsUnderChaosStayEquivalent) {
   EXPECT_EQ(recovered.recovery.crashes, 2);
   EXPECT_TRUE(recovered.recovery.fixed_point_ok);
   ExpectEquivalent(baseline, recovered, "crash loop + world crashes");
+}
+
+TEST(RecoveryEquivalenceTest, PendingSupervisorRestartRestoresExactly) {
+  // The payload's third restart waits ~1.9 s after its crash at 18 s, so
+  // with a 1 s cadence the checkpoint at 19 s holds the supervisor's armed
+  // restart timer, and a world crash at 19.5 s restores it.
+  FleetWorldConfig config = CrashLoopConfig();
+  config.checkpoint.period_s = 1;
+  config.checkpoint.at_phase_boundaries = false;
+  config.crash_at_s = {19.5};
+  {
+    // With no restore budget the world gives up at the crash, and the store
+    // keeps the checkpoint the recovery below restores.
+    FleetWorldConfig capture = config;
+    capture.restore.max_restores = 0;
+    CheckpointStore store;
+    capture.checkpoint_sink = &store;
+    ASSERT_TRUE(RunFleetWorld(capture, MakeContext(31)).recovery.gave_up);
+    StatusOr<std::string> blob = store.Latest();
+    ASSERT_TRUE(blob.ok());
+    const auto table = snapshot_fixtures::TimerTable(*blob);
+    ASSERT_TRUE(std::any_of(table.begin(), table.end(), [](const auto& e) {
+      return e.first.rfind("sup.", 0) == 0;
+    }));
+    EXPECT_TRUE(VerifyFleetCheckpoint(config, MakeContext(31), *blob).ok());
+
+    // A table that re-arms a restart the restored state does not hold is
+    // refused. SUPV: rng (32 bytes), three u64 counts, then the one watch
+    // entry's id, streak (u32) and life start before its pending flag.
+    std::string unheld = *blob;
+    const size_t pending = unheld.find("SUPV") + 4 + 32 + 24 + 8 + 4 + 8;
+    ASSERT_EQ(unheld[pending], 1);
+    unheld[pending] = 0;
+    Status status = VerifyFleetCheckpoint(config, MakeContext(31), unheld);
+    EXPECT_FALSE(status.ok());
+    EXPECT_NE(status.message().find("sup."), std::string::npos) << status;
+  }
+  WorldResult baseline = RunFleetWorld(CrashLoopConfig(), MakeContext(31));
+  ASSERT_TRUE(baseline.completed);
+  WorldResult recovered = RunFleetWorld(config, MakeContext(31));
+  EXPECT_EQ(recovered.recovery.restores, 1);
+  EXPECT_TRUE(recovered.recovery.fixed_point_ok);
+  ExpectEquivalent(baseline, recovered, "restore with a restart pending");
 }
 
 TEST(RecoveryEquivalenceTest, ThreadCountInvariantWithCrashes) {

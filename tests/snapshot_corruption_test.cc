@@ -6,6 +6,7 @@
 // a fixed mutation budget, so it also rides the sanitizer build.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -101,6 +102,25 @@ TEST(SnapshotHardeningTest, HugeMissionEventCountIsAnError) {
   Status status = RestoreSystemBlob(blob);
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.message().find("length"), std::string::npos) << status;
+}
+
+// Each timer re-arms at most once: a table that names the 400 Hz loop twice
+// would otherwise arm it twice and run it at 800 Hz.
+TEST(SnapshotHardeningTest, DuplicateTimerKeyIsAnError) {
+  std::string blob = MidFlightSystemBlob();
+  const auto table = TimerTable(blob);
+  const auto fast = std::find_if(table.begin(), table.end(), [](const auto& e) {
+    return e.first == "fc.fast";
+  });
+  ASSERT_NE(fast, table.end());
+  SnapshotWriter twice;
+  twice.Str(fast->first);
+  twice.I64(fast->second);
+  PutU64(blob, blob.rfind("TIMR") + 4, table.size() + 1);
+  blob += twice.bytes();
+  Status status = RestoreSystemBlob(blob);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("fc.fast"), std::string::npos) << status;
 }
 
 TEST(SnapshotHardeningTest, OutOfRangeEnumIsAnError) {

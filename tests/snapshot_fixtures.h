@@ -8,6 +8,9 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "src/cloud/energy_model.h"
 #include "src/cloud/flight_planner.h"
@@ -95,6 +98,32 @@ inline std::string SaveSystemBlob(const AnDroneSystem& system) {
   system.SaveState(w, timers);
   timers.Persist(w);
   return w.Take();
+}
+
+// The (key, deadline) entries of the timer table that closes |blob|, or
+// none when the bytes after its last "TIMR" tag are not exactly one table.
+inline std::vector<std::pair<std::string, SimTime>> TimerTable(
+    const std::string& blob) {
+  const size_t at = blob.rfind("TIMR");
+  if (at == std::string::npos) {
+    return {};
+  }
+  SnapshotReader r(std::string_view(blob).substr(at));
+  uint64_t count = 0;
+  if (!r.Section("TIMR").ok() || !r.U64(&count).ok()) {
+    return {};
+  }
+  std::vector<std::pair<std::string, SimTime>> entries;
+  for (uint64_t i = 0; i < count; ++i) {
+    std::string key;
+    SimTime when = 0;
+    if (!r.Str(&key).ok() || !r.I64(&when).ok()) {
+      return {};
+    }
+    entries.emplace_back(std::move(key), when);
+  }
+  return r.remaining() == 0 ? entries
+                            : std::vector<std::pair<std::string, SimTime>>{};
 }
 
 // A small untraced two-tenant world with phase-boundary checkpoints.

@@ -168,7 +168,8 @@ TEST(ZigguratTest, CheckpointRoundTripMidStream) {
 
   Rng restored(999);
   SnapshotReader r(w.bytes());
-  LoadArchive load(r);
+  TimerRearmer rearmer;
+  LoadArchive load(r, rearmer);
   restored.Visit(load);
   ASSERT_TRUE(load.ok()) << load.status().ToString();
   EXPECT_EQ(r.remaining(), 0u);
