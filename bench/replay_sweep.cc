@@ -3,9 +3,10 @@
 // lands on the exact bytes of the recording run (digest, flight digest,
 // metrics, trace), and it gets there at least twice as fast. The speedup
 // comes from what replay skips: sensor synthesis, estimator filtering, the
-// attitude cascade, physics integration, and planner annealing; the
-// discrete layer (clock, MAVLink, proxy, safety supervisor, mission
-// driver, telemetry, metrics) re-executes live.
+// PID cascade (position and attitude controllers), physics integration,
+// and planner annealing; the discrete layer (clock, MAVLink, proxy, the
+// flight controller's mode step, safety supervisor, mission driver,
+// telemetry, metrics) re-executes live.
 //
 // Timing uses process CPU time, not wall time: resim, replay and record
 // are all CPU-bound single-world runs, and CPU time is stable where wall

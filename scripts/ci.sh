@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 CI: check that every src/ header has a production includer and
 # that no src/ code calls a libm transcendental outside util/detmath, build
-# + test twice (plain, then sanitizers), then refresh the robustness
-# benchmark record.
+# + test twice (plain, then sanitizers) with a short perfbench replay run
+# after the plain tests, then refresh the robustness benchmark record.
 #
 #   scripts/ci.sh                       # full run
 #   SKIP_ASAN=1 scripts/ci.sh          # plain tests + benches only
@@ -89,6 +89,17 @@ echo "=== tier-1: plain build ==="
 cmake -S . -B build -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build -j "$JOBS"
 (cd build && ctest --output-on-failure -j "$JOBS")
+
+# The benchmark builds src/ on its own (perfbench/, Release, into
+# .bench_build/). One short replay run fails on a src/ change that breaks
+# that build or on a replayed pool world that misses its recording's
+# digests; the exit status is non-zero on either.
+echo "=== perfbench smoke: replay workload ==="
+if ! python3 perfbench/run.py --workload replay --seed 1 --seconds 2 \
+    --trace 0; then
+  echo "FAIL: perfbench replay smoke (build, self-test or a replayed world)" >&2
+  exit 1
+fi
 
 # Chaos campaign smoke: a seeded ~74-scenario sweep of every builtin fault
 # family. The binary exits nonzero if the report is nondeterministic or any

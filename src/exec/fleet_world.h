@@ -132,7 +132,7 @@ struct FleetWorldConfig {
   // own seed. Borrowed, thread-safe, must outlive the run.
   ReplayLogStore* record_into = nullptr;
   // Replay: each world loads its log by seed and runs the fast path —
-  // sensor synthesis, estimator filtering, the attitude cascade, physics
+  // sensor synthesis, estimator filtering, the PID cascade, physics
   // integration, and planner annealing are all skipped; the discrete layer
   // re-executes live and the result is asserted bit-identical via the
   // footer (WorldResult::Replay::digest_match). A missing log or a

@@ -183,8 +183,8 @@ double FlightController::SensedBatteryFraction() const {
   return battery_gauge_ ? battery_gauge_() : battery_->fraction_remaining();
 }
 
-SafetyVerdict FlightController::SafetyTick(SimDuration dt) {
-  NedPoint ned = EstimatedNed();
+SafetyVerdict FlightController::SafetyTick(const NedPoint& ned,
+                                           SimDuration dt) {
   SafetyInputs in;
   in.roll_rad = estimator_.attitude().roll_rad;
   in.pitch_rad = estimator_.attitude().pitch_rad;
@@ -266,10 +266,10 @@ void FlightController::FastLoop() {
 
   // Replay fast path (DESIGN.md §15): drive this tick from the recorded
   // continuous-plane sample instead of the live sensor → estimator →
-  // attitude-cascade → physics pipeline. The discrete layer below (deadline
-  // accounting, safety supervisor, mode logic, failsafes, flight log) still
-  // executes live against the installed values. A dry source counts an
-  // underrun and falls back to the live pipeline for the tick.
+  // PID-cascade → physics pipeline. The discrete layer below (deadline
+  // accounting, safety supervisor, the mode step, failsafes, flight log)
+  // still executes live against the installed values. A dry source counts
+  // an underrun and falls back to the live pipeline for the tick.
   const FlightPlaneSample* replay = nullptr;
   if (plane_source_) {
     replay = plane_source_();
@@ -319,7 +319,7 @@ void FlightController::FastLoop() {
     // Simplex split: the complex stack lost this cycle, but the safety
     // supervisor is exempt — it still observes, and if it is overriding it
     // still flies instead of letting the motors coast on stale outputs.
-    SafetyVerdict verdict = SafetyTick(kFastLoopPeriod);
+    SafetyVerdict verdict = SafetyTick(EstimatedNed(), kFastLoopPeriod);
     if (replay == nullptr) {
       if (verdict.overriding) {
         std::array<double, kNumMotors> out{0, 0, 0, 0};
@@ -452,8 +452,10 @@ void FlightController::RunControl(SimDuration dt, bool replaying) {
   }
 
   // The supervisor ticks before the armed check so a cutoff episode can
-  // close once the vehicle is down and disarmed.
-  SafetyVerdict safety_verdict = SafetyTick(dt);
+  // close once the vehicle is down and disarmed. It and the mode step read
+  // the same estimate, so the NED position is computed once.
+  const NedPoint ned = EstimatedNed();
+  SafetyVerdict safety_verdict = SafetyTick(ned, dt);
 
   if (!armed_) {
     return;
@@ -467,10 +469,11 @@ void FlightController::RunControl(SimDuration dt, bool replaying) {
 
   // While the supervisor is overriding, the complex mode logic is bypassed
   // entirely — its mission/mode state machines would act on the same
-  // estimates the override distrusts. At replay the mode logic still runs
-  // (mission advance, RTL phases, StatusTexts are discrete state) but the
-  // attitude cascade and motor writes are skipped — their only consumer is
-  // the physics step, which the recorded truth replaces.
+  // estimates the override distrusts. At replay the mode step still runs
+  // (mission advance, mode switches, StatusTexts are discrete state) but
+  // setpoint tracking, the attitude cascade and the motor writes are
+  // skipped — their only consumer is the physics step, which the recorded
+  // truth replaces.
   if (safety_verdict.overriding) {
     if (!replaying) {
       std::array<double, kNumMotors> out = OverrideOutput(safety_verdict, dt);
@@ -478,8 +481,9 @@ void FlightController::RunControl(SimDuration dt, bool replaying) {
       (void)motors_->SetThrottles(motors_->opener(), out);
     }
   } else {
-    AttitudeTarget target = ComputeModeTarget(dt);
+    const ModeSetpoint setpoint = ModeStep(ned, dt);
     if (!replaying) {
+      AttitudeTarget target = TrackSetpoint(setpoint, ned, dt);
       const DroneGroundTruth& truth = physics_->truth();
       // Inner loops consume the *estimated* attitude and the gyro rates
       // (which the IMU provides essentially directly).
@@ -502,33 +506,39 @@ void FlightController::RunControl(SimDuration dt, bool replaying) {
   }
 }
 
-AttitudeTarget FlightController::ComputeModeTarget(SimDuration dt) {
-  NedPoint ned = EstimatedNed();
-  const NedPoint& vel = estimator_.position().velocity_ms;
-  double yaw = estimator_.attitude().yaw_rad;
+FlightController::ModeSetpoint FlightController::ModeStep(
+    const NedPoint& ned, SimDuration dt) {
+  auto make = [](ModeSetpoint::Kind kind, const NedPoint& target) {
+    ModeSetpoint setpoint;
+    setpoint.kind = kind;
+    setpoint.ned = target;
+    return setpoint;
+  };
+  auto position = [&](const NedPoint& target) {
+    return make(ModeSetpoint::Kind::kPosition, target);
+  };
+  auto velocity = [&](const NedPoint& target) {
+    return make(ModeSetpoint::Kind::kVelocity, target);
+  };
 
   // GPS glitch: the position loops would chase stale estimates, so hold a
   // level attitude at hover thrust (drag bleeds off residual velocity).
   if (gps_glitch_) {
-    AttitudeTarget level;
-    level.yaw_rad = estimator_.attitude().yaw_rad;
-    level.thrust = physics_->hover_throttle();
+    ModeSetpoint level;
+    level.attitude.yaw_rad = estimator_.attitude().yaw_rad;
+    level.attitude.thrust = physics_->hover_throttle();
     return level;
   }
 
   // Geofence recovery overrides every mode (paper §4.3).
   if (fence_recovering_) {
-    return position_ctrl_.Update(ned.north_m, ned.east_m, ned.down_m,
-                                 vel.north_m, vel.east_m, vel.down_m,
-                                 fence_recovery_target_.north_m,
-                                 fence_recovery_target_.east_m,
-                                 fence_recovery_target_.down_m, yaw,
-                                 target_yaw_, dt);
+    return position(fence_recovery_target_);
   }
 
   switch (mode_) {
     case CopterMode::kStabilize: {
-      AttitudeTarget t;
+      ModeSetpoint direct;
+      AttitudeTarget& t = direct.attitude;
       t.roll_rad = ChannelToUnit(rc_.chan[0]) * 0.30;
       t.pitch_rad = ChannelToUnit(rc_.chan[1]) * 0.30;
       t.yaw_rad = target_yaw_ += ChannelToUnit(rc_.chan[3]) * 1.5 *
@@ -538,36 +548,24 @@ AttitudeTarget FlightController::ComputeModeTarget(SimDuration dt) {
                        ? physics_->hover_throttle()
                        : (static_cast<double>(rc_.chan[2]) - 1000.0) / 1000.0;
       t.thrust = std::clamp(thr, 0.0, 0.95);
-      return t;
+      return direct;
     }
     case CopterMode::kAltHold: {
       // Hold altitude; RC adjusts attitude and climb.
       double climb = -ChannelToUnit(rc_.chan[2]) * 1.5;  // Up stick = climb.
-      AttitudeTarget t = position_ctrl_.UpdateVelocity(
-          vel.north_m, vel.east_m, vel.down_m, 0, 0, climb, yaw, target_yaw_,
-          dt);
-      t.roll_rad = ChannelToUnit(rc_.chan[0]) * 0.30;
-      t.pitch_rad = ChannelToUnit(rc_.chan[1]) * 0.30;
-      return t;
+      ModeSetpoint hold = velocity(NedPoint{0, 0, climb});
+      hold.rc_tilt = true;
+      hold.attitude.roll_rad = ChannelToUnit(rc_.chan[0]) * 0.30;
+      hold.attitude.pitch_rad = ChannelToUnit(rc_.chan[1]) * 0.30;
+      return hold;
     }
-    case CopterMode::kGuided: {
+    case CopterMode::kGuided:
       if (guided_velocity_.has_value()) {
-        return position_ctrl_.UpdateVelocity(
-            vel.north_m, vel.east_m, vel.down_m, guided_velocity_->north_m,
-            guided_velocity_->east_m, guided_velocity_->down_m, yaw,
-            target_yaw_, dt);
+        return velocity(*guided_velocity_);
       }
-      NedPoint target = guided_target_.value_or(ned);
-      return position_ctrl_.Update(ned.north_m, ned.east_m, ned.down_m,
-                                   vel.north_m, vel.east_m, vel.down_m,
-                                   target.north_m, target.east_m,
-                                   target.down_m, yaw, target_yaw_, dt);
-    }
+      return position(guided_target_.value_or(ned));
     case CopterMode::kLoiter:
-      return position_ctrl_.Update(ned.north_m, ned.east_m, ned.down_m,
-                                   vel.north_m, vel.east_m, vel.down_m,
-                                   hold_target_.north_m, hold_target_.east_m,
-                                   hold_target_.down_m, yaw, target_yaw_, dt);
+      return position(hold_target_);
     case CopterMode::kAuto: {
       if (mission_index_ < mission_.size()) {
         NedPoint wp = home_frame_.ToNed(mission_[mission_index_]);
@@ -582,15 +580,9 @@ AttitudeTarget FlightController::ComputeModeTarget(SimDuration dt) {
             SendStatusText(MavSeverity::kInfo, "Mission complete");
           }
         }
-        return position_ctrl_.Update(ned.north_m, ned.east_m, ned.down_m,
-                                     vel.north_m, vel.east_m, vel.down_m,
-                                     wp.north_m, wp.east_m, wp.down_m, yaw,
-                                     target_yaw_, dt);
+        return position(wp);
       }
-      return position_ctrl_.Update(ned.north_m, ned.east_m, ned.down_m,
-                                   vel.north_m, vel.east_m, vel.down_m,
-                                   hold_target_.north_m, hold_target_.east_m,
-                                   hold_target_.down_m, yaw, target_yaw_, dt);
+      return position(hold_target_);
     }
     case CopterMode::kRtl: {
       // Return at the greater of the current altitude and the RTL floor,
@@ -601,23 +593,44 @@ AttitudeTarget FlightController::ComputeModeTarget(SimDuration dt) {
         hold_target_ = NedPoint{0, 0, ned.down_m};
         (void)SwitchMode(CopterMode::kLand);
         SendStatusText(MavSeverity::kInfo, "RTL: reached home, landing");
-        return position_ctrl_.UpdateVelocity(vel.north_m, vel.east_m,
-                                             vel.down_m, 0, 0,
-                                             kLandDescentMs, yaw, target_yaw_,
-                                             dt);
+        return velocity(NedPoint{0, 0, kLandDescentMs});
       }
-      return position_ctrl_.Update(ned.north_m, ned.east_m, ned.down_m,
-                                   vel.north_m, vel.east_m, vel.down_m, 0, 0,
-                                   -return_alt, yaw, target_yaw_, dt);
+      return position(NedPoint{0, 0, -return_alt});
     }
     case CopterMode::kLand:
-      return position_ctrl_.UpdateVelocity(
-          vel.north_m, vel.east_m, vel.down_m,
-          (hold_target_.north_m - ned.north_m) * 0.5,
-          (hold_target_.east_m - ned.east_m) * 0.5, kLandDescentMs, yaw,
-          target_yaw_, dt);
+      return velocity(NedPoint{(hold_target_.north_m - ned.north_m) * 0.5,
+                               (hold_target_.east_m - ned.east_m) * 0.5,
+                               kLandDescentMs});
   }
-  return AttitudeTarget{};
+  return ModeSetpoint{};
+}
+
+AttitudeTarget FlightController::TrackSetpoint(const ModeSetpoint& setpoint,
+                                               const NedPoint& ned,
+                                               SimDuration dt) {
+  const NedPoint& vel = estimator_.position().velocity_ms;
+  double yaw = estimator_.attitude().yaw_rad;
+  const NedPoint& sp = setpoint.ned;
+  switch (setpoint.kind) {
+    case ModeSetpoint::Kind::kAttitude:
+      return setpoint.attitude;
+    case ModeSetpoint::Kind::kPosition:
+      return position_ctrl_.Update(ned.north_m, ned.east_m, ned.down_m,
+                                   vel.north_m, vel.east_m, vel.down_m,
+                                   sp.north_m, sp.east_m, sp.down_m, yaw,
+                                   target_yaw_, dt);
+    case ModeSetpoint::Kind::kVelocity: {
+      AttitudeTarget t = position_ctrl_.UpdateVelocity(
+          vel.north_m, vel.east_m, vel.down_m, sp.north_m, sp.east_m,
+          sp.down_m, yaw, target_yaw_, dt);
+      if (setpoint.rc_tilt) {
+        t.roll_rad = setpoint.attitude.roll_rad;
+        t.pitch_rad = setpoint.attitude.pitch_rad;
+      }
+      return t;
+    }
+  }
+  return setpoint.attitude;
 }
 
 void FlightController::CheckFence() {

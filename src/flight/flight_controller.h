@@ -52,10 +52,11 @@ struct FlightControllerConfig {
 // §15): everything the discrete control/safety/telemetry layer consumes
 // from the sensor→estimator→physics pipeline. Recording this per tick and
 // re-installing it at replay lets the controller skip sensor synthesis,
-// estimator filtering, the attitude cascade, and the physics integration —
-// the expensive continuous math — while the discrete layer (mode logic,
-// failsafes, fence, safety supervisor, MAVLink, flight log) re-executes
-// live and lands on bit-identical digests.
+// estimator filtering, the whole PID cascade (setpoint tracking through
+// the position controller, then the attitude controller), and the physics
+// integration — the expensive continuous math — while the discrete layer
+// (the mode step, failsafes, fence, safety supervisor, MAVLink, flight
+// log) re-executes live and lands on bit-identical digests.
 struct FlightPlaneSample {
   // Injected kernel wake latency for this tick; < 0 means the recording
   // run had no latency source attached.
@@ -97,8 +98,11 @@ class FlightController {
   // the end of every fast-loop tick; it stays active during replay so
   // record-during-replay reproduces the log byte-for-byte (the fixed-point
   // property the replay tests pin). The source supplies the next recorded
-  // sample at the start of each tick; returning nullptr (log exhausted)
-  // counts an underrun and falls back to the live pipeline for that tick.
+  // sample at the start of each tick; a replayed tick runs the mode step
+  // but neither setpoint tracking nor the attitude cascade, so both
+  // controllers' integrators go stale. Returning nullptr (log exhausted)
+  // counts an underrun and falls back to the live pipeline for that tick,
+  // stale integrators included.
   using PlaneRecorder = std::function<void(const FlightPlaneSample&)>;
   using PlaneSource = std::function<const FlightPlaneSample*()>;
 
@@ -203,10 +207,30 @@ class FlightController {
   Status Visit(Ar& ar);
 
  private:
+  // What the mode step asks of the position cascade for one tick (NED
+  // around home): a position to fly to, a velocity to hold, or an attitude
+  // to fly directly (Stabilize, the GPS-glitch level hold).
+  struct ModeSetpoint {
+    enum class Kind : uint8_t { kAttitude, kPosition, kVelocity };
+    Kind kind = Kind::kAttitude;
+    NedPoint ned{};  // kPosition: the target point; kVelocity: the velocity.
+    // kAttitude: the whole target. kVelocity with |rc_tilt| (AltHold): its
+    // roll and pitch replace the tracker's.
+    AttitudeTarget attitude;
+    bool rc_tilt = false;
+  };
+
   void FastLoop();
   void RunControl(SimDuration dt, bool replaying);
   void CheckFence();
-  AttitudeTarget ComputeModeTarget(SimDuration dt);
+  // The discrete half of the outer loop: mission advance, mode switches,
+  // the RTL → LAND hand-off, the fence-recovery and GPS-glitch holds and
+  // Stabilize's yaw integration. Runs live and at replay.
+  ModeSetpoint ModeStep(const NedPoint& ned, SimDuration dt);
+  // The continuous half: the position controller turns the setpoint into
+  // an attitude target. Skipped at replay, like the attitude cascade.
+  AttitudeTarget TrackSetpoint(const ModeSetpoint& setpoint,
+                               const NedPoint& ned, SimDuration dt);
   void Send(const MavMessage& message);
   void SendAck(MavCmd command, MavResult result);
   void SendStatusText(MavSeverity severity, const std::string& text);
@@ -216,7 +240,7 @@ class FlightController {
   void HandleRcOverride(const RcChannelsOverride& rc);
   void HandleParamSet(const ParamSet& ps);
   MavResult SwitchMode(CopterMode mode);
-  SafetyVerdict SafetyTick(SimDuration dt);
+  SafetyVerdict SafetyTick(const NedPoint& ned, SimDuration dt);
   std::array<double, kNumMotors> OverrideOutput(const SafetyVerdict& verdict,
                                                 SimDuration dt);
   void OnSafetyStage(SafetyStage stage, uint32_t reasons);

@@ -2,9 +2,11 @@
 // records, per fast-loop tick, the continuous-flight-plane state the
 // discrete layer consumes (FlightPlaneSample) plus the planner's route and
 // a footer of expected outcomes. A replay run re-executes the discrete
-// layer live against the recorded plane — skipping sensor synthesis,
-// estimator filtering, the attitude cascade, physics integration, and the
-// planner's annealing — and must land on bit-identical digests.
+// layer live against the recorded plane, the flight controller's mode step
+// included — skipping sensor synthesis, estimator filtering, the PID
+// cascade (setpoint tracking through the position controller, then the
+// attitude controller), physics integration, and the planner's annealing —
+// and must land on bit-identical digests.
 //
 // The log is a single little-endian byte stream, keyed by world seed and
 // config fingerprint so a log can never be replayed against a different

@@ -8,14 +8,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "src/exec/fleet_executor.h"
 #include "src/exec/fleet_world.h"
+#include "src/flight/sitl.h"
+#include "src/hw/sensor_faults.h"
 #include "src/net/fault_injector.h"
 #include "src/obs/trace.h"
 #include "src/replay/explore.h"
@@ -219,6 +223,168 @@ TEST(ReplayTest, RecordOrReplayRejectsCrashChaos) {
   replay_config.replay_from = &store;
   replay_config.crash_at_s = {5};
   EXPECT_TRUE(RunFleetWorld(replay_config, MakeContext(3)).infra_failure);
+}
+
+// --- One drone, no world: SITL-level record -> replay ----------------------
+
+// A bare SitlDrone flies one ground-station script that walks every branch
+// of the flight controller's mode step: a Guided goto and a guided
+// velocity, AltHold and Stabilize under RC_CHANNELS_OVERRIDE, an Auto
+// mission, a geofence breach and its recovery, a GPS outage long enough for
+// the glitch level-hold, then RTL into LAND. It flies once recording its
+// flight plane and once replaying that recording under the same script.
+const GeoPoint kSitlHome{43.6084298, -85.8110359, 0.0};
+constexpr uint64_t kSitlSeed = 13;
+// A bare drone has no world config to fingerprint; both flights use this.
+constexpr uint64_t kSitlFingerprint = 0x5171'f1a9;
+
+struct SitlFlight {
+  std::vector<bool> waits_met;  // One per scripted wait, in script order.
+  uint64_t flight_digest = 0;
+  std::vector<uint32_t> modes;  // The mode at every flight-log entry.
+  std::vector<std::string> status_texts;
+  std::string recording;
+  uint64_t replay_ticks = 0;
+  uint64_t replay_underruns = 0;
+};
+
+// Flies the script, recording it; with |replay_from| every tick is also
+// driven from that log.
+SitlFlight FlySitlScript(const ReplayLog* replay_from) {
+  SimClock clock;
+  SitlDrone drone(&clock, kSitlHome, kSitlSeed);
+  FlightController& fc = drone.controller();
+  ReplayLogWriter writer(kSitlSeed, kSitlFingerprint);
+  fc.SetPlaneRecorder(
+      [&writer](const FlightPlaneSample& s) { writer.Append(s); });
+  FlightPlaneSample sample;
+  uint64_t cursor = 0;
+  if (replay_from != nullptr) {
+    fc.SetPlaneSource([&]() -> const FlightPlaneSample* {
+      if (cursor >= replay_from->tick_count()) {
+        return nullptr;
+      }
+      replay_from->ReadTick(cursor++, sample);
+      return &sample;
+    });
+  }
+
+  SitlFlight flight;
+  auto wait = [&](const std::function<bool()>& until, SimDuration timeout) {
+    flight.waits_met.push_back(drone.RunUntil(until, timeout));
+  };
+  auto sticks = [&fc](uint16_t roll, uint16_t pitch, uint16_t throttle,
+                      uint16_t yaw) {
+    RcChannelsOverride rc;
+    rc.chan[0] = roll;
+    rc.chan[1] = pitch;
+    rc.chan[2] = throttle;
+    rc.chan[3] = yaw;
+    fc.HandleFrame(PackMessage(MavMessage{rc}));
+  };
+  auto at = [](double north_m, double east_m) {
+    return FromNed(kSitlHome, NedPoint{north_m, east_m, -15});
+  };
+
+  clock.RunFor(Seconds(2));  // Sensor warm-up and the first GPS fix.
+  drone.SetModeCmd(CopterMode::kGuided);
+  drone.ArmCmd();
+  drone.TakeoffCmd(15);
+  wait(
+      [&] {
+        return std::fabs(drone.physics().truth().position.altitude_m - 15) <
+               1;
+      },
+      Seconds(40));
+  const GeoPoint goto_target = at(25, 0);
+  drone.GotoCmd(goto_target);
+  wait([&] { return drone.DistanceTo(goto_target) < 2; }, Seconds(60));
+  drone.VelocityCmd(0, 2, 0);
+  clock.RunFor(Seconds(4));
+
+  // AltHold: tilt right and climb on the sticks. Stabilize: tilt and yaw
+  // on the sticks with the throttle released (hover thrust).
+  sticks(1560, 1500, 1600, 1500);
+  drone.SetModeCmd(CopterMode::kAltHold);
+  clock.RunFor(Seconds(3));
+  sticks(1450, 1540, 0, 1600);
+  drone.SetModeCmd(CopterMode::kStabilize);
+  clock.RunFor(Seconds(2));
+  sticks(0, 0, 0, 0);
+
+  fc.SetMission({at(20, 10), at(0, 25)});
+  drone.SetModeCmd(CopterMode::kAuto);
+  wait([&] { return fc.mode() == CopterMode::kLoiter; }, Seconds(120));
+
+  GeofenceConfig fence;
+  fence.enabled = true;
+  fence.center = kSitlHome;
+  fence.radius_m = 40;
+  fence.max_altitude_m = 30;
+  fc.SetGeofence(fence);
+  drone.SetModeCmd(CopterMode::kGuided);
+  drone.GotoCmd(at(0, 200));
+  wait([&] { return fc.fence_recovering(); }, Seconds(60));
+  wait([&] { return !fc.fence_recovering(); }, Seconds(120));
+  // Back well inside the fence, so the outage's drift cannot breach it.
+  const GeoPoint inside = at(0, 10);
+  drone.SetModeCmd(CopterMode::kGuided);
+  drone.GotoCmd(inside);
+  wait([&] { return drone.DistanceTo(inside) < 2; }, Seconds(60));
+
+  // The fix goes stale after 2 s of the outage; the glitch holds level
+  // until it returns. A replaying drone skips the reads, so the fault
+  // window only acts through the recorded estimate.
+  EXPECT_TRUE(drone.sensor_faults()
+                  .AddDropout(SensorChannel::kGps, clock.now(), Seconds(6))
+                  .ok());
+  wait([&] { return fc.gps_glitch(); }, Seconds(10));
+  wait([&] { return !fc.gps_glitch(); }, Seconds(30));
+
+  drone.RtlCmd();
+  wait([&] { return !fc.armed(); }, Seconds(180));
+
+  flight.flight_digest = FlightLogDigest(fc.flight_log());
+  for (const FlightLogEntry& entry : fc.flight_log().entries()) {
+    flight.modes.push_back(entry.mode);
+  }
+  flight.status_texts = drone.status_texts();
+  flight.recording = writer.Finalize(ReplayFooter{});
+  flight.replay_ticks = fc.replay_ticks();
+  flight.replay_underruns = fc.replay_underruns();
+  return flight;
+}
+
+TEST(SitlReplayTest, ScriptedFlightReplaysBitIdentically) {
+  const SitlFlight recorded = FlySitlScript(nullptr);
+  ASSERT_EQ(recorded.waits_met,
+            std::vector<bool>(recorded.waits_met.size(), true))
+      << "the live flight missed a scripted wait";
+  // The script reached every branch it is meant to cover.
+  for (const char* text :
+       {"Mode ALT_HOLD", "Mode STABILIZE", "Mode AUTO", "Mission complete",
+        "Geofence breached", "Geofence recovered; loitering",
+        "GPS glitch: holding level attitude", "GPS reacquired; loitering",
+        "RTL: reached home, landing", "Disarming motors"}) {
+    EXPECT_NE(std::find(recorded.status_texts.begin(),
+                        recorded.status_texts.end(), text),
+              recorded.status_texts.end())
+        << "no StatusText \"" << text << "\"";
+  }
+
+  auto log = ReplayLog::FromBytes(recorded.recording, kSitlSeed,
+                                  kSitlFingerprint);
+  ASSERT_TRUE(log.ok()) << log.status();
+  const SitlFlight replayed = FlySitlScript(&*log);
+  EXPECT_EQ(replayed.replay_ticks, log->tick_count());
+  EXPECT_EQ(replayed.replay_underruns, 0u);
+  EXPECT_EQ(replayed.waits_met, recorded.waits_met);
+  EXPECT_EQ(replayed.flight_digest, recorded.flight_digest);
+  EXPECT_EQ(replayed.modes, recorded.modes);
+  EXPECT_EQ(replayed.status_texts, recorded.status_texts);
+  EXPECT_TRUE(replayed.recording == recorded.recording)
+      << "the replaying drone recorded " << replayed.recording.size()
+      << " bytes against " << recorded.recording.size();
 }
 
 // --- Log container validation -------------------------------------------

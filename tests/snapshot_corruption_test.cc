@@ -237,10 +237,17 @@ TEST(SnapshotCorruptionTest, FleetCheckpoint) {
     return fleet.Verify(bytes);
   };
   ExpectPrefixesRejected(fleet.blob, 2503, restore);
+  // CHAN: rng (four u64 words), five u64 counters, then the latency
+  // histogram's bucket count, which a restore must match exactly.
+  const size_t bucket_count = AfterSection(fleet.blob, "CHAN") + 32 + 40;
+  std::string inflated = fleet.blob;
+  PutU64(inflated, bucket_count, uint64_t{1} << 62);
+  Status status = restore(inflated);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("histogram bucket count"), std::string::npos)
+      << status;
   const std::vector<size_t> counts = {
-      // CHAN: rng (41 bytes), five u64 counters, then the latency
-      // histogram's bucket count.
-      AfterSection(fleet.blob, "CHAN") + 41 + 40,
+      bucket_count,
       AfterSection(fleet.blob, "FLOG"),  // Flight log entries.
       AfterSection(fleet.blob, "VDC "),  // Active-tenant string length.
       AfterSection(fleet.blob, "TIMR"),  // Timer table.
