@@ -90,6 +90,23 @@ cmake -S . -B build -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build -j "$JOBS"
 (cd build && ctest --output-on-failure -j "$JOBS")
 
+# The committed manifests are the canonical dumps of the builtin campaigns:
+# each must match what campaign_sweep dumps today, byte for byte.
+echo "=== check: committed campaign manifests match their dumps ==="
+if ! ./build/bench/campaign_sweep --dump-manifest - \
+    | cmp -s - perfbench/builtin_campaign.xml; then
+  echo "FAIL: perfbench/builtin_campaign.xml differs from" \
+       "campaign_sweep --dump-manifest -" >&2
+  exit 1
+fi
+if ! ./build/bench/campaign_sweep --smoke --dump-manifest - \
+    | cmp -s - examples/campaign_smoke.xml; then
+  echo "FAIL: examples/campaign_smoke.xml differs from" \
+       "campaign_sweep --smoke --dump-manifest - (regenerate it with" \
+       "--smoke --dump-manifest examples/campaign_smoke.xml)" >&2
+  exit 1
+fi
+
 # The benchmark builds src/ on its own (perfbench/, Release, into
 # .bench_build/). One short replay run fails on a src/ change that breaks
 # that build or on a replayed pool world that misses its recording's

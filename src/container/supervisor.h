@@ -89,71 +89,6 @@ class ContainerSupervisor {
   uint64_t gave_up_ = 0;
 };
 
-// Restore-with-backoff for whole crashed worlds (DESIGN.md §13): the same
-// streak/backoff/give-up discipline ContainerSupervisor applies to container
-// lives, lifted to crash-recovery attempts of a FleetWorld. The supervisor
-// is pure bookkeeping — the recovery loop owns the actual rebuild — so each
-// episode records the backoff delay it computed instead of sleeping it
-// (sleeping simulated time inside the restored timeline would break the
-// bit-identical-replay guarantee).
-struct RestorePolicy {
-  BackoffPolicy backoff{Millis(500), 2.0, Seconds(30), 0.0};
-  // Give up after this many restores of one world.
-  int max_restores = 3;
-};
-
-// One crash-and-restore cycle of a supervised world.
-struct RestoreEpisode {
-  int ordinal = 0;               // 0-based crash index.
-  SimTime checkpoint_time = -1;  // Sim time restored to; -1 = replay from boot.
-  SimDuration backoff_delay = 0; // Backoff computed for this episode.
-  int streak = 0;                // Consecutive restores before this one.
-};
-
-class RestoreSupervisor {
- public:
-  RestoreSupervisor(RestorePolicy policy, uint64_t seed)
-      : policy_(policy), rng_(seed) {}
-
-  // A crash landed. Returns false when the restore budget is spent (the
-  // supervisor gives up) or a restore is already in progress (the
-  // no-double-restore guard); otherwise records an episode with its backoff
-  // delay and returns true. The caller performs exactly one restore and
-  // must close it with FinishRestore().
-  bool BeginRestore(SimTime checkpoint_time) {
-    if (gave_up_ || in_progress_) {
-      return false;
-    }
-    if (static_cast<int>(episodes_.size()) >= policy_.max_restores) {
-      gave_up_ = true;
-      return false;
-    }
-    RestoreEpisode episode;
-    episode.ordinal = static_cast<int>(episodes_.size());
-    episode.checkpoint_time = checkpoint_time;
-    episode.streak = streak_;
-    episode.backoff_delay = policy_.backoff.DelayFor(streak_, rng_);
-    episodes_.push_back(episode);
-    ++streak_;
-    in_progress_ = true;
-    return true;
-  }
-  void FinishRestore() { in_progress_ = false; }
-
-  bool restore_in_progress() const { return in_progress_; }
-  bool gave_up() const { return gave_up_; }
-  int restores() const { return static_cast<int>(episodes_.size()); }
-  const std::vector<RestoreEpisode>& episodes() const { return episodes_; }
-
- private:
-  RestorePolicy policy_;
-  Rng rng_;
-  std::vector<RestoreEpisode> episodes_;
-  int streak_ = 0;
-  bool in_progress_ = false;
-  bool gave_up_ = false;
-};
-
 }  // namespace androne
 
 #endif  // SRC_CONTAINER_SUPERVISOR_H_

@@ -3,120 +3,52 @@
 #include <memory>
 #include <utility>
 
-#include "src/util/fault_plan_io.h"
-#include "src/util/json.h"
 #include "src/util/xml.h"
+#include "src/util/xml_attrs.h"
 
 namespace androne {
-namespace {
 
-// Defaults shared by the parser (fallbacks) and dumper (omission). Must
-// track the SessionClass member initializers.
-const SessionClass kClassDefaults;
+// --- One attribute list per element (src/util/xml_attrs.h) ------------------
 
-StatusOr<double> ParseMixRate(const std::string& text,
-                              const std::string& what) {
-  ASSIGN_OR_RETURN(double value, ParseManifestNumber(text, what));
-  if (value < 0 || value > 1) {
-    return InvalidArgumentError(what + ": " + text + " outside [0, 1]");
-  }
-  return value;
+template <class A>
+void VisitAttrs(A& a, SessionClass& cls) {
+  a.Str("name", cls.name, Presence::kRequired);
+  a.Number("weight", cls.weight, kPositive);
+  a.Int("waypoints", cls.waypoints, 1);
+  a.Seconds("dwell_s", cls.dwell_s, kPositive);
+  a.Number("max_dollars", cls.max_dollars, kPositive);
+  a.Number("spread_m", cls.spread_m, kNonNegative);
+  a.Int("processes", cls.processes, 1);
+  a.Number("cancel_rate", cls.cancel_rate, kUnitInterval);
+  a.Number("crash_rate", cls.crash_rate, kUnitInterval);
+  a.Number("giveup_rate", cls.giveup_rate, kUnitInterval);
 }
 
-StatusOr<SessionClass> ParseClassElement(const XmlElement& element) {
-  RETURN_IF_ERROR(CheckNoText(element));
-  RETURN_IF_ERROR(CheckAttributes(
-      element, {"name", "weight", "waypoints", "dwell_s", "max_dollars",
-                "spread_m", "processes", "cancel_rate", "crash_rate",
-                "giveup_rate"}));
-  if (!element.children.empty()) {
-    return InvalidArgumentError("<class>: unexpected child element <" +
-                                element.children[0]->name + ">");
-  }
-  SessionClass cls;
-  cls.name = element.Attr("name");
-  if (cls.name.empty()) {
-    return InvalidArgumentError("<class>: missing name");
-  }
-  const std::string where = "<class " + cls.name + "> ";
-  ASSIGN_OR_RETURN(
-      cls.weight,
-      ParseManifestNumber(
-          element.Attr("weight", FormatNumberCompact(kClassDefaults.weight)),
-          where + "weight"));
-  if (cls.weight <= 0) {
-    return InvalidArgumentError(where + "weight must be positive");
-  }
-  ASSIGN_OR_RETURN(
-      cls.waypoints,
-      ParseManifestInt(
-          element.Attr("waypoints", std::to_string(kClassDefaults.waypoints)),
-          where + "waypoints", 1));
-  ASSIGN_OR_RETURN(
-      cls.dwell_s,
-      ParseManifestSeconds(
-          element.Attr("dwell_s", FormatNumberCompact(kClassDefaults.dwell_s)),
-          where + "dwell_s"));
-  if (cls.dwell_s <= 0) {
-    return InvalidArgumentError(where + "dwell_s must be positive");
-  }
-  ASSIGN_OR_RETURN(
-      cls.max_dollars,
-      ParseManifestNumber(
-          element.Attr("max_dollars",
-                       FormatNumberCompact(kClassDefaults.max_dollars)),
-          where + "max_dollars"));
-  if (cls.max_dollars <= 0) {
-    return InvalidArgumentError(where + "max_dollars must be positive");
-  }
-  ASSIGN_OR_RETURN(
-      cls.spread_m,
-      ParseManifestNumber(
-          element.Attr("spread_m",
-                       FormatNumberCompact(kClassDefaults.spread_m)),
-          where + "spread_m"));
-  if (cls.spread_m < 0) {
-    return InvalidArgumentError(where + "spread_m must be non-negative");
-  }
-  ASSIGN_OR_RETURN(
-      cls.processes,
-      ParseManifestInt(
-          element.Attr("processes", std::to_string(kClassDefaults.processes)),
-          where + "processes", 1));
-  ASSIGN_OR_RETURN(cls.cancel_rate,
-                   ParseMixRate(element.Attr("cancel_rate", "0"),
-                                where + "cancel_rate"));
-  ASSIGN_OR_RETURN(cls.crash_rate,
-                   ParseMixRate(element.Attr("crash_rate", "0"),
-                                where + "crash_rate"));
-  ASSIGN_OR_RETURN(cls.giveup_rate,
-                   ParseMixRate(element.Attr("giveup_rate", "0"),
-                                where + "giveup_rate"));
-  return cls;
+template <class A>
+void VisitAttrs(A& a, TenantMixSpec& mix) {
+  a.Str("name", mix.name);
 }
 
-StatusOr<TenantMixSpec> ParseMixElement(const XmlElement& root) {
-  if (root.name != "tenant_mix") {
+StatusOr<TenantMixSpec> ParseTenantMix(const std::string& text) {
+  if (text.find_first_not_of(" \t\n\r") == std::string::npos) {
+    return InvalidArgumentError("tenant mix: empty document");
+  }
+  ASSIGN_OR_RETURN(auto root, ParseXml(text));
+  if (root->name != "tenant_mix") {
     return InvalidArgumentError("tenant mix: root element must be "
-                                "<tenant_mix>, got <" + root.name + ">");
+                                "<tenant_mix>, got <" + root->name + ">");
   }
-  RETURN_IF_ERROR(CheckNoText(root));
-  RETURN_IF_ERROR(CheckAttributes(root, {"name"}));
   TenantMixSpec mix;
-  mix.name = root.Attr("name", "mix");
-  for (const auto& child : root.children) {
+  AttrReader reader(*root);
+  VisitAttrs(reader, mix);
+  RETURN_IF_ERROR(reader.Finish());
+  for (const auto& child : root->children) {
     if (child->name == "class") {
-      ASSIGN_OR_RETURN(SessionClass cls, ParseClassElement(*child));
+      ASSIGN_OR_RETURN(SessionClass cls, ReadAttrs<SessionClass>(*child));
       mix.classes.push_back(std::move(cls));
     } else if (child->name == "slo") {
-      RETURN_IF_ERROR(CheckNoText(*child));
-      RETURN_IF_ERROR(CheckAttributes(*child, {"expr"}));
-      const std::string expr = child->Attr("expr");
-      if (expr.empty()) {
-        return InvalidArgumentError("<slo>: missing expr");
-      }
-      ASSIGN_OR_RETURN(AssertionSpec spec, ParseAssertion(expr));
-      mix.slos.push_back(std::move(spec));
+      ASSIGN_OR_RETURN(AssertionSpec slo, ReadAttrs<AssertionSpec>(*child));
+      mix.slos.push_back(std::move(slo));
     } else {
       return InvalidArgumentError("<tenant_mix>: unknown element <" +
                                   child->name + ">");
@@ -128,50 +60,15 @@ StatusOr<TenantMixSpec> ParseMixElement(const XmlElement& root) {
   return mix;
 }
 
-}  // namespace
-
-StatusOr<TenantMixSpec> ParseTenantMix(const std::string& text) {
-  if (text.find_first_not_of(" \t\n\r") == std::string::npos) {
-    return InvalidArgumentError("tenant mix: empty document");
-  }
-  ASSIGN_OR_RETURN(auto root, ParseXml(text));
-  return ParseMixElement(*root);
-}
-
 std::string DumpTenantMix(const TenantMixSpec& mix) {
-  XmlElement root;
-  root.name = "tenant_mix";
-  if (mix.name != "mix") {
-    root.attributes["name"] = mix.name;
-  }
+  auto root = WriteAttrs("tenant_mix", mix);
   for (const SessionClass& cls : mix.classes) {
-    auto element = std::make_unique<XmlElement>();
-    element->name = "class";
-    element->attributes["name"] = cls.name;
-    EmitNumberUnlessDefault(*element, "weight", cls.weight,
-                            kClassDefaults.weight);
-    EmitNumberUnlessDefault(*element, "waypoints", cls.waypoints,
-                            kClassDefaults.waypoints);
-    EmitNumberUnlessDefault(*element, "dwell_s", cls.dwell_s,
-                            kClassDefaults.dwell_s);
-    EmitNumberUnlessDefault(*element, "max_dollars", cls.max_dollars,
-                            kClassDefaults.max_dollars);
-    EmitNumberUnlessDefault(*element, "spread_m", cls.spread_m,
-                            kClassDefaults.spread_m);
-    EmitNumberUnlessDefault(*element, "processes", cls.processes,
-                            kClassDefaults.processes);
-    EmitNumberUnlessDefault(*element, "cancel_rate", cls.cancel_rate, 0);
-    EmitNumberUnlessDefault(*element, "crash_rate", cls.crash_rate, 0);
-    EmitNumberUnlessDefault(*element, "giveup_rate", cls.giveup_rate, 0);
-    root.children.push_back(std::move(element));
+    root->children.push_back(WriteAttrs("class", cls));
   }
   for (const AssertionSpec& slo : mix.slos) {
-    auto element = std::make_unique<XmlElement>();
-    element->name = "slo";
-    element->attributes["expr"] = slo.ToExpr();
-    root.children.push_back(std::move(element));
+    root->children.push_back(WriteAttrs("slo", slo));
   }
-  return root.Dump();
+  return root->Dump();
 }
 
 TenantMixSpec BuiltinTenantMix() {

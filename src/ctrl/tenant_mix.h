@@ -5,7 +5,9 @@
 // evaluated against the sweep's merged stage histograms. Manifests are
 // written in the repo's XML subset and go through one strictly-validating
 // parse, and DumpTenantMix emits the canonical form:
-// dump(parse(dump(parse(text)))) == dump(parse(text)).
+// dump(parse(dump(parse(text)))) == dump(parse(text)). One VisitAttrs walk
+// per element drives both (src/util/xml_attrs.h), and the member
+// initializers below are the manifest defaults.
 #ifndef SRC_CTRL_TENANT_MIX_H_
 #define SRC_CTRL_TENANT_MIX_H_
 

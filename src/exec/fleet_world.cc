@@ -87,7 +87,7 @@ void VisitConfig(const FleetWorldConfig& config, V&& v) {
                annealing_iterations, batch_telemetry, memory_budget_mb,
                trace_categories, trace_capacity, trace, downlink_profile,
                net_faults, sensor_faults, crash_loop, checkpoint, crash_at_s,
-               restore, tolerate_deploy_rejection, templates, record_into,
+               max_restores, tolerate_deploy_rejection, templates, record_into,
                replay_from, fork_blob, fork_reseed, checkpoint_sink] = config;
   auto window = [&v](ConfigPhase phase, const FaultWindowSpec& w) {
     v(phase, w.kind, w.scope, w.start, w.end, w.p0, w.p1, w.d0);
@@ -116,7 +116,7 @@ void VisitConfig(const FleetWorldConfig& config, V&& v) {
     v(kWorld, at);
   }
   v(kWorld, tolerate_deploy_rejection);
-  v(ConfigPhase::kRuntime, trace, checkpoint, restore, templates,
+  v(ConfigPhase::kRuntime, trace, checkpoint, max_restores, templates,
     record_into, replay_from, fork_blob, fork_reseed, checkpoint_sink);
 }
 
@@ -890,8 +890,6 @@ WorldResult RunFleetWorld(const FleetWorldConfig& config,
   CheckpointStore& store =
       config.checkpoint_sink != nullptr ? *config.checkpoint_sink : local_store;
   CheckpointStore* store_ptr = config.checkpoint.enabled() ? &store : nullptr;
-  RestoreSupervisor restore_supervisor(config.restore,
-                                       SplitMix64(ctx.seed ^ 0x5e5c0ffe));
   int crashes_consumed = 0;
 
   for (;;) {
@@ -933,8 +931,7 @@ WorldResult RunFleetWorld(const FleetWorldConfig& config,
     if (flight.code() == StatusCode::kCancelled) {
       ++result.recovery.crashes;
       crashes_consumed = attempt.next_crash_cursor();
-      SimTime checkpoint_time = store.count() > 0 ? store.latest_time() : -1;
-      if (!restore_supervisor.BeginRestore(checkpoint_time)) {
+      if (result.recovery.crashes > config.max_restores) {
         // Restore budget spent: the world stays down. That is a scenario
         // outcome (completed = false), not an infrastructure failure — the
         // crashed attempt's counters/metrics/trace still export for triage.
@@ -944,7 +941,6 @@ WorldResult RunFleetWorld(const FleetWorldConfig& config,
         result.completed = false;
         break;
       }
-      restore_supervisor.FinishRestore();
       continue;
     }
     if (!flight.ok()) {

@@ -105,10 +105,9 @@ struct FleetWorldConfig {
   // Crashes land only while the mission driver is pumping (checkpoints and
   // crash detection both live in the mission pulse).
   std::vector<double> crash_at_s;
-  // Restore-with-backoff discipline for crashed worlds. Backoff delays are
-  // recorded per episode, never slept — sleeping simulated time inside the
-  // restored timeline would break the bit-identical-replay guarantee.
-  RestorePolicy restore;
+  // The restore budget: the world gives up (recovery.gave_up, completed =
+  // false) at the first crash past this many.
+  int max_restores = 3;
   // Deploy rejections (memory admission) become the tenants_rejected
   // counter instead of failing the world — the memory-pressure scenarios
   // assert on the admitted/rejected split (paper Figure 12), so a rejected

@@ -575,7 +575,6 @@ FlightController::ModeSetpoint FlightController::ModeStep(
         if (dist < kWaypointReachedM) {
           ++mission_index_;
           if (mission_index_ >= mission_.size()) {
-            hold_target_ = ned;
             (void)SwitchMode(CopterMode::kLoiter);
             SendStatusText(MavSeverity::kInfo, "Mission complete");
           }
@@ -586,11 +585,11 @@ FlightController::ModeSetpoint FlightController::ModeStep(
     }
     case CopterMode::kRtl: {
       // Return at the greater of the current altitude and the RTL floor,
-      // then hand off to LAND above home.
+      // then hand off to LAND within kWaypointReachedM of home. LAND holds
+      // where the hand-off happened (SwitchMode sets hold_target_).
       double return_alt = std::max(-ned.down_m, kRtlAltitudeM);
       double horiz = detmath::Hypot(ned.north_m, ned.east_m);
       if (horiz < kWaypointReachedM) {
-        hold_target_ = NedPoint{0, 0, ned.down_m};
         (void)SwitchMode(CopterMode::kLand);
         SendStatusText(MavSeverity::kInfo, "RTL: reached home, landing");
         return velocity(NedPoint{0, 0, kLandDescentMs});
@@ -664,7 +663,6 @@ void FlightController::CheckFence() {
   if (fence_recovering_ && horiz < fence_.radius_m * 0.9 &&
       pos.altitude_m < fence_.max_altitude_m) {
     fence_recovering_ = false;
-    hold_target_ = EstimatedNed();
     (void)SwitchMode(CopterMode::kLoiter);
     SendStatusText(MavSeverity::kInfo, "Geofence recovered; loitering");
     if (on_fence_recovered_) {
@@ -802,14 +800,12 @@ void FlightController::HandleCommandLong(const CommandLong& cmd) {
       return;
     }
     case MavCmd::kNavLand:
-      hold_target_ = EstimatedNed();
       SendAck(MavCmd::kNavLand, SwitchMode(CopterMode::kLand));
       return;
     case MavCmd::kNavReturnToLaunch:
       SendAck(MavCmd::kNavReturnToLaunch, SwitchMode(CopterMode::kRtl));
       return;
     case MavCmd::kNavLoiterUnlimited:
-      hold_target_ = EstimatedNed();
       SendAck(MavCmd::kNavLoiterUnlimited, SwitchMode(CopterMode::kLoiter));
       return;
     case MavCmd::kDoChangeSpeed:

@@ -74,7 +74,7 @@ class SensorFaultPlan {
                        double sag_fraction);
 
   // Generic validated append — the manifest-loading path (fault windows
-  // deserialized by util/fault_plan_io land here). Rejects windows whose
+  // read by scenario/manifest land here). Rejects windows whose
   // scope conflicts with the kind's pinned channel.
   Status AddWindow(const FaultWindowSpec& window);
 

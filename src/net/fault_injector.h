@@ -70,7 +70,7 @@ class FaultPlan {
   }
 
   // Generic validated append — the manifest-loading path (fault windows
-  // deserialized by util/fault_plan_io land here).
+  // read by scenario/manifest land here).
   Status AddWindow(const FaultWindowSpec& window);
 
   const FaultSchedule& schedule() const { return schedule_; }

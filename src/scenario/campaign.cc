@@ -50,7 +50,6 @@ WorldResult RunNominalTwin(const ScenarioSpec& spec, const WorldContext& ctx,
   config.crash_at_s.clear();
   config.checkpoint = CheckpointPolicy{/*period_s=*/0,
                                        /*at_phase_boundaries=*/false};
-  config.restore = RestorePolicy{};
   config.trace_categories = trace_categories;
   config.trace_capacity = trace_capacity;
   WorldContext twin_ctx = ctx;

@@ -58,6 +58,7 @@ Status ValidateCrashPlan(const CrashPlanConfig& crash,
 StatusOr<std::vector<ScenarioSpec>> ExpandScenarios(
     const CampaignSpec& campaign) {
   std::vector<ScenarioSpec> scenarios;
+  int64_t total = 0;
   for (size_t ti = 0; ti < campaign.templates.size(); ++ti) {
     const ScenarioTemplate& tmpl = campaign.templates[ti];
     const std::string where = "scenario \"" + tmpl.name + "\"";
@@ -75,6 +76,12 @@ StatusOr<std::vector<ScenarioSpec>> ExpandScenarios(
     }
     if (tmpl.crash.enabled()) {
       RETURN_IF_ERROR(ValidateCrashPlan(tmpl.crash, where));
+    }
+    total += tmpl.instance_count();
+    if (total > kMaxCampaignScenarios) {
+      return InvalidArgumentError(
+          where + ": the campaign expands to more than " +
+          std::to_string(kMaxCampaignScenarios) + " scenarios");
     }
 
     // Template-level seed chain: decorrelated from sibling templates even
@@ -126,7 +133,7 @@ StatusOr<std::vector<ScenarioSpec>> ExpandScenarios(
           spec.world.checkpoint.period_s = tmpl.crash.checkpoint_s;
           spec.world.checkpoint.at_phase_boundaries =
               tmpl.crash.phase_checkpoints;
-          spec.world.restore.max_restores = tmpl.crash.max_restores;
+          spec.world.max_restores = tmpl.crash.max_restores;
         }
         scenarios.push_back(std::move(spec));
       }

@@ -9,6 +9,7 @@
 #ifndef SRC_SCENARIO_GENERATOR_H_
 #define SRC_SCENARIO_GENERATOR_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -70,9 +71,10 @@ struct ScenarioTemplate {
   std::vector<JitteredWindow> sensor_windows;
   std::vector<AssertionSpec> assertions;
 
-  // Concrete scenarios this template expands to.
-  int instance_count() const {
-    return repeat * (tenants_max - tenants_min + 1);
+  // Concrete scenarios this template expands to (int64_t: a manifest may
+  // ask for 10^9 repeats of 10^9 tenant counts).
+  int64_t instance_count() const {
+    return int64_t{repeat} * (int64_t{tenants_max} - tenants_min + 1);
   }
 };
 
@@ -82,8 +84,8 @@ struct CampaignSpec {
   uint64_t seed = 1;
   std::vector<ScenarioTemplate> templates;
 
-  int instance_count() const {
-    int total = 0;
+  int64_t instance_count() const {
+    int64_t total = 0;
     for (const ScenarioTemplate& t : templates) {
       total += t.instance_count();
     }
@@ -91,12 +93,18 @@ struct CampaignSpec {
   }
 };
 
+// The most scenarios one campaign may expand to: 88x the builtin full
+// campaign's 1136, and far below what would exhaust memory.
+inline constexpr int64_t kMaxCampaignScenarios = 100000;
+
 // Expands every template into concrete scenarios, in template order then
 // tenant-count order then repeat order — the scenario index is therefore a
 // stable coordinate, and reruns of the same campaign hit identical worlds.
-// Structural template errors (non-positive repeat, inverted tenant range)
-// and windows invalidated by their layer (pinned-channel conflicts,
-// parameter ranges) surface as descriptive Status errors.
+// Structural template errors (non-positive repeat, inverted tenant range),
+// a campaign past kMaxCampaignScenarios (checked before the template that
+// crosses it is built) and windows invalidated by their layer
+// (pinned-channel conflicts, parameter ranges) surface as descriptive
+// Status errors.
 StatusOr<std::vector<ScenarioSpec>> ExpandScenarios(
     const CampaignSpec& campaign);
 

@@ -1,298 +1,202 @@
 #include "src/scenario/manifest.h"
 
-#include <charconv>
 #include <memory>
 #include <utility>
 
-#include "src/util/json.h"
 #include "src/util/xml.h"
+#include "src/util/xml_attrs.h"
 
 namespace androne {
 
 namespace {
 
-constexpr char kJitterAttr[] = "jitter_s";
+// One chaos layer's window spelling: the element, the kind names (kind i
+// spells kinds[i]), and the attribute naming the scope, where scopes[0]
+// spells kFaultScopeAll and scopes[i + 1] scope i. |check| applies the
+// layer's own rules (pinned channels, parameter ranges) and may
+// canonicalize the window.
+struct FaultVocabulary {
+  std::string element;
+  std::vector<std::string> kinds;
+  std::string scope_attr;
+  std::vector<std::string> scopes;
+  Status (*check)(FaultWindowSpec& window);
+};
 
-// Manifest defaults, shared by the parser (fallbacks) and the dumper
-// (omission). Must track the ScenarioTemplate member initializers.
-const ScenarioTemplate kTemplateDefaults;
-const CrashLoopConfig kCrashLoopDefaults;
-const CrashPlanConfig kCrashDefaults;
-
-StatusOr<bool> ParseManifestBool(const std::string& text,
-                                 const std::string& what) {
-  if (text == "true") {
-    return true;
-  }
-  if (text == "false") {
-    return false;
-  }
-  return InvalidArgumentError(what + ": \"" + text +
-                              "\" is not a boolean (expected true or false)");
+const FaultVocabulary& NetFaultVocabulary() {
+  static const FaultVocabulary* vocab = new FaultVocabulary{
+      "net_fault",
+      {"outage", "burst_loss", "latency"},
+      "dir",
+      {"both", "forward", "reverse"},
+      [](FaultWindowSpec& window) { return FaultPlan().AddWindow(window); }};
+  return *vocab;
 }
 
-StatusOr<JitteredWindow> ParseFaultElement(const XmlElement& element,
-                                           const FaultVocabulary& vocabulary,
-                                           bool sensor) {
-  JitteredWindow jittered;
-  ASSIGN_OR_RETURN(jittered.window,
-                   FaultWindowFromXml(element, vocabulary, {kJitterAttr}));
-  ASSIGN_OR_RETURN(
-      jittered.start_jitter_s,
-      ParseManifestSeconds(element.Attr(kJitterAttr, "0"),
-                           "<" + element.name + "> " + kJitterAttr));
-  if (jittered.start_jitter_s < 0) {
-    return InvalidArgumentError("<" + element.name + ">: negative " +
-                                kJitterAttr);
+const FaultVocabulary& SensorFaultVocabulary() {
+  static const FaultVocabulary* vocab = new FaultVocabulary{
+      "sensor_fault",
+      {"dropout", "stuck", "bias_drift", "noise_inflation", "gps_jump",
+       "baro_spike", "battery_sag"},
+      "channel",
+      {"all", "gps", "imu", "baro", "mag", "battery"},
+      [](FaultWindowSpec& window) {
+        // A pinned kind with the channel omitted is a fault on that
+        // channel, and the dump should say so rather than echo "all".
+        auto pinned = PinnedChannelOf(static_cast<SensorFaultKind>(window.kind));
+        if (pinned.has_value() && window.scope == kFaultScopeAll) {
+          window.scope = static_cast<int>(*pinned);
+        }
+        return SensorFaultPlan().AddWindow(window);
+      }};
+  return *vocab;
+}
+
+// "8,20,31" -> {8, 20, 31}. The separator is a comma so the list rides in
+// one XML attribute; spaces around entries are not accepted (the canonical
+// dump never emits them).
+StatusOr<std::vector<double>> ParseCrashTimes(const std::string& text) {
+  std::vector<double> times;
+  size_t start = 0;
+  for (;;) {
+    const size_t comma = text.find(',', start);
+    ASSIGN_OR_RETURN(double at,
+                     ParseSeconds(text.substr(start, comma - start),
+                                  kAnyNumber));
+    times.push_back(at);
+    if (comma == std::string::npos) {
+      return times;
+    }
+    start = comma + 1;
   }
-  // Probe the layer facade so kind-specific rules (pinned channels,
-  // probability ranges) reject at load time, not at expansion time.
-  if (sensor) {
-    SensorFaultPlan probe;
-    Status status = probe.AddWindow(jittered.window);
-    if (!status.ok()) {
-      return InvalidArgumentError("<" + element.name + ">: " +
-                                  status.message());
-    }
-    // Canonicalize pinned kinds: a gps_jump with the channel omitted is a
-    // GPS fault, and the dump should say so rather than echo "all".
-    auto pinned = PinnedChannelOf(
-        static_cast<SensorFaultKind>(jittered.window.kind));
-    if (pinned.has_value() && jittered.window.scope == kFaultScopeAll) {
-      jittered.window.scope = static_cast<int>(*pinned);
-    }
-  } else {
-    FaultPlan probe;
-    Status status = probe.AddWindow(jittered.window);
-    if (!status.ok()) {
-      return InvalidArgumentError("<" + element.name + ">: " +
-                                  status.message());
-    }
+}
+
+std::string FormatCrashTimes(const std::vector<double>& times) {
+  std::string text;
+  for (double at : times) {
+    text += (text.empty() ? "" : ",") + FormatNumberCompact(at);
   }
-  return jittered;
+  return text;
+}
+
+}  // namespace
+
+// --- One attribute list per element (src/util/xml_attrs.h) ------------------
+
+template <class A>
+void VisitAttrs(A& a, JitteredWindow& w, const FaultVocabulary& vocab) {
+  FaultWindowSpec& window = w.window;
+  a.Choice("kind", window.kind, vocab.kinds, 0, Presence::kRequired);
+  a.Choice(vocab.scope_attr, window.scope, vocab.scopes, kFaultScopeAll,
+           Presence::kAlwaysDumped);
+  // dur_s spells end - start, so take it before start_s moves the start.
+  SimDuration dur = window.end - window.start;
+  a.Time("start_s", window.start, Seconds(1), Presence::kAlwaysDumped);
+  a.Time("dur_s", dur, Seconds(1), Presence::kAlwaysDumped);
+  if constexpr (A::kReading) {
+    window.end = window.start + dur;
+  }
+  a.Number("p0", window.p0, kAnyNumber);
+  a.Number("p1", window.p1, kAnyNumber);
+  a.Time("d0_ms", window.d0, Millis(1));
+  a.Seconds("jitter_s", w.start_jitter_s, kNonNegative);
+}
+
+template <class A>
+void VisitAttrs(A& a, CrashLoopConfig& crash_loop) {
+  a.Int("count", crash_loop.count, 1, Presence::kRequired);
+  a.Seconds("start_s", crash_loop.start_s, kNonNegative);
+  a.Seconds("period_s", crash_loop.period_s, kPositive);
+  a.Int("max_restarts", crash_loop.max_restarts, 0);
+}
+
+template <class A>
+void VisitAttrs(A& a, CrashPlanConfig& crash) {
+  a.Field("at_s", crash.at_s, ParseCrashTimes, FormatCrashTimes,
+          Presence::kRequired);
+  a.Seconds("checkpoint_s", crash.checkpoint_s, kNonNegative);
+  a.Bool("phase_checkpoints", crash.phase_checkpoints);
+  a.Seconds("jitter_s", crash.jitter_s, kNonNegative);
+  a.Int("max_restores", crash.max_restores, 0);
+}
+
+template <class A>
+void VisitAttrs(A& a, ScenarioTemplate& tmpl) {
+  a.Str("name", tmpl.name, Presence::kRequired);
+  a.Int("repeat", tmpl.repeat, 1);
+  a.IntRange("tenants", tmpl.tenants_min, tmpl.tenants_max, 1);
+  a.Seconds("dwell_s", tmpl.dwell_s, kNonNegative);
+  a.Number("spread_m", tmpl.spread_m, kNonNegative);
+  a.Int("annealing", tmpl.annealing, 1);
+  a.Number("memory_mb", tmpl.memory_mb, kNonNegative);
+  a.Field("profile", tmpl.profile, LinkProfileFromName, LinkProfileName);
+  a.Bool("tolerate_rejection", tmpl.tolerate_rejection);
+  a.Bool("expect_fail", tmpl.expect_fail);
+}
+
+template <class A>
+void VisitAttrs(A& a, CampaignSpec& campaign) {
+  a.Str("name", campaign.name);
+  // Every scenario seed derives from this one, so it is read as an exact
+  // integer: a double would silently round seeds above 2^53.
+  a.U64("seed", campaign.seed);
+}
+
+namespace {
+
+// Cross-field rules run after each walk.
+StatusOr<JitteredWindow> ParseFault(const XmlElement& element,
+                                    const FaultVocabulary& vocab) {
+  ASSIGN_OR_RETURN(JitteredWindow w, ReadAttrs<JitteredWindow>(element, vocab));
+  Status status = vocab.check(w.window);
+  if (!status.ok()) {
+    return InvalidArgumentError("<" + element.name + ">: " + status.message());
+  }
+  return w;
 }
 
 StatusOr<CrashLoopConfig> ParseCrashLoop(const XmlElement& element) {
-  RETURN_IF_ERROR(CheckNoText(element));
-  RETURN_IF_ERROR(CheckAttributes(
-      element, {"count", "start_s", "period_s", "max_restarts"}));
-  if (!element.children.empty()) {
-    return InvalidArgumentError("<crash_loop>: unexpected child element");
-  }
-  CrashLoopConfig config;
-  if (element.Attr("count").empty()) {
-    return InvalidArgumentError("<crash_loop>: missing count attribute");
-  }
-  ASSIGN_OR_RETURN(config.count, ParseManifestInt(element.Attr("count"),
-                                                  "<crash_loop> count", 1));
-  ASSIGN_OR_RETURN(
-      config.start_s,
-      ParseManifestSeconds(
-          element.Attr("start_s", FormatNumberCompact(config.start_s)),
-          "<crash_loop> start_s"));
-  ASSIGN_OR_RETURN(
-      config.period_s,
-      ParseManifestSeconds(
-          element.Attr("period_s", FormatNumberCompact(config.period_s)),
-          "<crash_loop> period_s"));
-  if (config.start_s < 0 || config.period_s <= 0) {
-    return InvalidArgumentError(
-        "<crash_loop>: start_s must be >= 0 and period_s > 0");
-  }
+  ASSIGN_OR_RETURN(CrashLoopConfig config, ReadAttrs<CrashLoopConfig>(element));
   if (config.start_s + (config.count - 1) * config.period_s >
       kMaxManifestSeconds) {
     return InvalidArgumentError(
         "<crash_loop>: the last crash, start_s + (count - 1) * period_s, is "
         "past " + FormatNumberCompact(kMaxManifestSeconds) + " s");
   }
-  ASSIGN_OR_RETURN(
-      config.max_restarts,
-      ParseManifestInt(element.Attr("max_restarts",
-                                    std::to_string(config.max_restarts)),
-                       "<crash_loop> max_restarts", 0));
   return config;
 }
 
-// "8,20,31" -> {8, 20, 31}. The separator is a comma so the list rides in
-// one XML attribute; spaces around entries are not accepted (the canonical
-// dump never emits them).
-StatusOr<std::vector<double>> ParseCrashTimes(const std::string& text,
-                                              const std::string& what) {
-  std::vector<double> times;
-  size_t start = 0;
-  while (start <= text.size()) {
-    size_t comma = text.find(',', start);
-    size_t end = comma == std::string::npos ? text.size() : comma;
-    ASSIGN_OR_RETURN(double value,
-                     ParseManifestSeconds(text.substr(start, end - start),
-                                          what));
-    times.push_back(value);
-    if (comma == std::string::npos) {
-      break;
-    }
-    start = comma + 1;
-  }
-  return times;
-}
-
-StatusOr<CrashPlanConfig> ParseCrash(const XmlElement& element) {
-  RETURN_IF_ERROR(CheckNoText(element));
-  RETURN_IF_ERROR(CheckAttributes(
-      element, {"at_s", "checkpoint_s", "phase_checkpoints", kJitterAttr,
-                "max_restores"}));
-  if (!element.children.empty()) {
-    return InvalidArgumentError("<crash>: unexpected child element");
-  }
-  CrashPlanConfig config;
-  if (element.Attr("at_s").empty()) {
-    return InvalidArgumentError("<crash>: missing at_s attribute");
-  }
-  ASSIGN_OR_RETURN(config.at_s,
-                   ParseCrashTimes(element.Attr("at_s"), "<crash> at_s"));
-  ASSIGN_OR_RETURN(
-      config.checkpoint_s,
-      ParseManifestSeconds(
-          element.Attr("checkpoint_s",
-                       FormatNumberCompact(config.checkpoint_s)),
-          "<crash> checkpoint_s"));
-  ASSIGN_OR_RETURN(
-      config.phase_checkpoints,
-      ParseManifestBool(
-          element.Attr("phase_checkpoints",
-                       config.phase_checkpoints ? "true" : "false"),
-          "<crash> phase_checkpoints"));
-  ASSIGN_OR_RETURN(
-      config.jitter_s,
-      ParseManifestSeconds(
-          element.Attr(kJitterAttr, FormatNumberCompact(config.jitter_s)),
-          std::string("<crash> ") + kJitterAttr));
-  ASSIGN_OR_RETURN(
-      config.max_restores,
-      ParseManifestInt(element.Attr("max_restores",
-                                    std::to_string(config.max_restores)),
-                       "<crash> max_restores", 0));
-  RETURN_IF_ERROR(ValidateCrashPlan(config, "<crash>"));
-  return config;
-}
-
-StatusOr<ScenarioTemplate> ParseScenarioElement(const XmlElement& element) {
-  RETURN_IF_ERROR(CheckNoText(element));
-  RETURN_IF_ERROR(CheckAttributes(
-      element,
-      {"name", "repeat", "tenants", "tenants_min", "tenants_max", "dwell_s",
-       "spread_m", "annealing", "memory_mb", "profile", "tolerate_rejection",
-       "expect_fail"}));
-
+StatusOr<ScenarioTemplate> ParseScenario(const XmlElement& element) {
   ScenarioTemplate tmpl;
-  tmpl.name = element.Attr("name");
-  if (tmpl.name.empty()) {
-    return InvalidArgumentError("<scenario>: missing name attribute");
-  }
-  const std::string where = "<scenario name=\"" + tmpl.name + "\">";
-
-  ASSIGN_OR_RETURN(tmpl.repeat,
-                   ParseManifestInt(element.Attr("repeat", "1"),
-                                    where + " repeat", 1));
-  const bool has_plain = !element.Attr("tenants").empty();
-  const bool has_range = !element.Attr("tenants_min").empty() ||
-                         !element.Attr("tenants_max").empty();
-  if (has_plain && has_range) {
-    return InvalidArgumentError(
-        where + ": give either tenants or tenants_min/tenants_max, not both");
-  }
-  if (has_plain) {
-    ASSIGN_OR_RETURN(tmpl.tenants_min,
-                     ParseManifestInt(element.Attr("tenants"),
-                                      where + " tenants", 1));
-    tmpl.tenants_max = tmpl.tenants_min;
-  } else if (has_range) {
-    ASSIGN_OR_RETURN(
-        tmpl.tenants_min,
-        ParseManifestInt(
-            element.Attr("tenants_min", std::to_string(tmpl.tenants_min)),
-            where + " tenants_min", 1));
-    ASSIGN_OR_RETURN(
-        tmpl.tenants_max,
-        ParseManifestInt(
-            element.Attr("tenants_max", std::to_string(tmpl.tenants_min)),
-            where + " tenants_max", 1));
-    if (tmpl.tenants_max < tmpl.tenants_min) {
-      return InvalidArgumentError(where + ": tenants_max < tenants_min");
-    }
-  }
-  ASSIGN_OR_RETURN(
-      tmpl.dwell_s,
-      ParseManifestSeconds(
-          element.Attr("dwell_s", FormatNumberCompact(tmpl.dwell_s)),
-          where + " dwell_s"));
-  ASSIGN_OR_RETURN(
-      tmpl.spread_m,
-      ParseManifestNumber(
-          element.Attr("spread_m", FormatNumberCompact(tmpl.spread_m)),
-          where + " spread_m"));
-  if (tmpl.dwell_s < 0 || tmpl.spread_m < 0) {
-    return InvalidArgumentError(where +
-                                ": dwell_s and spread_m must be >= 0");
-  }
-  ASSIGN_OR_RETURN(
-      tmpl.annealing,
-      ParseManifestInt(
-          element.Attr("annealing", std::to_string(tmpl.annealing)),
-          where + " annealing", 1));
-  ASSIGN_OR_RETURN(
-      tmpl.memory_mb,
-      ParseManifestNumber(
-          element.Attr("memory_mb", FormatNumberCompact(tmpl.memory_mb)),
-          where + " memory_mb"));
-  if (tmpl.memory_mb < 0) {
-    return InvalidArgumentError(where + ": negative memory_mb");
-  }
-  ASSIGN_OR_RETURN(
-      tmpl.profile,
-      LinkProfileFromName(element.Attr(
-          "profile", LinkProfileName(kTemplateDefaults.profile))));
-  ASSIGN_OR_RETURN(tmpl.tolerate_rejection,
-                   ParseManifestBool(element.Attr("tolerate_rejection",
-                                                  "false"),
-                                     where + " tolerate_rejection"));
-  ASSIGN_OR_RETURN(tmpl.expect_fail,
-                   ParseManifestBool(element.Attr("expect_fail", "false"),
-                                     where + " expect_fail"));
-
-  bool have_crash_loop = false;
+  AttrReader reader(element);
+  VisitAttrs(reader, tmpl);
+  RETURN_IF_ERROR(reader.Finish());
+  const std::string& where = reader.where();
   for (const auto& child : element.children) {
     if (child->name == NetFaultVocabulary().element) {
       ASSIGN_OR_RETURN(JitteredWindow w,
-                       ParseFaultElement(*child, NetFaultVocabulary(),
-                                         /*sensor=*/false));
+                       ParseFault(*child, NetFaultVocabulary()));
       tmpl.net_windows.push_back(w);
     } else if (child->name == SensorFaultVocabulary().element) {
       ASSIGN_OR_RETURN(JitteredWindow w,
-                       ParseFaultElement(*child, SensorFaultVocabulary(),
-                                         /*sensor=*/true));
+                       ParseFault(*child, SensorFaultVocabulary()));
       tmpl.sensor_windows.push_back(w);
     } else if (child->name == "crash_loop") {
-      if (have_crash_loop) {
+      if (tmpl.crash_loop.enabled()) {
         return InvalidArgumentError(where +
                                     ": more than one <crash_loop> element");
       }
-      have_crash_loop = true;
       ASSIGN_OR_RETURN(tmpl.crash_loop, ParseCrashLoop(*child));
     } else if (child->name == "crash") {
       if (tmpl.crash.enabled()) {
         return InvalidArgumentError(where +
                                     ": more than one <crash> element");
       }
-      ASSIGN_OR_RETURN(tmpl.crash, ParseCrash(*child));
+      ASSIGN_OR_RETURN(tmpl.crash, ReadAttrs<CrashPlanConfig>(*child));
+      RETURN_IF_ERROR(ValidateCrashPlan(tmpl.crash, "<crash>"));
     } else if (child->name == "assert") {
-      RETURN_IF_ERROR(CheckNoText(*child));
-      RETURN_IF_ERROR(CheckAttributes(*child, {"expr"}));
-      if (child->Attr("expr").empty()) {
-        return InvalidArgumentError(where +
-                                    ": <assert> missing expr attribute");
-      }
       ASSIGN_OR_RETURN(AssertionSpec assertion,
-                       ParseAssertion(child->Attr("expr")));
+                       ReadAttrs<AssertionSpec>(*child));
       tmpl.assertions.push_back(std::move(assertion));
     } else {
       return InvalidArgumentError(where + ": unknown element <" +
@@ -302,193 +206,60 @@ StatusOr<ScenarioTemplate> ParseScenarioElement(const XmlElement& element) {
   return tmpl;
 }
 
-StatusOr<CampaignSpec> ParseCampaignElement(const XmlElement& root) {
-  if (root.name != "campaign") {
-    return InvalidArgumentError("manifest root must be <campaign>, got <" +
-                                root.name + ">");
-  }
-  RETURN_IF_ERROR(CheckNoText(root));
-  RETURN_IF_ERROR(CheckAttributes(root, {"name", "seed"}));
-
-  CampaignSpec campaign;
-  campaign.name = root.Attr("name");
-  // Every scenario seed derives from this one, so it is read as an exact
-  // integer: a double would silently round seeds above 2^53.
-  const std::string seed = root.Attr("seed", "1");
-  const char* seed_end = seed.data() + seed.size();
-  auto [seed_ptr, seed_error] =
-      std::from_chars(seed.data(), seed_end, campaign.seed);
-  if (seed_error != std::errc() || seed_ptr != seed_end) {
-    return InvalidArgumentError("<campaign> seed: must be a non-negative "
-                                "integer below 2^64");
-  }
-
-  for (const auto& child : root.children) {
-    if (child->name != "scenario") {
-      return InvalidArgumentError("<campaign>: unknown element <" +
-                                  child->name + ">");
-    }
-    ASSIGN_OR_RETURN(ScenarioTemplate tmpl, ParseScenarioElement(*child));
-    campaign.templates.push_back(std::move(tmpl));
-  }
-  return campaign;
-}
-
-// --- Canonical dump --------------------------------------------------------
-
-void EmitIntUnlessDefault(XmlElement& element, const std::string& attr,
-                          int value, int fallback) {
-  if (value != fallback) {
-    element.attributes[attr] = std::to_string(value);
-  }
-}
-
-std::unique_ptr<XmlElement> DumpFaultWindow(const JitteredWindow& jittered,
-                                            const FaultVocabulary& vocab) {
-  // Windows in a template have already passed load/build validation, so
-  // serialization cannot fail; the fallback keeps the dumper total.
-  auto element_or = FaultWindowToXml(jittered.window, vocab);
-  std::unique_ptr<XmlElement> element;
-  if (element_or.ok()) {
-    element = std::move(*element_or);
-  } else {
-    element = std::make_unique<XmlElement>();
-    element->name = vocab.element;
-    element->attributes["invalid"] = element_or.status().message();
-  }
-  if (jittered.start_jitter_s > 0) {
-    element->attributes[kJitterAttr] =
-        FormatNumberCompact(jittered.start_jitter_s);
-  }
-  return element;
-}
-
 std::unique_ptr<XmlElement> DumpScenario(const ScenarioTemplate& tmpl) {
-  auto element = std::make_unique<XmlElement>();
-  element->name = "scenario";
-  element->attributes["name"] = tmpl.name;
-  EmitIntUnlessDefault(*element, "repeat", tmpl.repeat,
-                       kTemplateDefaults.repeat);
-  if (tmpl.tenants_min == tmpl.tenants_max) {
-    EmitIntUnlessDefault(*element, "tenants", tmpl.tenants_min,
-                         kTemplateDefaults.tenants_min);
-  } else {
-    element->attributes["tenants_min"] = std::to_string(tmpl.tenants_min);
-    element->attributes["tenants_max"] = std::to_string(tmpl.tenants_max);
-  }
-  EmitNumberUnlessDefault(*element, "dwell_s", tmpl.dwell_s,
-                          kTemplateDefaults.dwell_s);
-  EmitNumberUnlessDefault(*element, "spread_m", tmpl.spread_m,
-                          kTemplateDefaults.spread_m);
-  EmitIntUnlessDefault(*element, "annealing", tmpl.annealing,
-                       kTemplateDefaults.annealing);
-  EmitNumberUnlessDefault(*element, "memory_mb", tmpl.memory_mb,
-                          kTemplateDefaults.memory_mb);
-  if (tmpl.profile != kTemplateDefaults.profile) {
-    element->attributes["profile"] = LinkProfileName(tmpl.profile);
-  }
-  if (tmpl.tolerate_rejection) {
-    element->attributes["tolerate_rejection"] = "true";
-  }
-  if (tmpl.expect_fail) {
-    element->attributes["expect_fail"] = "true";
-  }
-
-  for (const JitteredWindow& w : tmpl.net_windows) {
-    element->children.push_back(DumpFaultWindow(w, NetFaultVocabulary()));
-  }
-  for (const JitteredWindow& w : tmpl.sensor_windows) {
-    element->children.push_back(DumpFaultWindow(w, SensorFaultVocabulary()));
-  }
+  auto element = WriteAttrs("scenario", tmpl);
+  auto windows = [&element](const std::vector<JitteredWindow>& list,
+                            const FaultVocabulary& vocab) {
+    for (const JitteredWindow& w : list) {
+      element->children.push_back(WriteAttrs(vocab.element, w, vocab));
+    }
+  };
+  windows(tmpl.net_windows, NetFaultVocabulary());
+  windows(tmpl.sensor_windows, SensorFaultVocabulary());
   if (tmpl.crash_loop.enabled()) {
-    auto crash = std::make_unique<XmlElement>();
-    crash->name = "crash_loop";
-    crash->attributes["count"] = std::to_string(tmpl.crash_loop.count);
-    EmitNumberUnlessDefault(*crash, "start_s", tmpl.crash_loop.start_s,
-                            kCrashLoopDefaults.start_s);
-    EmitNumberUnlessDefault(*crash, "period_s", tmpl.crash_loop.period_s,
-                            kCrashLoopDefaults.period_s);
-    EmitIntUnlessDefault(*crash, "max_restarts",
-                         tmpl.crash_loop.max_restarts,
-                         kCrashLoopDefaults.max_restarts);
-    element->children.push_back(std::move(crash));
+    element->children.push_back(WriteAttrs("crash_loop", tmpl.crash_loop));
   }
   if (tmpl.crash.enabled()) {
-    auto crash = std::make_unique<XmlElement>();
-    crash->name = "crash";
-    std::string at_s;
-    for (double at : tmpl.crash.at_s) {
-      if (!at_s.empty()) {
-        at_s += ',';
-      }
-      at_s += FormatNumberCompact(at);
-    }
-    crash->attributes["at_s"] = at_s;
-    EmitNumberUnlessDefault(*crash, "checkpoint_s", tmpl.crash.checkpoint_s,
-                            kCrashDefaults.checkpoint_s);
-    if (tmpl.crash.phase_checkpoints != kCrashDefaults.phase_checkpoints) {
-      crash->attributes["phase_checkpoints"] =
-          tmpl.crash.phase_checkpoints ? "true" : "false";
-    }
-    EmitNumberUnlessDefault(*crash, kJitterAttr, tmpl.crash.jitter_s,
-                            kCrashDefaults.jitter_s);
-    EmitIntUnlessDefault(*crash, "max_restores", tmpl.crash.max_restores,
-                         kCrashDefaults.max_restores);
-    element->children.push_back(std::move(crash));
+    element->children.push_back(WriteAttrs("crash", tmpl.crash));
   }
   for (const AssertionSpec& assertion : tmpl.assertions) {
-    auto child = std::make_unique<XmlElement>();
-    child->name = "assert";
-    child->attributes["expr"] = assertion.ToExpr();
-    element->children.push_back(std::move(child));
+    element->children.push_back(WriteAttrs("assert", assertion));
   }
   return element;
 }
 
 }  // namespace
 
-const FaultVocabulary& NetFaultVocabulary() {
-  static const FaultVocabulary* vocab = new FaultVocabulary{
-      "net_fault",
-      {"outage", "burst_loss", "latency"},
-      {"forward", "reverse"},
-      "dir",
-      "both"};
-  return *vocab;
-}
-
-const FaultVocabulary& SensorFaultVocabulary() {
-  static const FaultVocabulary* vocab = new FaultVocabulary{
-      "sensor_fault",
-      {"dropout", "stuck", "bias_drift", "noise_inflation", "gps_jump",
-       "baro_spike", "battery_sag"},
-      {"gps", "imu", "baro", "mag", "battery"},
-      "channel",
-      "all"};
-  return *vocab;
-}
-
 StatusOr<CampaignSpec> ParseCampaignManifest(const std::string& text) {
   if (text.find_first_not_of(" \t\r\n") == std::string::npos) {
     return InvalidArgumentError("empty campaign manifest");
   }
   ASSIGN_OR_RETURN(auto root, ParseXml(text));
-  return ParseCampaignElement(*root);
+  if (root->name != "campaign") {
+    return InvalidArgumentError("manifest root must be <campaign>, got <" +
+                                root->name + ">");
+  }
+  CampaignSpec campaign;
+  AttrReader reader(*root);
+  VisitAttrs(reader, campaign);
+  RETURN_IF_ERROR(reader.Finish());
+  for (const auto& child : root->children) {
+    if (child->name != "scenario") {
+      return InvalidArgumentError("<campaign>: unknown element <" +
+                                  child->name + ">");
+    }
+    ASSIGN_OR_RETURN(ScenarioTemplate tmpl, ParseScenario(*child));
+    campaign.templates.push_back(std::move(tmpl));
+  }
+  return campaign;
 }
 
 std::string DumpCampaignManifest(const CampaignSpec& campaign) {
-  XmlElement root;
-  root.name = "campaign";
-  if (!campaign.name.empty()) {
-    root.attributes["name"] = campaign.name;
-  }
-  if (campaign.seed != 1) {
-    root.attributes["seed"] = std::to_string(campaign.seed);
-  }
+  auto root = WriteAttrs("campaign", campaign);
   for (const ScenarioTemplate& tmpl : campaign.templates) {
-    root.children.push_back(DumpScenario(tmpl));
+    root->children.push_back(DumpScenario(tmpl));
   }
-  return root.Dump();
+  return root->Dump();
 }
 
 }  // namespace androne

@@ -15,21 +15,18 @@
 // defaults are omitted, numbers use FormatNumberCompact, attribute order is
 // alphabetical (XmlElement::Dump), and assertions are re-spelled
 // canonically — so dump(parse(dump(parse(text)))) == dump(parse(text))
-// byte-for-byte, the golden round-trip contract.
+// byte-for-byte, the golden round-trip contract. Each element's attributes
+// are listed once, in a VisitAttrs walk that drives both directions
+// (src/util/xml_attrs.h).
 #ifndef SRC_SCENARIO_MANIFEST_H_
 #define SRC_SCENARIO_MANIFEST_H_
 
 #include <string>
 
 #include "src/scenario/generator.h"
-#include "src/util/fault_plan_io.h"
+#include "src/util/status.h"
 
 namespace androne {
-
-// The two chaos layers' manifest vocabularies (element names, kind/scope
-// name tables). Exposed for tests and tools that hand-build windows.
-const FaultVocabulary& NetFaultVocabulary();
-const FaultVocabulary& SensorFaultVocabulary();
 
 // Parses an XML campaign manifest.
 StatusOr<CampaignSpec> ParseCampaignManifest(const std::string& text);

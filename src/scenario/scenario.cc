@@ -5,8 +5,8 @@
 #include <sstream>
 #include <string_view>
 
-#include "src/util/fault_plan_io.h"
 #include "src/util/json.h"
+#include "src/util/xml_attrs.h"
 
 namespace androne {
 
@@ -294,8 +294,12 @@ StatusOr<AssertionSpec> ParseAssertion(const std::string& expr) {
     ASSIGN_OR_RETURN(spec.digest_value, ParseDigestHex(number, expr));
     return spec;
   }
-  ASSIGN_OR_RETURN(spec.value,
-                   ParseManifestNumber(number, "assertion \"" + expr + "\""));
+  StatusOr<double> value = ParseNumber(number);
+  if (!value.ok()) {
+    return InvalidArgumentError("assertion \"" + expr +
+                                "\": " + value.status().message());
+  }
+  spec.value = *value;
   return spec;
 }
 

@@ -19,6 +19,7 @@
 #include "src/hw/sensor_faults.h"
 #include "src/net/fault_injector.h"
 #include "src/util/status.h"
+#include "src/util/xml_attrs.h"
 
 namespace androne {
 
@@ -80,6 +81,16 @@ struct AssertionSpec {
 // non-numeric bounds, and malformed digest assertions (wrong operator,
 // missing 0x prefix, more than 16 hex digits).
 StatusOr<AssertionSpec> ParseAssertion(const std::string& expr);
+
+// The one attribute of a manifest's <assert> and a tenant mix's <slo>
+// (src/util/xml_attrs.h).
+template <class A>
+void VisitAttrs(A& a, AssertionSpec& assertion) {
+  a.Field(
+      "expr", assertion, ParseAssertion,
+      [](const AssertionSpec& spec) { return spec.ToExpr(); },
+      Presence::kRequired);
+}
 
 // One concrete scenario. The fault plans are owned by the spec; build the
 // world config with ScenarioWorldConfig(), which pins the config's borrowed

@@ -24,7 +24,7 @@ Status FaultSchedule::ValidateWindow(const FaultWindowSpec& window,
   }
   if (window.end < window.start) {
     return InvalidArgumentError(
-        "fault window: inverted window (end before start)");
+        "fault window: negative duration (end before start)");
   }
   if (window.d0 < 0) {
     return InvalidArgumentError("fault window: negative extra duration");

@@ -1,6 +1,7 @@
 #include "src/util/xml.h"
 
 #include <cctype>
+#include <utility>
 
 namespace androne {
 
@@ -184,7 +185,10 @@ class XmlParser {
       pos_ = end + 1;
       std::string decoded;
       RETURN_IF_ERROR(DecodeEntities(raw, decoded));
-      el.attributes[name] = decoded;
+      // XML 1.0 allows an attribute once per element.
+      if (!el.attributes.emplace(name, std::move(decoded)).second) {
+        return Error("duplicate attribute \"" + name + "\"");
+      }
     }
   }
 

@@ -1,7 +1,8 @@
 // A minimal XML subset parser for AnDrone app manifests (paper §5). Supports
 // elements, attributes, text content, comments, self-closing tags, and the
 // five predefined entities. No namespaces, DTDs, or processing instructions —
-// the manifest format doesn't use them.
+// the manifest format doesn't use them. As in XML 1.0, an element may carry
+// each attribute once; a repeated one is a parse error.
 #ifndef SRC_UTIL_XML_H_
 #define SRC_UTIL_XML_H_
 

@@ -272,102 +272,5 @@ TEST_F(RuntimeTest, FindByName) {
   EXPECT_FALSE(runtime_.FindByName("nope").ok());
 }
 
-// --- RestoreSupervisor: restore-with-backoff for crashed worlds ---
-
-RestorePolicy NoJitterPolicy(int max_restores) {
-  RestorePolicy policy;
-  policy.backoff = BackoffPolicy{Millis(500), 2.0, Seconds(30), 0.0};
-  policy.max_restores = max_restores;
-  return policy;
-}
-
-TEST(RestoreSupervisorTest, BackoffGrowsAcrossRapidCrashesAndCaps) {
-  RestoreSupervisor supervisor(NoJitterPolicy(/*max_restores=*/12),
-                               /*seed=*/7);
-  // Twelve back-to-back crashes with no stable life in between: the streak
-  // never resets, so the recorded backoff climbs the geometric ladder and
-  // pins at the cap.
-  for (int i = 0; i < 12; ++i) {
-    ASSERT_TRUE(supervisor.BeginRestore(SecondsF(i)));
-    supervisor.FinishRestore();
-  }
-  const std::vector<RestoreEpisode>& episodes = supervisor.episodes();
-  ASSERT_EQ(episodes.size(), 12u);
-  EXPECT_EQ(episodes[0].backoff_delay, Millis(500));
-  EXPECT_EQ(episodes[1].backoff_delay, Millis(1000));
-  EXPECT_EQ(episodes[2].backoff_delay, Millis(2000));
-  for (size_t i = 1; i < episodes.size(); ++i) {
-    EXPECT_GE(episodes[i].backoff_delay, episodes[i - 1].backoff_delay);
-    EXPECT_LE(episodes[i].backoff_delay, Seconds(30));
-  }
-  // 500ms * 2^6 = 32s would pass the 30s cap: episode 6 on is pinned.
-  EXPECT_EQ(episodes[6].backoff_delay, Seconds(30));
-  EXPECT_EQ(episodes.back().backoff_delay, Seconds(30));
-}
-
-TEST(RestoreSupervisorTest, BackoffFloorsAtOneMicrosecond) {
-  RestorePolicy policy;
-  policy.backoff = BackoffPolicy{/*base=*/0, 2.0, Seconds(1), 0.0};
-  policy.max_restores = 4;
-  RestoreSupervisor supervisor(policy, /*seed=*/7);
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(supervisor.BeginRestore(-1));
-    supervisor.FinishRestore();
-  }
-  for (const RestoreEpisode& episode : supervisor.episodes()) {
-    EXPECT_GE(episode.backoff_delay, Micros(1));
-  }
-}
-
-TEST(RestoreSupervisorTest, EpisodeCountersAreMonotoneUnderRapidCrashes) {
-  RestoreSupervisor supervisor(NoJitterPolicy(/*max_restores=*/8),
-                               /*seed=*/11);
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(supervisor.restores(), i);
-    ASSERT_TRUE(supervisor.BeginRestore(SecondsF(2 * i)));
-    supervisor.FinishRestore();
-    EXPECT_EQ(supervisor.restores(), i + 1);
-  }
-  const std::vector<RestoreEpisode>& episodes = supervisor.episodes();
-  for (size_t i = 0; i < episodes.size(); ++i) {
-    EXPECT_EQ(episodes[i].ordinal, static_cast<int>(i));
-    EXPECT_EQ(episodes[i].streak, static_cast<int>(i));
-    EXPECT_EQ(episodes[i].checkpoint_time, SecondsF(2 * static_cast<int>(i)));
-  }
-}
-
-TEST(RestoreSupervisorTest, NoDoubleRestoreWhileOneIsInProgress) {
-  RestoreSupervisor supervisor(NoJitterPolicy(/*max_restores=*/4),
-                               /*seed=*/13);
-  ASSERT_TRUE(supervisor.BeginRestore(SecondsF(5)));
-  EXPECT_TRUE(supervisor.restore_in_progress());
-  // A second crash landing mid-restore must not open a second episode.
-  EXPECT_FALSE(supervisor.BeginRestore(SecondsF(5)));
-  EXPECT_FALSE(supervisor.BeginRestore(SecondsF(6)));
-  EXPECT_EQ(supervisor.restores(), 1);
-  EXPECT_FALSE(supervisor.gave_up());  // Refused for progress, not budget.
-  supervisor.FinishRestore();
-  EXPECT_TRUE(supervisor.BeginRestore(SecondsF(6)));
-  supervisor.FinishRestore();
-  EXPECT_EQ(supervisor.restores(), 2);
-}
-
-TEST(RestoreSupervisorTest, GivesUpWhenBudgetSpentAndStaysDown) {
-  RestoreSupervisor supervisor(NoJitterPolicy(/*max_restores=*/2),
-                               /*seed=*/17);
-  ASSERT_TRUE(supervisor.BeginRestore(-1));  // Replay from boot.
-  supervisor.FinishRestore();
-  ASSERT_TRUE(supervisor.BeginRestore(SecondsF(4)));
-  supervisor.FinishRestore();
-  EXPECT_FALSE(supervisor.gave_up());
-
-  EXPECT_FALSE(supervisor.BeginRestore(SecondsF(8)));
-  EXPECT_TRUE(supervisor.gave_up());
-  // Give-up is terminal: no episode sneaks in afterwards.
-  EXPECT_FALSE(supervisor.BeginRestore(SecondsF(9)));
-  EXPECT_EQ(supervisor.restores(), 2);
-  EXPECT_EQ(supervisor.episodes()[0].checkpoint_time, -1);
-}
-
 }  // namespace
 }  // namespace androne

@@ -394,6 +394,16 @@ TEST(TenantMixTest, RejectsInvalidMixes) {
   }
 }
 
+TEST(TenantMixTest, RejectsDuplicateAttributes) {
+  auto mix = ParseTenantMix(
+      "<tenant_mix><class name=\"a\" weight=\"2\" weight=\"9\"/>"
+      "</tenant_mix>");
+  ASSERT_FALSE(mix.ok());
+  EXPECT_NE(mix.status().message().find("duplicate attribute \"weight\""),
+            std::string::npos)
+      << mix.status().message();
+}
+
 // --- Load generator ---
 
 TEST(LoadGenTest, IsDeterministicAndCoversEveryClass) {

@@ -401,7 +401,7 @@ TEST(ConfigFingerprintTest, EveryFieldMovesTheFingerprintsItsTagNames) {
       {"checkpoint", kRuntime, none,
        [](auto& c) { c.checkpoint.at_phase_boundaries = true; }},
       {"crash_at_s", kWorld, none, [](auto& c) { c.crash_at_s = {4}; }},
-      {"restore", kRuntime, none, [](auto& c) { c.restore.max_restores = 9; }},
+      {"max_restores", kRuntime, none, [](auto& c) { c.max_restores = 9; }},
       {"tolerate_deploy_rejection", kWorld, none,
        [](auto& c) { c.tolerate_deploy_rejection = true; }},
       {"templates", kRuntime, none, [&](auto& c) { c.templates = &cache; }},

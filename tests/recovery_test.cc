@@ -173,7 +173,7 @@ TEST(RecoveryEquivalenceTest, PendingSupervisorRestartRestoresExactly) {
     // With no restore budget the world gives up at the crash, and the store
     // keeps the checkpoint the recovery below restores.
     FleetWorldConfig capture = config;
-    capture.restore.max_restores = 0;
+    capture.max_restores = 0;
     CheckpointStore store;
     capture.checkpoint_sink = &store;
     ASSERT_TRUE(RunFleetWorld(capture, MakeContext(31)).recovery.gave_up);
@@ -276,7 +276,7 @@ TEST(RecoveryEquivalenceTest, GiveUpAfterRestoreBudgetIsScenarioOutcome) {
   FleetWorldConfig config = BaseConfig();
   config.checkpoint = PhaseBoundaryCadence();
   config.crash_at_s = {6.0, 10.0, 14.0, 18.0};
-  config.restore.max_restores = 2;
+  config.max_restores = 2;
   WorldResult result = RunFleetWorld(config, MakeContext(37));
   EXPECT_TRUE(result.recovery.gave_up);
   EXPECT_EQ(result.recovery.restores, 2);

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <string>
 #include <vector>
@@ -13,6 +14,8 @@
 #include "src/scenario/generator.h"
 #include "src/scenario/manifest.h"
 #include "src/scenario/scenario.h"
+#include "src/util/rng.h"
+#include "src/util/xml.h"
 
 namespace androne {
 namespace {
@@ -622,6 +625,103 @@ TEST(ManifestTest, DumpOmitsDefaultsAndEnablesMinimalManifests) {
   EXPECT_EQ(parsed->templates[0].annealing, tmpl.annealing);
 }
 
+// XML 1.0 allows an attribute once per element: a repeated one must not
+// silently take the last value.
+TEST(ManifestTest, RejectsDuplicateAttributes) {
+  ExpectManifestError(
+      "<campaign><scenario name=\"x\" repeat=\"2\" repeat=\"7\"/>"
+      "</campaign>",
+      "duplicate attribute \"repeat\"");
+  ExpectManifestError(
+      "<campaign><scenario name=\"x\">"
+      "<net_fault kind=\"outage\" start_s=\"1\" start_s=\"2\"/>"
+      "</scenario></campaign>",
+      "duplicate attribute \"start_s\"");
+}
+
+// The <net_fault> attribute |attr| of a one-window campaign dump.
+std::string WindowAttr(const std::string& dumped, const std::string& attr) {
+  auto root = ParseXml(dumped);
+  if (!root.ok() || root.value()->children.empty() ||
+      root.value()->children[0]->children.empty()) {
+    return "<no window>";
+  }
+  return root.value()->children[0]->children[0]->Attr(attr, "<absent>");
+}
+
+// Fault-window times are SimTime nanoseconds: a decimal with at most
+// nanosecond resolution must land on its exact nanosecond and dump back as
+// the value written, not drift by one nanosecond per round trip.
+TEST(ManifestTest, FaultWindowTimesRoundTripToTheNanosecond) {
+  auto window = [](const std::string& start_s, const std::string& dur_s,
+                   const std::string& d0_ms) {
+    return "<campaign><scenario name=\"x\"><net_fault kind=\"latency\" "
+           "start_s=\"" + start_s + "\" dur_s=\"" + dur_s + "\" p0=\"1\" "
+           "d0_ms=\"" + d0_ms + "\"/></scenario></campaign>";
+  };
+  auto campaign = ParseCampaignManifest(window("544.223", "6", "80.9"));
+  ASSERT_TRUE(campaign.ok()) << campaign.status().message();
+  const FaultWindowSpec& w = campaign->templates[0].net_windows[0].window;
+  EXPECT_EQ(w.start, int64_t{544223000000});
+  EXPECT_EQ(w.end - w.start, Seconds(6));
+  EXPECT_EQ(w.d0, int64_t{80900000});
+  const std::string dumped = DumpCampaignManifest(*campaign);
+  EXPECT_EQ(WindowAttr(dumped, "start_s"), "544.223");
+  EXPECT_EQ(WindowAttr(dumped, "dur_s"), "6");
+  EXPECT_EQ(WindowAttr(dumped, "d0_ms"), "80.9");
+
+  // A seeded sweep: seconds in [0, 1e6] with 0-9 fractional digits, and
+  // milliseconds in [0, 1e9] with 0-6.
+  Rng rng(0x6e73);
+  auto decimal = [&rng](uint64_t whole_max, int max_digits, int64_t* ns,
+                        int64_t ns_per_unit) {
+    const uint64_t whole = rng.NextU64Below(whole_max + 1);
+    const int digits =
+        whole == whole_max ? 0 : static_cast<int>(rng.NextU64Below(max_digits + 1));
+    uint64_t scale = 1;
+    for (int d = 0; d < digits; ++d) {
+      scale *= 10;
+    }
+    const uint64_t fraction = rng.NextU64Below(scale);
+    std::string text = std::to_string(whole);
+    if (digits > 0) {
+      std::string tail = std::to_string(fraction);
+      text += "." + std::string(static_cast<size_t>(digits) - tail.size(), '0') +
+              tail;
+    }
+    *ns = static_cast<int64_t>(whole) * ns_per_unit +
+          static_cast<int64_t>(fraction) * (ns_per_unit / static_cast<int64_t>(scale));
+    return text;
+  };
+  for (int i = 0; i < 2000; ++i) {
+    int64_t start_ns = 0;
+    int64_t dur_ns = 0;
+    int64_t d0_ns = 0;
+    const std::string start_s = decimal(1000000, 9, &start_ns, 1000000000);
+    const std::string dur_s = decimal(1000000, 9, &dur_ns, 1000000000);
+    const std::string d0_ms = decimal(1000000000, 6, &d0_ns, 1000000);
+    SCOPED_TRACE(start_s + " " + dur_s + " " + d0_ms);
+    auto parsed = ParseCampaignManifest(window(start_s, dur_s, d0_ms));
+    ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+    const FaultWindowSpec& got = parsed->templates[0].net_windows[0].window;
+    EXPECT_EQ(got.start, start_ns);
+    EXPECT_EQ(got.end - got.start, dur_ns);
+    EXPECT_EQ(got.d0, d0_ns);
+    const std::string dumped = DumpCampaignManifest(*parsed);
+    for (const auto& [attr, written] :
+         {std::pair<std::string, std::string>{"start_s", start_s},
+          {"dur_s", dur_s},
+          {"d0_ms", d0_ms}}) {
+      EXPECT_EQ(std::strtod(WindowAttr(dumped, attr).c_str(), nullptr),
+                std::strtod(written.c_str(), nullptr))
+          << attr << " dumped as " << WindowAttr(dumped, attr);
+    }
+    auto again = ParseCampaignManifest(dumped);
+    ASSERT_TRUE(again.ok()) << again.status().message();
+    EXPECT_EQ(DumpCampaignManifest(*again), dumped);
+  }
+}
+
 // --- Generator expansion ---
 
 CampaignSpec TwoTemplateCampaign() {
@@ -744,7 +844,7 @@ TEST(GeneratorTest, CrashFamilyExpandsIntoWorldConfigWithSharedShift) {
                      13.0);
     EXPECT_DOUBLE_EQ(spec.world.checkpoint.period_s, 4.0);
     EXPECT_TRUE(spec.world.checkpoint.at_phase_boundaries);
-    EXPECT_EQ(spec.world.restore.max_restores, 2);
+    EXPECT_EQ(spec.world.max_restores, 2);
     if (spec.world.crash_at_s[0] != 9.0) {
       any_shifted = true;
     }
@@ -758,6 +858,41 @@ TEST(GeneratorTest, CrashFamilyExpandsIntoWorldConfigWithSharedShift) {
     EXPECT_EQ((*scenarios)[i].world.crash_at_s,
               (*again)[i].world.crash_at_s);
   }
+}
+
+// One manifest line can ask for 10^18 scenarios: the count must not
+// overflow, and expansion must refuse past the cap before building any.
+TEST(GeneratorTest, RejectsCampaignsPastTheScenarioCap) {
+  auto huge = ParseCampaignManifest(
+      "<campaign><scenario name=\"huge\" repeat=\"1000000000\" "
+      "tenants_min=\"1\" tenants_max=\"1000000000\"/></campaign>");
+  ASSERT_TRUE(huge.ok()) << huge.status().message();
+  ASSERT_EQ(huge->instance_count(), int64_t{1000000000} * 1000000000);
+
+  // The cap is on the running total, and names the template that crosses
+  // it. (Checked first: without a cap this builds 10^5 scenarios, not 10^18.)
+  CampaignSpec two;
+  ScenarioTemplate small;
+  small.name = "small";
+  small.repeat = 3;
+  two.templates.push_back(small);
+  ScenarioTemplate crossing = small;
+  crossing.name = "crossing";
+  crossing.repeat = static_cast<int>(kMaxCampaignScenarios) - 2;
+  two.templates.push_back(crossing);
+  auto scenarios = ExpandScenarios(two);
+  ASSERT_FALSE(scenarios.ok());
+  EXPECT_NE(scenarios.status().message().find("scenario \"crossing\""),
+            std::string::npos)
+      << scenarios.status().message();
+  two.templates[1].repeat -= 1;  // Exactly at the cap: allowed.
+  EXPECT_EQ(two.instance_count(), kMaxCampaignScenarios);
+
+  scenarios = ExpandScenarios(*huge);
+  ASSERT_FALSE(scenarios.ok());
+  EXPECT_NE(scenarios.status().message().find("scenario \"huge\""),
+            std::string::npos)
+      << scenarios.status().message();
 }
 
 TEST(GeneratorTest, RejectsInvalidCrashPlans) {

@@ -70,6 +70,17 @@ TEST(XmlTest, RejectsMalformedDocuments) {
   EXPECT_FALSE(ParseXml("<a>&bogus;</a>").ok());
 }
 
+TEST(XmlTest, RejectsDuplicateAttributes) {
+  // XML 1.0 allows an attribute once per element; the last one must not
+  // silently win.
+  auto root = ParseXml(R"(<uses-permission name="camera" name="gps"/>)");
+  ASSERT_FALSE(root.ok());
+  EXPECT_NE(root.status().message().find("duplicate attribute \"name\""),
+            std::string::npos)
+      << root.status().message();
+  EXPECT_FALSE(ParseXml("<a><b x='1' y='2' x='1'/></a>").ok());
+}
+
 TEST(XmlTest, DumpRoundTrips) {
   auto root = ParseXml(
       "<manifest package=\"com.example.survey\">"
