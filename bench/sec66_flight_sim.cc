@@ -131,12 +131,7 @@ void RunSection66() {
       }
       // Fly 120 m east — far outside the 40 m fence.
       GeoPoint outside = FromNed(waypoint.point, NedPoint{0, 120, 0});
-      SetPositionTargetGlobalInt sp;
-      sp.lat_int = static_cast<int32_t>(outside.latitude_deg * 1e7);
-      sp.lon_int = static_cast<int32_t>(outside.longitude_deg * 1e7);
-      sp.alt = static_cast<float>(outside.altitude_m);
-      sp.type_mask = 0x0FF8;
-      (*app)->UserFrame(PackMessage(MavMessage{sp}));
+      (*app)->UserFrame(PackMessage(MavMessage{GotoTarget(outside)}));
     }
     void GeofenceBreached() override { breached = true; }
   } user;

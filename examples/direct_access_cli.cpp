@@ -74,12 +74,8 @@ int main() {
       RunCmd(*shell, "fc-address");
       // Steer via the VFC (what a GCS pointed at fc-address would do).
       GeoPoint spot = FromNed(waypoint.point, NedPoint{25, 10, 0});
-      SetPositionTargetGlobalInt sp;
-      sp.lat_int = static_cast<int32_t>(spot.latitude_deg * 1e7);
-      sp.lon_int = static_cast<int32_t>(spot.longitude_deg * 1e7);
-      sp.alt = static_cast<float>(spot.altitude_m);
-      sp.type_mask = 0x0FF8;
-      drone->VfcOf("direct")->HandleClientFrame(PackMessage(MavMessage{sp}));
+      drone->VfcOf("direct")->HandleClientFrame(
+          PackMessage(MavMessage{GotoTarget(spot)}));
       drone->RunClockUntil(
           [&] {
             return Distance3dMeters(drone->physics().truth().position, spot) <

@@ -120,12 +120,7 @@ int main() {
         phase = 1;
         // Legal: hop 20 m north inside the 50 m fence.
         GeoPoint inside = FromNed(waypoint.point, NedPoint{20, 0, 0});
-        SetPositionTargetGlobalInt sp;
-        sp.lat_int = static_cast<int32_t>(inside.latitude_deg * 1e7);
-        sp.lon_int = static_cast<int32_t>(inside.longitude_deg * 1e7);
-        sp.alt = static_cast<float>(inside.altitude_m);
-        sp.type_mask = 0x0FF8;
-        send(MavMessage{sp});
+        send(MavMessage{GotoTarget(inside)});
         drone->RunClockUntil(
             [&] {
               return Distance3dMeters(drone->physics().truth().position,
@@ -135,9 +130,7 @@ int main() {
         std::printf("  [user] legal hop inside the fence complete\n");
         // Now push 150 m east, well past the fence.
         GeoPoint outside = FromNed(waypoint.point, NedPoint{0, 150, 0});
-        sp.lat_int = static_cast<int32_t>(outside.latitude_deg * 1e7);
-        sp.lon_int = static_cast<int32_t>(outside.longitude_deg * 1e7);
-        send(MavMessage{sp});
+        send(MavMessage{GotoTarget(outside)});
         std::printf("  [user] pushing past the fence...\n");
       } else if (*breached) {
         *recovered = true;

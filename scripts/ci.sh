@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 CI: check that every src/ header has a production includer and
 # that no src/ code calls a libm transcendental outside util/detmath, build
-# + test twice (plain, then sanitizers) with a short perfbench replay run
-# after the plain tests, then refresh the robustness benchmark record.
+# + test twice (plain, then sanitizers) with the six examples and a short
+# perfbench replay run after the plain tests, then refresh the robustness
+# benchmark record.
 #
 #   scripts/ci.sh                       # full run
 #   SKIP_ASAN=1 scripts/ci.sh          # plain tests + benches only
@@ -89,6 +90,17 @@ echo "=== tier-1: plain build ==="
 cmake -S . -B build -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build -j "$JOBS"
 (cd build && ctest --output-on-failure -j "$JOBS")
+
+# Each example narrates a whole mission through the public API (together
+# about 0.4 s); any non-zero exit fails CI.
+echo "=== examples: plain build ==="
+for example in quickstart survey_mission multi_tenant_flight \
+    geofence_patrol direct_access_cli chaos_campaign; do
+  if ! ./build/examples/"$example" >/dev/null; then
+    echo "FAIL: example $example exited non-zero" >&2
+    exit 1
+  fi
+done
 
 # The committed manifests are the canonical dumps of the builtin campaigns:
 # each must match what campaign_sweep dumps today, byte for byte.

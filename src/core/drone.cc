@@ -188,6 +188,9 @@ Status AnDroneSystem::Boot() {
           vdc_->NotifyFenceRecovered();
         }
       });
+  // A safety override suspends every tenant's commands until it releases.
+  flight_controller_->SetSafetyCallbacks([this] { proxy_->OnSafetyOverride(); },
+                                         [this] { proxy_->OnSafetyRelease(); });
 
   flight_controller_->Start();
 
@@ -344,12 +347,7 @@ void AnDroneSystem::SendLegCommands(const GeoPoint& target) {
   SetMode guided;
   guided.custom_mode = static_cast<uint32_t>(CopterMode::kGuided);
   PlannerSend(MavMessage{guided});
-  SetPositionTargetGlobalInt sp;
-  sp.lat_int = static_cast<int32_t>(target.latitude_deg * 1e7);
-  sp.lon_int = static_cast<int32_t>(target.longitude_deg * 1e7);
-  sp.alt = static_cast<float>(target.altitude_m);
-  sp.type_mask = 0x0FF8;
-  PlannerSend(MavMessage{sp});
+  PlannerSend(MavMessage{GotoTarget(target)});
 }
 
 void AnDroneSystem::SendRtlCommand() {

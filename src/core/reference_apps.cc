@@ -5,19 +5,6 @@
 
 namespace androne {
 
-namespace {
-
-MavlinkFrame GotoTarget(const GeoPoint& target) {
-  SetPositionTargetGlobalInt sp;
-  sp.lat_int = static_cast<int32_t>(target.latitude_deg * 1e7);
-  sp.lon_int = static_cast<int32_t>(target.longitude_deg * 1e7);
-  sp.alt = static_cast<float>(target.altitude_m);
-  sp.type_mask = 0x0FF8;  // Position only.
-  return PackMessage(MavMessage{sp});
-}
-
-}  // namespace
-
 SurveyApp::SurveyApp(Environment env)
     : AndroneApp(kSurveyAppPackage, 0), env_(std::move(env)) {}
 
@@ -47,7 +34,7 @@ void SurveyApp::WaypointActive(const WaypointSpec& waypoint) {
     double east = (leg % 2 == 0) ? leg_length : -leg_length;
     GeoPoint target = FromNed(
         waypoint.point, NedPoint{north, east, 0.0});
-    env_.send_to_vfc(GotoTarget(target));
+    env_.send_to_vfc(PackMessage(MavMessage{GotoTarget(target)}));
     bool arrived = env_.wait_until(
         [this, target] {
           return Distance3dMeters(env_.position(), target) < 3.0;

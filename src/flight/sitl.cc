@@ -71,12 +71,7 @@ void SitlDrone::TakeoffCmd(double altitude_m) {
 }
 
 void SitlDrone::GotoCmd(const GeoPoint& target) {
-  SetPositionTargetGlobalInt sp;
-  sp.lat_int = static_cast<int32_t>(target.latitude_deg * 1e7);
-  sp.lon_int = static_cast<int32_t>(target.longitude_deg * 1e7);
-  sp.alt = static_cast<float>(target.altitude_m);
-  sp.type_mask = 0x0FF8;  // Use position only.
-  InjectMessage(MavMessage{sp});
+  InjectMessage(MavMessage{GotoTarget(target)});
 }
 
 void SitlDrone::VelocityCmd(double vn, double ve, double vd) {

@@ -22,9 +22,6 @@ enum class MavMsgId : uint8_t {
   kStatusText = 253,
 };
 
-// CRC_EXTRA seed per message (from the official XML definitions).
-uint8_t MavCrcExtra(MavMsgId id);
-
 // MAV_CMD values.
 enum class MavCmd : uint16_t {
   kNavWaypoint = 16,

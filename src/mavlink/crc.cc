@@ -9,16 +9,11 @@ uint16_t MavCrcAccumulate(uint8_t byte, uint16_t crc) {
                                (tmp >> 4));
 }
 
-uint16_t MavCrc(const uint8_t* data, size_t len) {
-  uint16_t crc = kCrcInit;
+uint16_t MavCrc(const uint8_t* data, size_t len, uint16_t crc) {
   for (size_t i = 0; i < len; ++i) {
     crc = MavCrcAccumulate(data[i], crc);
   }
   return crc;
-}
-
-uint16_t MavCrcWithExtra(const uint8_t* data, size_t len, uint8_t crc_extra) {
-  return MavCrcAccumulate(crc_extra, MavCrc(data, len));
 }
 
 }  // namespace androne

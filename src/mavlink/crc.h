@@ -1,5 +1,6 @@
-// CRC-16/X.25 (MCRF4XX) as used by the MAVLink checksum, including the
-// per-message CRC_EXTRA byte that seals the message definition.
+// CRC-16/X.25 (MCRF4XX) as used by the MAVLink checksum. The frame CRC
+// (src/mavlink/frame.cc) ends with the message's CRC_EXTRA byte, which seals
+// the message definition.
 #ifndef SRC_MAVLINK_CRC_H_
 #define SRC_MAVLINK_CRC_H_
 
@@ -13,11 +14,9 @@ inline constexpr uint16_t kCrcInit = 0xFFFF;
 // Accumulates one byte into the running CRC.
 uint16_t MavCrcAccumulate(uint8_t byte, uint16_t crc);
 
-// CRC over a buffer, starting from kCrcInit.
-uint16_t MavCrc(const uint8_t* data, size_t len);
-
-// CRC over a buffer followed by the message's CRC_EXTRA byte.
-uint16_t MavCrcWithExtra(const uint8_t* data, size_t len, uint8_t crc_extra);
+// Accumulates a buffer into the running CRC |crc|; a fresh CRC starts from
+// kCrcInit.
+uint16_t MavCrc(const uint8_t* data, size_t len, uint16_t crc = kCrcInit);
 
 }  // namespace androne
 

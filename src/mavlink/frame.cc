@@ -1,38 +1,9 @@
 #include "src/mavlink/frame.h"
 
 #include "src/mavlink/crc.h"
+#include "src/mavlink/messages.h"
 
 namespace androne {
-
-uint8_t MavCrcExtra(MavMsgId id) {
-  switch (id) {
-    case MavMsgId::kHeartbeat:
-      return 50;
-    case MavMsgId::kSysStatus:
-      return 124;
-    case MavMsgId::kSetMode:
-      return 89;
-    case MavMsgId::kParamValue:
-      return 220;
-    case MavMsgId::kParamSet:
-      return 168;
-    case MavMsgId::kAttitude:
-      return 39;
-    case MavMsgId::kGlobalPositionInt:
-      return 104;
-    case MavMsgId::kRcChannelsOverride:
-      return 124;
-    case MavMsgId::kCommandLong:
-      return 152;
-    case MavMsgId::kCommandAck:
-      return 143;
-    case MavMsgId::kSetPositionTargetGlobalInt:
-      return 5;
-    case MavMsgId::kStatusText:
-      return 83;
-  }
-  return 0;
-}
 
 const char* CopterModeName(CopterMode mode) {
   switch (mode) {
@@ -54,9 +25,23 @@ const char* CopterModeName(CopterMode mode) {
   return "UNKNOWN";
 }
 
+namespace {
+
+// The frame checksum: CRC-16/X.25 over len, seq, sysid, compid, msgid and
+// the payload (not the STX), then the message's CRC_EXTRA.
+uint16_t FrameCrc(const MavlinkFrame& frame) {
+  const uint8_t header[] = {static_cast<uint8_t>(frame.payload.size()),
+                            frame.seq, frame.sysid, frame.compid,
+                            static_cast<uint8_t>(frame.msgid)};
+  uint16_t crc = MavCrc(header, sizeof(header));
+  crc = MavCrc(frame.payload.data(), frame.payload.size(), crc);
+  return MavCrcAccumulate(MavCrcExtra(frame.msgid), crc);
+}
+
+}  // namespace
+
 void EncodeFrameInto(const MavlinkFrame& frame, std::vector<uint8_t>* out) {
-  size_t start = out->size();
-  out->reserve(start + 8 + frame.payload.size());
+  out->reserve(out->size() + 8 + frame.payload.size());
   out->push_back(kMavlinkStx);
   out->push_back(static_cast<uint8_t>(frame.payload.size()));
   out->push_back(frame.seq);
@@ -64,10 +49,7 @@ void EncodeFrameInto(const MavlinkFrame& frame, std::vector<uint8_t>* out) {
   out->push_back(frame.compid);
   out->push_back(static_cast<uint8_t>(frame.msgid));
   out->insert(out->end(), frame.payload.begin(), frame.payload.end());
-  // CRC covers len..payload (not the STX) plus CRC_EXTRA.
-  uint16_t crc = MavCrcWithExtra(out->data() + start + 1,
-                                 out->size() - start - 1,
-                                 MavCrcExtra(frame.msgid));
+  uint16_t crc = FrameCrc(frame);
   out->push_back(static_cast<uint8_t>(crc & 0xFF));
   out->push_back(static_cast<uint8_t>(crc >> 8));
 }
@@ -125,19 +107,7 @@ void MavlinkParser::Feed(const uint8_t* data, size_t len) {
       case State::kCrcHi: {
         uint16_t received =
             static_cast<uint16_t>(crc_lo_ | (static_cast<uint16_t>(byte) << 8));
-        // Recompute over header+payload.
-        std::vector<uint8_t> hdr{len_, current_.seq, current_.sysid,
-                                 current_.compid,
-                                 static_cast<uint8_t>(current_.msgid)};
-        uint16_t crc = kCrcInit;
-        for (uint8_t b : hdr) {
-          crc = MavCrcAccumulate(b, crc);
-        }
-        for (uint8_t b : current_.payload) {
-          crc = MavCrcAccumulate(b, crc);
-        }
-        crc = MavCrcAccumulate(MavCrcExtra(current_.msgid), crc);
-        if (crc == received) {
+        if (FrameCrc(current_) == received) {
           ready_.push_back(std::move(current_));
         } else {
           ++crc_errors_;

@@ -1,299 +1,141 @@
 #include "src/mavlink/messages.h"
 
+#include <array>
+#include <type_traits>
+
 #include "src/util/bytes.h"
 
 namespace androne {
 
 namespace {
 
-Status ShortPayload(const char* what) {
-  return InvalidArgumentError(std::string("short payload for ") + what);
+// The wire form of each field kind, both ways (little-endian).
+void Put(ByteWriter& w, uint8_t v) { w.PutU8(v); }
+void Put(ByteWriter& w, int8_t v) { w.PutI8(v); }
+void Put(ByteWriter& w, uint16_t v) { w.PutU16(v); }
+void Put(ByteWriter& w, int16_t v) { w.PutI16(v); }
+void Put(ByteWriter& w, uint32_t v) { w.PutU32(v); }
+void Put(ByteWriter& w, int32_t v) { w.PutI32(v); }
+void Put(ByteWriter& w, float v) { w.PutFloat(v); }
+template <class T, size_t N>
+void Put(ByteWriter& w, const T (&values)[N]) {
+  for (const T& v : values) {
+    Put(w, v);
+  }
+}
+template <size_t N, class S>
+void Put(ByteWriter& w, FixedString<N, S> s) {
+  w.PutFixedString(s.text, N);
 }
 
-MavlinkFrame Frame(MavMsgId id, ByteWriter& w) {
-  MavlinkFrame f;
-  f.msgid = id;
-  f.payload = w.Take();
-  return f;
+// A failed read poisons the reader, so the caller checks once at the end.
+void Get(ByteReader& r, uint8_t& v) { r.GetU8(v); }
+void Get(ByteReader& r, int8_t& v) { r.GetI8(v); }
+void Get(ByteReader& r, uint16_t& v) { r.GetU16(v); }
+void Get(ByteReader& r, int16_t& v) { r.GetI16(v); }
+void Get(ByteReader& r, uint32_t& v) { r.GetU32(v); }
+void Get(ByteReader& r, int32_t& v) { r.GetI32(v); }
+void Get(ByteReader& r, float& v) { r.GetFloat(v); }
+template <class T, size_t N>
+void Get(ByteReader& r, T (&values)[N]) {
+  for (T& v : values) {
+    Get(r, v);
+  }
 }
+template <size_t N>
+void Get(ByteReader& r, FixedString<N, std::string> s) {
+  r.GetFixedString(s.text, N);
+}
+
+template <class M>
+StatusOr<MavMessage> Unpack(const std::vector<uint8_t>& payload) {
+  M m;
+  ByteReader r(payload);
+  M::Fields(m, [&r](auto&&... field) { (Get(r, field), ...); });
+  if (r.failed()) {
+    return InvalidArgumentError(std::string("short payload for ") +
+                                M::kDef.name);
+  }
+  return MavMessage{std::move(m)};
+}
+
+// What the framing and decoding of one wire id need; a null |unpack| marks
+// an id no message has.
+struct Codec {
+  uint8_t crc_extra = 0;
+  StatusOr<MavMessage> (*unpack)(const std::vector<uint8_t>&) = nullptr;
+};
+
+template <class... M>
+constexpr std::array<Codec, 256> CodecsById(
+    std::type_identity<std::variant<M...>>) {
+  std::array<Codec, 256> codecs{};
+  ((codecs[static_cast<uint8_t>(M::kDef.id)] =
+        Codec{M::kDef.crc_extra, &Unpack<M>}),
+   ...);
+  return codecs;
+}
+
+template <class... M>
+constexpr bool IdsDistinct(std::type_identity<std::variant<M...>>) {
+  std::array<bool, 256> taken{};
+  for (MavMsgId id : {M::kDef.id...}) {
+    if (taken[static_cast<uint8_t>(id)]) {
+      return false;
+    }
+    taken[static_cast<uint8_t>(id)] = true;
+  }
+  return true;
+}
+
+static_assert(IdsDistinct(std::type_identity<MavMessage>{}),
+              "two MAVLink messages share a message id");
+
+constexpr std::array<Codec, 256> kCodecs =
+    CodecsById(std::type_identity<MavMessage>{});
 
 }  // namespace
 
 MavMsgId MessageId(const MavMessage& message) {
   return std::visit(
-      [](const auto& m) -> MavMsgId {
-        using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, Heartbeat>) {
-          return MavMsgId::kHeartbeat;
-        } else if constexpr (std::is_same_v<T, SysStatus>) {
-          return MavMsgId::kSysStatus;
-        } else if constexpr (std::is_same_v<T, SetMode>) {
-          return MavMsgId::kSetMode;
-        } else if constexpr (std::is_same_v<T, ParamSet>) {
-          return MavMsgId::kParamSet;
-        } else if constexpr (std::is_same_v<T, ParamValue>) {
-          return MavMsgId::kParamValue;
-        } else if constexpr (std::is_same_v<T, Attitude>) {
-          return MavMsgId::kAttitude;
-        } else if constexpr (std::is_same_v<T, GlobalPositionInt>) {
-          return MavMsgId::kGlobalPositionInt;
-        } else if constexpr (std::is_same_v<T, RcChannelsOverride>) {
-          return MavMsgId::kRcChannelsOverride;
-        } else if constexpr (std::is_same_v<T, CommandLong>) {
-          return MavMsgId::kCommandLong;
-        } else if constexpr (std::is_same_v<T, CommandAck>) {
-          return MavMsgId::kCommandAck;
-        } else if constexpr (std::is_same_v<T, SetPositionTargetGlobalInt>) {
-          return MavMsgId::kSetPositionTargetGlobalInt;
-        } else {
-          return MavMsgId::kStatusText;
-        }
-      },
+      [](const auto& m) { return std::decay_t<decltype(m)>::kDef.id; },
       message);
 }
 
+uint8_t MavCrcExtra(MavMsgId id) {
+  return kCodecs[static_cast<uint8_t>(id)].crc_extra;
+}
+
 MavlinkFrame PackMessage(const MavMessage& message) {
-  ByteWriter w;
   return std::visit(
-      [&w](const auto& m) -> MavlinkFrame {
-        using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, Heartbeat>) {
-          w.PutU32(m.custom_mode);
-          w.PutU8(m.type);
-          w.PutU8(m.autopilot);
-          w.PutU8(m.base_mode);
-          w.PutU8(m.system_status);
-          w.PutU8(m.mavlink_version);
-          return Frame(MavMsgId::kHeartbeat, w);
-        } else if constexpr (std::is_same_v<T, SysStatus>) {
-          w.PutU32(m.sensors_present);
-          w.PutU32(m.sensors_enabled);
-          w.PutU32(m.sensors_health);
-          w.PutU16(m.load);
-          w.PutU16(m.voltage_battery);
-          w.PutI16(m.current_battery);
-          w.PutU16(m.drop_rate_comm);
-          w.PutU16(m.errors_comm);
-          w.PutU16(m.errors_count1);
-          w.PutU16(m.errors_count2);
-          w.PutU16(m.errors_count3);
-          w.PutU16(m.errors_count4);
-          w.PutI8(m.battery_remaining);
-          return Frame(MavMsgId::kSysStatus, w);
-        } else if constexpr (std::is_same_v<T, SetMode>) {
-          w.PutU32(m.custom_mode);
-          w.PutU8(m.target_system);
-          w.PutU8(m.base_mode);
-          return Frame(MavMsgId::kSetMode, w);
-        } else if constexpr (std::is_same_v<T, ParamSet>) {
-          w.PutFloat(m.param_value);
-          w.PutU8(m.target_system);
-          w.PutU8(m.target_component);
-          w.PutFixedString(m.param_id, 16);
-          w.PutU8(m.param_type);
-          return Frame(MavMsgId::kParamSet, w);
-        } else if constexpr (std::is_same_v<T, ParamValue>) {
-          w.PutFloat(m.param_value);
-          w.PutU16(m.param_count);
-          w.PutU16(m.param_index);
-          w.PutFixedString(m.param_id, 16);
-          w.PutU8(m.param_type);
-          return Frame(MavMsgId::kParamValue, w);
-        } else if constexpr (std::is_same_v<T, Attitude>) {
-          w.PutU32(m.time_boot_ms);
-          w.PutFloat(m.roll);
-          w.PutFloat(m.pitch);
-          w.PutFloat(m.yaw);
-          w.PutFloat(m.rollspeed);
-          w.PutFloat(m.pitchspeed);
-          w.PutFloat(m.yawspeed);
-          return Frame(MavMsgId::kAttitude, w);
-        } else if constexpr (std::is_same_v<T, GlobalPositionInt>) {
-          w.PutU32(m.time_boot_ms);
-          w.PutI32(m.lat);
-          w.PutI32(m.lon);
-          w.PutI32(m.alt);
-          w.PutI32(m.relative_alt);
-          w.PutI16(m.vx);
-          w.PutI16(m.vy);
-          w.PutI16(m.vz);
-          w.PutU16(m.hdg);
-          return Frame(MavMsgId::kGlobalPositionInt, w);
-        } else if constexpr (std::is_same_v<T, RcChannelsOverride>) {
-          for (uint16_t c : m.chan) {
-            w.PutU16(c);
-          }
-          w.PutU8(m.target_system);
-          w.PutU8(m.target_component);
-          return Frame(MavMsgId::kRcChannelsOverride, w);
-        } else if constexpr (std::is_same_v<T, CommandLong>) {
-          w.PutFloat(m.param1);
-          w.PutFloat(m.param2);
-          w.PutFloat(m.param3);
-          w.PutFloat(m.param4);
-          w.PutFloat(m.param5);
-          w.PutFloat(m.param6);
-          w.PutFloat(m.param7);
-          w.PutU16(m.command);
-          w.PutU8(m.target_system);
-          w.PutU8(m.target_component);
-          w.PutU8(m.confirmation);
-          return Frame(MavMsgId::kCommandLong, w);
-        } else if constexpr (std::is_same_v<T, CommandAck>) {
-          w.PutU16(m.command);
-          w.PutU8(m.result);
-          return Frame(MavMsgId::kCommandAck, w);
-        } else if constexpr (std::is_same_v<T, SetPositionTargetGlobalInt>) {
-          w.PutU32(m.time_boot_ms);
-          w.PutI32(m.lat_int);
-          w.PutI32(m.lon_int);
-          w.PutFloat(m.alt);
-          w.PutFloat(m.vx);
-          w.PutFloat(m.vy);
-          w.PutFloat(m.vz);
-          w.PutFloat(m.afx);
-          w.PutFloat(m.afy);
-          w.PutFloat(m.afz);
-          w.PutFloat(m.yaw);
-          w.PutFloat(m.yaw_rate);
-          w.PutU16(m.type_mask);
-          w.PutU8(m.target_system);
-          w.PutU8(m.target_component);
-          w.PutU8(m.coordinate_frame);
-          return Frame(MavMsgId::kSetPositionTargetGlobalInt, w);
-        } else {
-          w.PutU8(m.severity);
-          w.PutFixedString(m.text, 50);
-          return Frame(MavMsgId::kStatusText, w);
-        }
+      [](const auto& m) {
+        using M = std::decay_t<decltype(m)>;
+        ByteWriter w;
+        M::Fields(m, [&w](const auto&... field) { (Put(w, field), ...); });
+        MavlinkFrame frame;
+        frame.msgid = M::kDef.id;
+        frame.payload = w.Take();
+        return frame;
       },
       message);
 }
 
 StatusOr<MavMessage> UnpackMessage(const MavlinkFrame& frame) {
-  ByteReader r(frame.payload);
-  switch (frame.msgid) {
-    case MavMsgId::kHeartbeat: {
-      Heartbeat m;
-      if (!r.GetU32(m.custom_mode) || !r.GetU8(m.type) ||
-          !r.GetU8(m.autopilot) || !r.GetU8(m.base_mode) ||
-          !r.GetU8(m.system_status) || !r.GetU8(m.mavlink_version)) {
-        return ShortPayload("HEARTBEAT");
-      }
-      return MavMessage{m};
-    }
-    case MavMsgId::kSysStatus: {
-      SysStatus m;
-      if (!r.GetU32(m.sensors_present) || !r.GetU32(m.sensors_enabled) ||
-          !r.GetU32(m.sensors_health) || !r.GetU16(m.load) ||
-          !r.GetU16(m.voltage_battery) || !r.GetI16(m.current_battery) ||
-          !r.GetU16(m.drop_rate_comm) || !r.GetU16(m.errors_comm) ||
-          !r.GetU16(m.errors_count1) || !r.GetU16(m.errors_count2) ||
-          !r.GetU16(m.errors_count3) || !r.GetU16(m.errors_count4) ||
-          !r.GetI8(m.battery_remaining)) {
-        return ShortPayload("SYS_STATUS");
-      }
-      return MavMessage{m};
-    }
-    case MavMsgId::kSetMode: {
-      SetMode m;
-      if (!r.GetU32(m.custom_mode) || !r.GetU8(m.target_system) ||
-          !r.GetU8(m.base_mode)) {
-        return ShortPayload("SET_MODE");
-      }
-      return MavMessage{m};
-    }
-    case MavMsgId::kParamSet: {
-      ParamSet m;
-      if (!r.GetFloat(m.param_value) || !r.GetU8(m.target_system) ||
-          !r.GetU8(m.target_component) || !r.GetFixedString(m.param_id, 16) ||
-          !r.GetU8(m.param_type)) {
-        return ShortPayload("PARAM_SET");
-      }
-      return MavMessage{m};
-    }
-    case MavMsgId::kParamValue: {
-      ParamValue m;
-      if (!r.GetFloat(m.param_value) || !r.GetU16(m.param_count) ||
-          !r.GetU16(m.param_index) || !r.GetFixedString(m.param_id, 16) ||
-          !r.GetU8(m.param_type)) {
-        return ShortPayload("PARAM_VALUE");
-      }
-      return MavMessage{m};
-    }
-    case MavMsgId::kAttitude: {
-      Attitude m;
-      if (!r.GetU32(m.time_boot_ms) || !r.GetFloat(m.roll) ||
-          !r.GetFloat(m.pitch) || !r.GetFloat(m.yaw) ||
-          !r.GetFloat(m.rollspeed) || !r.GetFloat(m.pitchspeed) ||
-          !r.GetFloat(m.yawspeed)) {
-        return ShortPayload("ATTITUDE");
-      }
-      return MavMessage{m};
-    }
-    case MavMsgId::kGlobalPositionInt: {
-      GlobalPositionInt m;
-      if (!r.GetU32(m.time_boot_ms) || !r.GetI32(m.lat) || !r.GetI32(m.lon) ||
-          !r.GetI32(m.alt) || !r.GetI32(m.relative_alt) || !r.GetI16(m.vx) ||
-          !r.GetI16(m.vy) || !r.GetI16(m.vz) || !r.GetU16(m.hdg)) {
-        return ShortPayload("GLOBAL_POSITION_INT");
-      }
-      return MavMessage{m};
-    }
-    case MavMsgId::kRcChannelsOverride: {
-      RcChannelsOverride m;
-      for (auto& c : m.chan) {
-        if (!r.GetU16(c)) {
-          return ShortPayload("RC_CHANNELS_OVERRIDE");
-        }
-      }
-      if (!r.GetU8(m.target_system) || !r.GetU8(m.target_component)) {
-        return ShortPayload("RC_CHANNELS_OVERRIDE");
-      }
-      return MavMessage{m};
-    }
-    case MavMsgId::kCommandLong: {
-      CommandLong m;
-      if (!r.GetFloat(m.param1) || !r.GetFloat(m.param2) ||
-          !r.GetFloat(m.param3) || !r.GetFloat(m.param4) ||
-          !r.GetFloat(m.param5) || !r.GetFloat(m.param6) ||
-          !r.GetFloat(m.param7) || !r.GetU16(m.command) ||
-          !r.GetU8(m.target_system) || !r.GetU8(m.target_component) ||
-          !r.GetU8(m.confirmation)) {
-        return ShortPayload("COMMAND_LONG");
-      }
-      return MavMessage{m};
-    }
-    case MavMsgId::kCommandAck: {
-      CommandAck m;
-      if (!r.GetU16(m.command) || !r.GetU8(m.result)) {
-        return ShortPayload("COMMAND_ACK");
-      }
-      return MavMessage{m};
-    }
-    case MavMsgId::kSetPositionTargetGlobalInt: {
-      SetPositionTargetGlobalInt m;
-      if (!r.GetU32(m.time_boot_ms) || !r.GetI32(m.lat_int) ||
-          !r.GetI32(m.lon_int) || !r.GetFloat(m.alt) || !r.GetFloat(m.vx) ||
-          !r.GetFloat(m.vy) || !r.GetFloat(m.vz) || !r.GetFloat(m.afx) ||
-          !r.GetFloat(m.afy) || !r.GetFloat(m.afz) || !r.GetFloat(m.yaw) ||
-          !r.GetFloat(m.yaw_rate) || !r.GetU16(m.type_mask) ||
-          !r.GetU8(m.target_system) || !r.GetU8(m.target_component) ||
-          !r.GetU8(m.coordinate_frame)) {
-        return ShortPayload("SET_POSITION_TARGET_GLOBAL_INT");
-      }
-      return MavMessage{m};
-    }
-    case MavMsgId::kStatusText: {
-      StatusText m;
-      if (!r.GetU8(m.severity) || !r.GetFixedString(m.text, 50)) {
-        return ShortPayload("STATUSTEXT");
-      }
-      return MavMessage{m};
-    }
+  const Codec& codec = kCodecs[static_cast<uint8_t>(frame.msgid)];
+  if (codec.unpack == nullptr) {
+    return UnimplementedError("unknown MAVLink message id " +
+                              std::to_string(static_cast<int>(frame.msgid)));
   }
-  return UnimplementedError("unknown MAVLink message id " +
-                            std::to_string(static_cast<int>(frame.msgid)));
+  return codec.unpack(frame.payload);
+}
+
+SetPositionTargetGlobalInt GotoTarget(const GeoPoint& target) {
+  SetPositionTargetGlobalInt sp;
+  sp.lat_int = static_cast<int32_t>(target.latitude_deg * 1e7);
+  sp.lon_int = static_cast<int32_t>(target.longitude_deg * 1e7);
+  sp.alt = static_cast<float>(target.altitude_m);
+  sp.type_mask = 0x0FF8;  // Position only.
+  return sp;
 }
 
 }  // namespace androne

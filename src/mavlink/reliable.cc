@@ -114,7 +114,7 @@ void ReliableCommandSender::Resolve(uint16_t command_id, bool delivered) {
 }
 
 void ReliableCommandSender::HandleFrame(const MavlinkFrame& frame) {
-  if (frame.msgid != MavMsgId::kCommandAck) {
+  if (frame.msgid != CommandAck::kDef.id) {
     return;
   }
   auto message = UnpackMessage(frame);
@@ -158,21 +158,8 @@ Status ReliableCommandSender::Visit(Ar& ar) {
 template Status ReliableCommandSender::Visit(SaveArchive&);
 template Status ReliableCommandSender::Visit(LoadArchive&);
 
-namespace {
-
-// Equality ignoring the confirmation counter (both sides zero it).
-bool SameCommand(const CommandLong& a, const CommandLong& b) {
-  return a.command == b.command && a.target_system == b.target_system &&
-         a.target_component == b.target_component && a.param1 == b.param1 &&
-         a.param2 == b.param2 && a.param3 == b.param3 &&
-         a.param4 == b.param4 && a.param5 == b.param5 &&
-         a.param6 == b.param6 && a.param7 == b.param7;
-}
-
-}  // namespace
-
 CommandDeduper::Verdict CommandDeduper::Filter(const MavlinkFrame& frame) {
-  if (frame.msgid != MavMsgId::kCommandLong) {
+  if (frame.msgid != CommandLong::kDef.id) {
     return Verdict{};
   }
   auto message = UnpackMessage(frame);
@@ -185,10 +172,15 @@ CommandDeduper::Verdict CommandDeduper::Filter(const MavlinkFrame& frame) {
   }
   CommandLong normalized = *cmd;
   normalized.confirmation = 0;
+  // A resend repeats the payload byte for byte, a NaN param included, apart
+  // from the confirmation counter, which both sides hold at zero.
+  const std::vector<uint8_t> payload =
+      PackMessage(MavMessage{normalized}).payload;
   Prune();
   for (Entry& e : entries_) {
     if (e.sysid == frame.sysid && e.compid == frame.compid &&
-        e.seq == frame.seq && SameCommand(e.cmd, normalized)) {
+        e.seq == frame.seq &&
+        PackMessage(MavMessage{e.cmd}).payload == payload) {
       ++duplicates_suppressed_;
       // Sliding window: a retransmission proves the sender is still
       // retrying, so keep remembering across growing backoff gaps.

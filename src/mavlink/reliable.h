@@ -13,6 +13,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <type_traits>
 
 #include "src/mavlink/messages.h"
 #include "src/util/rng.h"
@@ -20,27 +21,24 @@
 
 namespace androne {
 
-// Snapshot visitors for the two command-channel payload types. The float
-// params travel as doubles.
-template <class Ar>
-void VisitValue(Ar& ar, CommandLong& cmd) {
-  ar.F64(cmd.param1);
-  ar.F64(cmd.param2);
-  ar.F64(cmd.param3);
-  ar.F64(cmd.param4);
-  ar.F64(cmd.param5);
-  ar.F64(cmd.param6);
-  ar.F64(cmd.param7);
-  ar.U32(cmd.command);
-  ar.U8(cmd.target_system);
-  ar.U8(cmd.target_component);
-  ar.U8(cmd.confirmation);
-}
-
-template <class Ar>
-void VisitValue(Ar& ar, CommandAck& ack) {
-  ar.U32(ack.command);
-  ar.U8(ack.result);
+// Snapshot visitor for the two command-channel payloads, from their wire
+// field lists: floats travel as F64, 16-bit fields as U32 and bytes as U8.
+template <class Ar, class M>
+  requires std::is_same_v<M, CommandLong> || std::is_same_v<M, CommandAck>
+void VisitValue(Ar& ar, M& message) {
+  M::Fields(message, [&ar](auto&... fields) {
+    auto visit = [&ar]<class T>(T& v) {
+      if constexpr (std::is_same_v<T, float>) {
+        ar.F64(v);
+      } else if constexpr (sizeof(T) == 2) {
+        ar.U32(v);
+      } else {
+        static_assert(sizeof(T) == 1);
+        ar.U8(v);
+      }
+    };
+    (visit(fields), ...);
+  });
 }
 
 // Ack-tracked COMMAND_LONG sender. One command per MAV_CMD id may be in

@@ -12,21 +12,10 @@ void ByteWriter::PutU32(uint32_t v) {
   PutU16(static_cast<uint16_t>(v >> 16));
 }
 
-void ByteWriter::PutU64(uint64_t v) {
-  PutU32(static_cast<uint32_t>(v & 0xFFFFFFFFULL));
-  PutU32(static_cast<uint32_t>(v >> 32));
-}
-
 void ByteWriter::PutFloat(float v) {
   uint32_t bits;
   std::memcpy(&bits, &v, sizeof(bits));
   PutU32(bits);
-}
-
-void ByteWriter::PutDouble(double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(bits);
 }
 
 void ByteWriter::PutBytes(const uint8_t* data, size_t n) {
@@ -92,36 +81,9 @@ bool ByteReader::GetI32(int32_t& v) {
   return true;
 }
 
-bool ByteReader::GetU64(uint64_t& v) {
-  uint32_t lo, hi;
-  if (!GetU32(lo) || !GetU32(hi)) {
-    return false;
-  }
-  v = static_cast<uint64_t>(lo) | (static_cast<uint64_t>(hi) << 32);
-  return true;
-}
-
-bool ByteReader::GetI64(int64_t& v) {
-  uint64_t u;
-  if (!GetU64(u)) {
-    return false;
-  }
-  v = static_cast<int64_t>(u);
-  return true;
-}
-
 bool ByteReader::GetFloat(float& v) {
   uint32_t bits;
   if (!GetU32(bits)) {
-    return false;
-  }
-  std::memcpy(&v, &bits, sizeof(v));
-  return true;
-}
-
-bool ByteReader::GetDouble(double& v) {
-  uint64_t bits;
-  if (!GetU64(bits)) {
     return false;
   }
   std::memcpy(&v, &bits, sizeof(v));

@@ -30,10 +30,7 @@ class ByteWriter {
   void PutI16(int16_t v) { PutU16(static_cast<uint16_t>(v)); }
   void PutU32(uint32_t v);
   void PutI32(int32_t v) { PutU32(static_cast<uint32_t>(v)); }
-  void PutU64(uint64_t v);
-  void PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
   void PutFloat(float v);
-  void PutDouble(double v);
   void PutBytes(const uint8_t* data, size_t n);
   // Writes exactly |n| bytes: the string truncated or zero-padded.
   void PutFixedString(const std::string& s, size_t n);
@@ -60,10 +57,7 @@ class ByteReader {
   bool GetI16(int16_t& v);
   bool GetU32(uint32_t& v);
   bool GetI32(int32_t& v);
-  bool GetU64(uint64_t& v);
-  bool GetI64(int64_t& v);
   bool GetFloat(float& v);
-  bool GetDouble(double& v);
   // Reads |n| bytes and strips trailing NULs.
   bool GetFixedString(std::string& out, size_t n);
   // Reads exactly |n| bytes, preserving embedded/trailing NULs.

@@ -7,6 +7,7 @@
 #include "src/core/drone.h"
 #include "src/core/sdk.h"
 #include "src/core/vdc.h"
+#include "src/hw/sensor_faults.h"
 #include "src/services/device_services.h"
 #include "src/services/permissions.h"
 
@@ -492,6 +493,69 @@ TEST_F(DroneFixture, FourthVirtualDroneFailsToDeploy) {
     ASSERT_TRUE(vd.ok());
     EXPECT_EQ((*vd)->container->state(), ContainerState::kRunning);
   }
+}
+
+
+// DESIGN.md §7: MAVProxy suspends virtual-drone commands during a safety
+// override. A GPS jump trips the supervisor while a tenant holds flight
+// control; its commands are declined until the override releases.
+TEST(SafetyOverrideTest, SuspendsTenantCommandsUntilRelease) {
+  SensorFaultPlan faults;
+  ASSERT_TRUE(faults.AddGpsJump(Seconds(40), Seconds(8), 100.0, 60.0).ok());
+  SimClock clock;
+  AnDroneOptions options;
+  options.base = kBase;
+  options.seed = 11;
+  options.sensor_faults = &faults;
+  AnDroneSystem system(&clock, options);
+  ASSERT_TRUE(system.Boot().ok());
+
+  VirtualDroneDefinition def;
+  def.id = "vd-1";
+  def.owner = "alice";
+  def.waypoints = {WaypointSpec{kWaypointA, 40}};
+  def.max_duration_s = 300;
+  def.energy_allotted_j = 45000;
+  def.waypoint_devices = {"flight-control"};
+  ASSERT_TRUE(system.Deploy(def).ok());
+
+  // Take off on the planner link, then hand the tenant control.
+  SetMode guided;
+  guided.custom_mode = static_cast<uint32_t>(CopterMode::kGuided);
+  system.proxy().HandlePlannerFrame(PackMessage(MavMessage{guided}));
+  CommandLong arm;
+  arm.command = static_cast<uint16_t>(MavCmd::kComponentArmDisarm);
+  arm.param1 = 1;
+  system.planner_sender().SendCommand(arm);
+  CommandLong takeoff;
+  takeoff.command = static_cast<uint16_t>(MavCmd::kNavTakeoff);
+  takeoff.param7 = 15;
+  system.planner_sender().SendCommand(takeoff);
+  ASSERT_TRUE(system.RunClockUntil(
+      [&] { return system.physics().truth().position.altitude_m > 14; },
+      Seconds(30)));
+  ASSERT_TRUE(system.vdc().NotifyWaypointReached("vd-1", 0).ok());
+  VirtualFlightController* vfc = system.VfcOf("vd-1");
+  vfc->GrantControl();
+
+  CommandLong speed;
+  speed.command = static_cast<uint16_t>(MavCmd::kDoChangeSpeed);
+  speed.param2 = 3;
+  const MavlinkFrame speed_frame = PackMessage(MavMessage{speed});
+
+  ASSERT_TRUE(system.RunClockUntil(
+      [&] { return system.flight().safety().overriding(); }, Seconds(60)));
+  const uint64_t forwarded = vfc->commands_forwarded();
+  const uint64_t declined = vfc->commands_declined();
+  vfc->HandleClientFrame(speed_frame);
+  EXPECT_EQ(vfc->commands_declined(), declined + 1);
+  EXPECT_EQ(vfc->commands_forwarded(), forwarded);
+
+  ASSERT_TRUE(system.RunClockUntil(
+      [&] { return !system.flight().safety().overriding(); }, Seconds(60)));
+  vfc->HandleClientFrame(speed_frame);
+  EXPECT_EQ(vfc->commands_forwarded(), forwarded + 1);
+  EXPECT_EQ(vfc->commands_declined(), declined + 1);
 }
 
 }  // namespace

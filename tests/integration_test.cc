@@ -233,14 +233,9 @@ TEST(NetworkRobustnessTest, GuidedFlightSurvivesLossyLink) {
   send(MavMessage{takeoff});
   GeoPoint target = kWaypointB;
   // A GCS keeps re-sending the current target at 1 Hz, as real ones do.
-  SetPositionTargetGlobalInt sp;
-  sp.lat_int = static_cast<int32_t>(target.latitude_deg * 1e7);
-  sp.lon_int = static_cast<int32_t>(target.longitude_deg * 1e7);
-  sp.alt = 15;
-  sp.type_mask = 0x0FF8;
   bool arrived = false;
   for (int i = 0; i < 240 && !arrived; ++i) {
-    send(MavMessage{sp});
+    send(MavMessage{GotoTarget(target)});
     clock.RunFor(Seconds(1));
     arrived = drone.DistanceTo(target) < 3.0;
   }

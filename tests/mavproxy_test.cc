@@ -14,12 +14,7 @@ const GeoPoint kHome{43.6084298, -85.8110359, 0.0};
 const GeoPoint kWaypointA{43.6084298, -85.8110359, 15.0};
 
 MavlinkFrame GotoFrame(const GeoPoint& target) {
-  SetPositionTargetGlobalInt sp;
-  sp.lat_int = static_cast<int32_t>(target.latitude_deg * 1e7);
-  sp.lon_int = static_cast<int32_t>(target.longitude_deg * 1e7);
-  sp.alt = static_cast<float>(target.altitude_m);
-  sp.type_mask = 0x0FF8;
-  return PackMessage(MavMessage{sp});
+  return PackMessage(MavMessage{GotoTarget(target)});
 }
 
 MavlinkFrame CommandFrame(MavCmd cmd, float p1 = 0, float p7 = 0) {
